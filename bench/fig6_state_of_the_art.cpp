@@ -6,12 +6,6 @@
 // Expected shape (paper): CFR 9.4% GM; OpenTuner ~4.9%; COBAYN static
 // ~4.6%, hybrid ~2.1%, dynamic below 1.0; PGO marginal with failed
 // instrumentation runs for LULESH and Optewe.
-//
-// Beyond the paper's figure, the table also reports the repo's
-// model-guided searches (BO, Group, Staged) so every registry
-// algorithm gets the same state-of-the-art comparison. --smoke runs a
-// tiny deterministic configuration (two benchmarks, reduced budgets)
-// for CI.
 
 #include "baselines/cobayn.hpp"
 #include "baselines/opentuner.hpp"
@@ -21,27 +15,8 @@
 
 int main(int argc, char** argv) {
   using namespace ft;
-  support::OptionSet option_set = bench::BenchConfig::option_set();
-  option_set.flag("smoke", false,
-                  "tiny CI configuration: two benchmarks, reduced "
-                  "search budgets");
-  const support::OptionSet::Parsed parsed =
-      bench::BenchConfig::parse_or_exit(option_set, argc, argv);
-  bench::BenchConfig config = bench::BenchConfig::from(parsed);
-  const bool smoke = parsed.flag("smoke");
-  if (smoke && !parsed.given("samples")) config.samples = 40;
-  std::vector<std::string> names = bench::benchmark_names();
-  if (smoke && names.size() > 2) names.resize(2);
-
-  // Under --smoke the model-guided searches also shrink, through the
-  // same namespaced-knob channel `ftune --bo:iterations=...` uses.
-  core::FuncyTunerOptions model_options = config.tuner_options();
-  if (smoke) {
-    model_options.algorithm_options["bo"] = {"--iterations=10",
-                                             "--warmup=4",
-                                             "--candidates=16"};
-    model_options.algorithm_options["group"] = {"--iterations=20"};
-  }
+  const bench::BenchConfig config = bench::BenchConfig::parse(argc, argv);
+  const std::vector<std::string>& names = bench::benchmark_names();
 
   // Train COBAYN once on the synthetic serial corpus (paper §4.2.1).
   const flags::FlagSpace icc = flags::icc_space();
@@ -60,7 +35,7 @@ int main(int argc, char** argv) {
   table.set_header(header);
 
   std::vector<double> cobayn_static, cobayn_dynamic, cobayn_hybrid, pgo,
-      opentuner, cfr, bo, group, staged;
+      opentuner, cfr;
   std::vector<std::string> pgo_notes;
 
   for (const auto& name : names) {
@@ -97,17 +72,6 @@ int main(int argc, char** argv) {
             .tuning.speedup);
 
     cfr.push_back(tuner.run_cfr().speedup);
-
-    // The model-guided registry algorithms, each on a fresh tuner so
-    // overhead accounting stays per-approach.
-    for (const auto& [key, series] :
-         {std::pair<const char*, std::vector<double>*>{"bo", &bo},
-          {"group", &group},
-          {"staged", &staged}}) {
-      core::FuncyTuner model_tuner(programs::by_name(name),
-                                   machine::broadwell(), model_options);
-      series->push_back(model_tuner.run(key).speedup);
-    }
   }
 
   bench::add_gm_row(table, "static COBAYN", cobayn_static);
@@ -116,9 +80,6 @@ int main(int argc, char** argv) {
   bench::add_gm_row(table, "PGO", pgo);
   bench::add_gm_row(table, "OpenTuner", opentuner);
   bench::add_gm_row(table, "CFR", cfr);
-  bench::add_gm_row(table, "BO", bo);
-  bench::add_gm_row(table, "Group", group);
-  bench::add_gm_row(table, "Staged", staged);
   bench::print_table(table, config);
 
   if (!pgo_notes.empty()) {

@@ -110,15 +110,6 @@ int main(int argc, char** argv) {
     add_overhead_row(table, "EvoCFR + eval cache", cached.evaluator());
     evo_hits = cached.evaluator().resilience_stats().cache_hits;
   }
-  // The model-guided registry searches: BO's sequential surrogate loop
-  // keeps the evaluation count (and thus the charge) far below the
-  // sampling searches; Group and Staged spend a CFR-like budget.
-  for (const char* key : {"bo", "group", "staged"}) {
-    core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
-                           config.tuner_options());
-    const core::TuningResult result = tuner.run(key);
-    add_overhead_row(table, result.algorithm, tuner.evaluator());
-  }
   // COBAYN: corpus measurement dominates (24 programs x samples) plus
   // per-target inference.
   {

@@ -55,6 +55,14 @@ Compiler::Compiler(const flags::FlagSpace& space, machine::Architecture arch,
 CompiledModule Compiler::compile(const ir::LoopModule& module,
                                  const flags::CompilationVector& cv,
                                  const PgoProfile* pgo) {
+  bool compiled = false;
+  return compile(module, cv, pgo, compiled);
+}
+
+CompiledModule Compiler::compile(const ir::LoopModule& module,
+                                 const flags::CompilationVector& cv,
+                                 const PgoProfile* pgo, bool& compiled) {
+  compiled = false;
   const bool pgo_valid = pgo != nullptr && pgo->valid;
   std::uint64_t key = cv.hash();
   key ^= support::fnv1a64(module.name);
@@ -74,40 +82,53 @@ CompiledModule Compiler::compile(const ir::LoopModule& module,
       }
       return it->second;
     }
-    ++cache_misses_;
-  }
-  if (telemetry::enabled()) {
-    static telemetry::Counter& misses = telemetry::metrics().counter(
-        "compiler.cache_misses", /*deterministic=*/false);
-    misses.add();
   }
 
   CompiledModule object = compile_module(module, cv, space_->decode(cv),
                                          arch_, personality_, pgo);
   {
+    // Two threads can both miss the same key and compile it; only the
+    // one whose object lands in the cache counts the miss, so the miss
+    // total is the number of distinct objects whatever the schedule.
     std::lock_guard lock(cache_mutex_);
-    cache_.emplace(key, object);
+    compiled = cache_.emplace(key, object).second;
+    if (compiled) {
+      ++cache_misses_;
+    } else {
+      ++cache_hits_;
+    }
+  }
+  if (compiled && telemetry::enabled()) {
+    static telemetry::Counter& misses = telemetry::metrics().counter(
+        "compiler.cache_misses", /*deterministic=*/false);
+    misses.add();
   }
   return object;
 }
 
 Executable Compiler::build(const ir::Program& program,
                            const ModuleAssignment& assignment,
-                           const PgoProfile* pgo) {
+                           const PgoProfile* pgo,
+                           std::size_t* modules_compiled) {
   if (assignment.loop_cvs.size() != program.loops().size()) {
     throw std::invalid_argument(
         "build: assignment has " + std::to_string(assignment.loop_cvs.size()) +
         " loop CVs but program has " +
         std::to_string(program.loops().size()) + " loops");
   }
+  std::size_t misses = 0;
+  bool compiled = false;
   std::vector<CompiledModule> loop_objects;
   loop_objects.reserve(program.loops().size());
   for (std::size_t j = 0; j < program.loops().size(); ++j) {
     loop_objects.push_back(
-        compile(program.loops()[j], assignment.loop_cvs[j], pgo));
+        compile(program.loops()[j], assignment.loop_cvs[j], pgo, compiled));
+    misses += compiled ? 1 : 0;
   }
   const CompiledModule nonloop_object =
-      compile(program.nonloop(), assignment.nonloop_cv, pgo);
+      compile(program.nonloop(), assignment.nonloop_cv, pgo, compiled);
+  misses += compiled ? 1 : 0;
+  if (modules_compiled != nullptr) *modules_compiled = misses;
   if (telemetry::enabled()) {
     static telemetry::Counter& builds =
         telemetry::metrics().counter("compiler.builds");

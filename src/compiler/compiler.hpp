@@ -48,9 +48,13 @@ class Compiler {
                                        const PgoProfile* pgo = nullptr);
 
   /// Compiles all modules of `program` per the assignment and links.
+  /// `modules_compiled`, when given, receives how many of this build's
+  /// modules were cache misses: an exact per-call count, unlike a
+  /// cache_misses() delta, which concurrent builds inflate.
   [[nodiscard]] Executable build(const ir::Program& program,
                                  const ModuleAssignment& assignment,
-                                 const PgoProfile* pgo = nullptr);
+                                 const PgoProfile* pgo = nullptr,
+                                 std::size_t* modules_compiled = nullptr);
 
   /// Convenience: traditional per-program compilation with a single CV.
   [[nodiscard]] Executable build_uniform(const ir::Program& program,
@@ -78,6 +82,12 @@ class Compiler {
   void clear_cache();
 
  private:
+  /// compile() that also reports whether this call put the object in
+  /// the cache (a miss).
+  [[nodiscard]] CompiledModule compile(const ir::LoopModule& module,
+                                       const flags::CompilationVector& cv,
+                                       const PgoProfile* pgo, bool& compiled);
+
   const flags::FlagSpace* space_;
   machine::Architecture arch_;
   Personality personality_;

@@ -120,25 +120,14 @@ EvalBackend::RawResult Evaluator::raw_run(
   if (backend_) return backend_->run(assignment, options);
   // Engine and compiler are internally synchronized; this is safe from
   // evaluate_batch workers.
-  compiler::Compiler& compiler = engine_->compiler();
-  const std::size_t misses_before = compiler.cache_misses();
-  const compiler::Executable exe =
-      compiler.build(engine_->program(), assignment);
-  // Under parallel batches the delta may misattribute individual
-  // misses between concurrent evaluations, but the accumulated total
-  // (what §4.3 reports) stays exact.
+  // Under parallel batches which evaluation compiles a shared module
+  // depends on the schedule, but every module is counted exactly once,
+  // so the accumulated total (what §4.3 reports) is exact.
   EvalBackend::RawResult raw;
-  raw.modules_compiled = compiler.cache_misses() - misses_before;
+  const compiler::Executable exe = engine_->compiler().build(
+      engine_->program(), assignment, nullptr, &raw.modules_compiled);
   raw.result = engine_->run(exe, *input_, options);
   return raw;
-}
-
-machine::RunResult Evaluator::run(
-    const compiler::ModuleAssignment& assignment,
-    const machine::RunOptions& options) {
-  const EvalBackend::RawResult raw = raw_run(assignment, options);
-  account(raw.modules_compiled, raw.result.end_to_end, options.repetitions);
-  return raw.result;
 }
 
 std::uint64_t Evaluator::assignment_key(
@@ -540,18 +529,6 @@ EvalOutcome Evaluator::try_evaluate(
   request.instrumented = context.instrumented;
   EvalTrace trace = context.trace();
   return evaluate(request, trace).outcome;
-}
-
-EvalOutcome Evaluator::try_run(const compiler::ModuleAssignment& assignment,
-                               const machine::RunOptions& options) {
-  EvalRequest request;
-  request.assignment = assignment;
-  request.rep_base = options.rep_base;
-  request.repetitions = options.repetitions;
-  request.instrumented = options.instrumented;
-  request.noise = options.noise;
-  request.aggregate = options.aggregate;
-  return evaluate_one(request).outcome;
 }
 
 void Evaluator::set_journal(std::shared_ptr<EvalJournal> journal) {

@@ -60,8 +60,6 @@ inline constexpr std::uint64_t kCombinedElimination = 8ull << 16;  ///< CE
 inline constexpr std::uint64_t kFlagElimination = 9ull << 16;      ///< FE
 inline constexpr std::uint64_t kRetune = 10ull << 16;       ///< online re-tune
 inline constexpr std::uint64_t kDriftMonitor = 11ull << 16; ///< drift probes
-inline constexpr std::uint64_t kBo = 12ull << 16;           ///< Bayesian opt
-inline constexpr std::uint64_t kGroup = 13ull << 16;        ///< group-aware
 inline constexpr std::uint64_t kFinal = 1ull << 20;         ///< final_seconds
 inline constexpr std::uint64_t kCrossInput = 1ull << 21;    ///< other inputs
 }  // namespace rep_streams
@@ -319,18 +317,6 @@ class Evaluator {
       const compiler::ModuleAssignment& assignment,
       const EvalContext& context = {});
 
-  /// Full run result (used by legacy callers). Bypasses fault
-  /// injection, retries and the journal - prefer evaluate().
-  [[nodiscard]] machine::RunResult run(
-      const compiler::ModuleAssignment& assignment,
-      const machine::RunOptions& options);
-
-  /// Resilient run with positional options. Shim over
-  /// evaluate(EvalRequest).
-  [[nodiscard]] EvalOutcome try_run(
-      const compiler::ModuleAssignment& assignment,
-      const machine::RunOptions& options);
-
   /// Generator-style batch shim: result[i] = seconds of `make(i)`
   /// at noise key `context.rep_base`.
   [[nodiscard]] std::vector<double> evaluate_batch(
@@ -394,12 +380,6 @@ class Evaluator {
   [[nodiscard]] const std::shared_ptr<EvalCache>& eval_cache()
       const noexcept {
     return cache_;
-  }
-  /// The salt set_eval_cache() was given (0 when no cache attached).
-  /// SearchContext::corpus() needs it to probe the persistent disk
-  /// tier with the exact keys this evaluator's insertions used.
-  [[nodiscard]] std::uint64_t cache_salt() const noexcept {
-    return cache_salt_;
   }
 
   /// Seeds the attached cache with every record the attached journal

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "support/log.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -78,22 +77,6 @@ TuningResult evolutionary_search(Evaluator& evaluator,
   std::vector<Individual> population(population_size);
   for (Individual& individual : population) {
     individual.genome = random_genome();
-  }
-  if (!options.seed_genome.empty()) {
-    const bool shape_ok =
-        options.seed_genome.size() == module_count &&
-        std::all_of(options.seed_genome.begin(), options.seed_genome.end(),
-                    [&](std::size_t index) {
-                      return index < collection.cvs.size();
-                    });
-    if (shape_ok) {
-      // The random draws above already consumed the RNG, so installing
-      // the seed perturbs nothing downstream of gen 0.
-      population.front().genome = options.seed_genome;
-    } else {
-      support::log_warn() << "evolutionary_search: ignoring malformed "
-                             "seed genome (size/index mismatch)";
-    }
   }
   std::vector<EvalRequest> gen0_requests(population_size);
   for (std::size_t i = 0; i < population_size; ++i) {

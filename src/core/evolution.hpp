@@ -29,13 +29,6 @@ struct EvolutionOptions {
   double crossover_rate = 0.7;
   double mutation_rate = 0.25;
   std::uint64_t seed = 42;
-  /// Optional solver-provided start: one collection.cvs index per
-  /// module, installed as individual 0 of generation 0 (the staged
-  /// search seeds its surrogate pick here). Empty = fully random
-  /// gen-0, bit-identical to the pre-seeding behavior. Ignored (with
-  /// a warning) when the size does not match the module count or an
-  /// index is out of range.
-  std::vector<std::size_t> seed_genome;
 };
 
 /// Runs the per-loop evolutionary search. Reports algorithm "EvoCFR".

@@ -22,11 +22,11 @@
 
 namespace ft::core {
 
-/// Typed key/value extras a search algorithm attaches to its result:
-/// greedy's §3.4 independence bound, bo's surrogate statistics,
-/// staged's seed quality. Replaces the bespoke per-algorithm optional
-/// fields TuningResult used to grow one pair at a time. Keys iterate
-/// in sorted order, so serialized extras are deterministic.
+/// Typed key/value extras a search algorithm attaches to its result
+/// (greedy's §3.4 independence bound, for one). Replaces the bespoke
+/// per-algorithm optional fields TuningResult used to grow one pair at
+/// a time. Keys iterate in sorted order, so serialized extras are
+/// deterministic.
 class ResultExtras {
  public:
   void set(const std::string& key, double value) { values_[key] = value; }

@@ -3,11 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/checkpoint.hpp"
-#include "core/eval_cache.hpp"
 #include "core/funcy_tuner.hpp"
-#include "core/model_search.hpp"
-#include "core/persistent_cache.hpp"
 #include "support/rng.hpp"
 
 namespace ft::core {
@@ -60,71 +56,6 @@ double SearchContext::baseline_seconds() const {
 const compiler::ModuleAssignment& SearchContext::seed_assignment() const {
   if (seed_assignment_ == nullptr) missing("seed_assignment");
   return *seed_assignment_;
-}
-
-const Corpus& SearchContext::corpus() const {
-  if (corpus_) return *corpus_;
-  Evaluator& evaluator = this->evaluator();
-  Corpus corpus;
-  EvalJournal* journal = evaluator.journal().get();
-  PersistentCache* disk = evaluator.eval_cache() != nullptr
-                              ? evaluator.eval_cache()->disk()
-                              : nullptr;
-  if (journal != nullptr || disk != nullptr) {
-    const std::size_t loops = evaluator.engine().program().loops().size();
-    const flags::FlagSpace& space = evaluator.engine().compiler().space();
-    // Candidate order is fixed (default CV, then the pre-sampled CVs),
-    // so the corpus - and everything trained on it - is deterministic.
-    std::vector<const flags::CompilationVector*> candidates;
-    const flags::CompilationVector default_cv = space.default_cv();
-    candidates.push_back(&default_cv);
-    for (const flags::CompilationVector& cv : presampled()) {
-      candidates.push_back(&cv);
-    }
-    // The two shapes uniform candidates are ever measured under: the
-    // collection sweep (instrumented, with per-loop times) and the
-    // Random search (plain end-to-end). Prefer the instrumented
-    // record - it strictly subsumes the other's information.
-    struct Probe {
-      std::uint64_t rep_base;
-      bool instrumented;
-    };
-    constexpr Probe kProbes[] = {
-        {rep_streams::kCollection, true},
-        {rep_streams::kRandom, false},
-    };
-    for (const flags::CompilationVector* cv : candidates) {
-      const compiler::ModuleAssignment assignment =
-          compiler::ModuleAssignment::uniform(*cv, loops);
-      const std::uint64_t key = evaluator.assignment_key(assignment);
-      for (const Probe& probe : kProbes) {
-        EvalOutcome outcome;
-        bool hit = journal != nullptr &&
-                   journal->lookup(key, probe.rep_base, 1,
-                                   probe.instrumented, &outcome);
-        if (!hit && disk != nullptr) {
-          hit = disk->lookup(
-              EvalCache::Key{.assignment = key,
-                             .rep_base = probe.rep_base,
-                             .salt = evaluator.cache_salt(),
-                             .repetitions = 1,
-                             .instrumented = probe.instrumented},
-              &outcome);
-        }
-        if (!hit || !outcome.ok()) continue;
-        CorpusEntry entry;
-        entry.cv = *cv;
-        entry.end_to_end = outcome.result.end_to_end;
-        if (probe.instrumented) {
-          entry.loop_seconds = outcome.result.loop_seconds;
-        }
-        corpus.entries.push_back(std::move(entry));
-        break;
-      }
-    }
-  }
-  corpus_ = std::move(corpus);
-  return *corpus_;
 }
 
 std::vector<std::string> SearchContext::algorithm_tokens(
@@ -226,113 +157,6 @@ class CfrAlgorithm final : public SearchAlgorithm {
   }
 };
 
-class BoAlgorithm final : public SearchAlgorithm {
- public:
-  std::string name() const override { return "bo"; }
-  std::string display_name() const override { return "BO"; }
-  support::OptionSet options() const override {
-    support::OptionSet set;
-    set.integer("iterations", 60,
-                "total measurements, warmup included (NOT aliased to "
-                "flat --samples: each step refits an exact GP)")
-        .integer("warmup", 8, "seeded random probes before the first fit")
-        .integer("candidates", 64, "acquisition pool size per step")
-        .text("acquisition", "ei", "acquisition function: ei | mean",
-              [](const std::string& raw) {
-                return raw == "ei" || raw == "mean"
-                           ? std::string()
-                           : std::string("must be 'ei' or 'mean'");
-              })
-        .real("length-scale", 1.0, "RBF kernel length scale");
-    return set;
-  }
-  TuningResult run(SearchContext& context) const override {
-    const support::OptionSet::Parsed parsed = parsed_options(context);
-    const FuncyTunerOptions& options = context.options();
-    BoOptions bo_options;
-    bo_options.iterations =
-        static_cast<std::size_t>(parsed.integer("iterations"));
-    bo_options.warmup = static_cast<std::size_t>(parsed.integer("warmup"));
-    bo_options.candidates =
-        static_cast<std::size_t>(parsed.integer("candidates"));
-    bo_options.acquisition = parsed.text("acquisition");
-    bo_options.length_scale = parsed.real("length-scale");
-    bo_options.seed = support::Rng(options.seed).fork("bo").next();
-    // Reading the corpus here is resume-safe: bo only ever writes the
-    // kBo and kFinal streams, which the corpus never probes, so an
-    // interrupted-and-resumed run sees the same corpus it saw live.
-    return bo_search(context.evaluator(), context.outline(),
-                     context.presampled(), bo_options,
-                     context.baseline_seconds(), &context.corpus());
-  }
-};
-
-class GroupAlgorithm final : public SearchAlgorithm {
- public:
-  std::string name() const override { return "group"; }
-  std::string display_name() const override { return "Group"; }
-  support::OptionSet options() const override {
-    support::OptionSet set;
-    set.integer("iterations", 120, "evaluation budget")
-        .integer("size", 3, "max flags re-drawn per mutation step")
-        .integer("patience", 0,
-                 "early-stop patience; 0 = fixed budget (deprecated "
-                 "alias: flat --patience)");
-    return set;
-  }
-  TuningResult run(SearchContext& context) const override {
-    const support::OptionSet::Parsed parsed = parsed_options(context);
-    const FuncyTunerOptions& options = context.options();
-    GroupOptions group_options;
-    group_options.iterations =
-        static_cast<std::size_t>(parsed.integer("iterations"));
-    group_options.group_size =
-        static_cast<std::size_t>(parsed.integer("size"));
-    group_options.patience =
-        knob_or(parsed, "patience", options.patience);
-    group_options.seed = support::Rng(options.seed).fork("group").next();
-    // Resume-safe like bo: group writes only kGroup/kFinal, never the
-    // corpus-probed streams.
-    return group_search(context.evaluator(), context.outline(),
-                        group_options, context.baseline_seconds(),
-                        &context.corpus());
-  }
-};
-
-class StagedAlgorithm final : public SearchAlgorithm {
- public:
-  std::string name() const override { return "staged"; }
-  std::string display_name() const override { return "Staged"; }
-  support::OptionSet options() const override {
-    support::OptionSet set;
-    set.integer("iterations", 1000,
-                "total measurement budget for the refinement stage "
-                "(deprecated alias: flat --samples)")
-        .integer("top-x", 10,
-                 "pruned space size per module (deprecated alias: flat "
-                 "--top-x)");
-    return set;
-  }
-  TuningResult run(SearchContext& context) const override {
-    const support::OptionSet::Parsed parsed = parsed_options(context);
-    const FuncyTunerOptions& options = context.options();
-    StagedOptions staged_options;
-    staged_options.iterations =
-        knob_or(parsed, "iterations", options.samples);
-    staged_options.top_x = knob_or(parsed, "top-x", options.top_x);
-    staged_options.seed = support::Rng(options.seed).fork("staged").next();
-    // Order matters for --resume bit-identity: staged's own collection
-    // sweep writes the kCollection records the corpus probes, so force
-    // the sweep BEFORE the corpus snapshot. A run resumed mid-staged
-    // then replays the full sweep from the journal and reads the exact
-    // corpus the uninterrupted run read.
-    const Collection& collection = context.collection();
-    return staged_search(context.evaluator(), context.outline(),
-                         collection, context.corpus(), staged_options,
-                         context.baseline_seconds());
-  }
-};
-
 class RetuneAlgorithm final : public SearchAlgorithm {
  public:
   std::string name() const override { return "retune"; }
@@ -428,9 +252,6 @@ SearchRegistry& SearchRegistry::global() {
     r.add("fr", [] { return std::make_unique<FrAlgorithm>(); });
     r.add("greedy", [] { return std::make_unique<GreedyAlgorithm>(); });
     r.add("cfr", [] { return std::make_unique<CfrAlgorithm>(); });
-    r.add("bo", [] { return std::make_unique<BoAlgorithm>(); });
-    r.add("group", [] { return std::make_unique<GroupAlgorithm>(); });
-    r.add("staged", [] { return std::make_unique<StagedAlgorithm>(); });
     r.add("retune", [] { return std::make_unique<RetuneAlgorithm>(); },
           /*listed=*/false);
     return r;

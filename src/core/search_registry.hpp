@@ -1,16 +1,15 @@
 // SearchAlgorithm registry: a uniform name → factory API over the
-// paper's four search algorithms, the model-guided family (bo, group,
-// staged) and any experimental ones a caller registers. Replaces the
-// run_random / run_fr / run_greedy / run_cfr fan-out: ftune, Campaign
-// and the figure benches resolve algorithms by key and iterate
-// `names()` instead of hard-coding a string switch.
+// paper's four search algorithms and any experimental ones a caller
+// registers. Replaces the run_random / run_fr / run_greedy / run_cfr
+// fan-out: ftune, Campaign and the figure benches resolve algorithms
+// by key and iterate `names()` instead of hard-coding a string switch.
 //
 // A SearchAlgorithm consumes a SearchContext - lazy accessors over one
 // FuncyTuner's phases - so cheap algorithms (Random) never force the
 // expensive collection sweep just by being constructed. Each
 // algorithm additionally owns a declarative options() schema
 // (support/options OptionSet) of its private knobs, surfaced by ftune
-// as namespaced flags (`--cfr:top-x`, `--bo:acquisition`, ...); the
+// as namespaced flags (`--cfr:top-x`, `--fr:samples`, ...); the
 // old flat FuncyTunerOptions fields stay honored as deprecated
 // aliases when the namespaced knob was not given.
 #pragma once
@@ -18,7 +17,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,27 +26,6 @@
 namespace ft::core {
 
 struct FuncyTunerOptions;
-
-/// One prior measurement usable as model-training evidence: a uniform
-/// (every module the same CV) evaluation recovered from the
-/// checkpoint journal or the persistent cache tier.
-struct CorpusEntry {
-  flags::CompilationVector cv;
-  double end_to_end = 0.0;
-  /// Per-loop times when the record was instrumented (collection
-  /// phase); empty for plain end-to-end records.
-  std::vector<double> loop_seconds;
-};
-
-/// The free training corpus a model-guided search can warm-start
-/// from. Entries follow candidate order (default CV first, then the
-/// pre-sampled CVs), so the corpus is deterministic for a fixed seed.
-struct Corpus {
-  std::vector<CorpusEntry> entries;
-
-  [[nodiscard]] bool empty() const noexcept { return entries.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return entries.size(); }
-};
 
 /// Everything a search algorithm may need, behind lazy checked
 /// accessors: each phase accessor runs (and memoizes, via FuncyTuner)
@@ -95,19 +72,6 @@ class SearchContext {
   }
   [[nodiscard]] const compiler::ModuleAssignment& seed_assignment() const;
 
-  /// Lazy (memoized) training corpus over the evaluator's checkpoint
-  /// journal and persistent cache disk tier. Probes only the
-  /// enumerable uniform candidates - the default CV plus every
-  /// pre-sampled CV - at the two record shapes those candidates are
-  /// ever measured under: the collection sweep (rep_streams::
-  /// kCollection, 1 rep, instrumented) and the Random search
-  /// (rep_streams::kRandom, 1 rep, plain). The in-memory cache tier is
-  /// deliberately NOT consulted: its contents depend on eviction
-  /// order, while journal + disk tier are append-only, which keeps the
-  /// corpus - and everything trained on it - bit-identical between
-  /// cache-on and cache-off runs and across --resume.
-  [[nodiscard]] const Corpus& corpus() const;
-
   /// Raw namespaced option tokens for one algorithm key (what the user
   /// passed as `--<algorithm>:<knob>[=value]`), normalized to
   /// `--knob=value` form; empty when none were given.
@@ -122,21 +86,19 @@ class SearchContext {
   CollectionFn collection_;
   BaselineFn baseline_seconds_;
   const compiler::ModuleAssignment* seed_assignment_ = nullptr;
-  mutable std::optional<Corpus> corpus_;
 };
 
 /// One search algorithm, resolvable by registry key.
 class SearchAlgorithm {
  public:
   virtual ~SearchAlgorithm() = default;
-  /// Registry key (stable, lowercase: "random", "fr", "greedy", "cfr",
-  /// "bo", "group", "staged").
+  /// Registry key (stable, lowercase: "random", "fr", "greedy", "cfr").
   [[nodiscard]] virtual std::string name() const = 0;
   /// Human label as the paper prints it ("Random", "FR", "G.realized",
   /// "CFR"); also what TuningResult::algorithm is set to.
   [[nodiscard]] virtual std::string display_name() const = 0;
   /// Declarative schema of this algorithm's private knobs, with
-  /// UNprefixed names ("top-x", "acquisition"); ftune surfaces each as
+  /// UNprefixed names ("top-x", "patience"); ftune surfaces each as
   /// `--<name()>:<knob>`. Default: no knobs.
   [[nodiscard]] virtual support::OptionSet options() const { return {}; }
   [[nodiscard]] virtual TuningResult run(SearchContext& context) const = 0;
@@ -154,7 +116,7 @@ class SearchAlgorithm {
 
 /// Name → factory map. Registration order is iteration order, so
 /// `--algorithm all` reproduces the paper's Random, FR, G, CFR column
-/// order (followed by the model-guided bo, group, staged family).
+/// order.
 /// Thread-compatible: register at startup, read from anywhere.
 class SearchRegistry {
  public:
@@ -177,8 +139,8 @@ class SearchRegistry {
   [[nodiscard]] std::vector<std::string> names() const;
 
   /// The process-wide registry, pre-populated with the paper's four
-  /// algorithms (random, fr, greedy, cfr), the model-guided family
-  /// (bo, group, staged) and the unlisted online "retune".
+  /// algorithms (random, fr, greedy, cfr) and the unlisted online
+  /// "retune".
   [[nodiscard]] static SearchRegistry& global();
 
  private:

@@ -100,21 +100,9 @@ ResultExtras read_tuning_result_extras(const std::string& json) {
   ResultExtras extras;
   if (const support::JsonValue* block = document.find("extras");
       block != nullptr && block->is_object()) {
-    // Schema v3: the typed block.
     for (const auto& [key, value] : block->members()) {
       if (value.is_number()) extras.set(key, value.number());
     }
-    return extras;
-  }
-  // Schema v2 and earlier: the bespoke top-level pair (absent unless a
-  // pre-v3 writer was patched to emit it; read it anyway so archived
-  // greedy artifacts round-trip).
-  double value = 0.0;
-  if (document.get(kExtraIndependentSeconds, &value)) {
-    extras.set(kExtraIndependentSeconds, value);
-  }
-  if (document.get(kExtraIndependentSpeedup, &value)) {
-    extras.set(kExtraIndependentSpeedup, value);
   }
   return extras;
 }

@@ -31,11 +31,8 @@ void write_history_csv(std::ostream& os, const TuningResult& result);
     const TuningResult& result, const flags::FlagSpace& space,
     const ir::Program& program);
 
-/// Reads the extras block back from a tuning-result JSON artifact.
-/// Schema v3 artifacts yield their "extras" object; v2 artifacts
-/// predate the block and read back the old bespoke shape (top-level
-/// "independent_seconds"/"independent_speedup" members, when present)
-/// so archived results stay consumable. Throws std::runtime_error on
+/// Reads the "extras" block back from a tuning-result JSON artifact
+/// (empty when the artifact has none). Throws std::runtime_error on
 /// malformed JSON or a schema newer than this binary.
 [[nodiscard]] ResultExtras read_tuning_result_extras(
     const std::string& json);

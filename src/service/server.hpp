@@ -66,7 +66,7 @@ struct ServerOptions {
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Admitted-but-unfinished evaluation requests across all sessions;
   /// a frame that would exceed it is refused with "overloaded".
-  std::size_t max_inflight = 256;
+  std::size_t max_inflight = 4096;
   /// Requests accepted per eval_batch frame (advertised in welcome).
   std::size_t max_batch = 1024;
   /// Daemon-side raw-result cache entries per workspace; 0 disables.

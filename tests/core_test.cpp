@@ -3,10 +3,12 @@
 // invariants of the four search algorithms.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <set>
 
 #include "core/funcy_tuner.hpp"
+#include "core/serialization.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
 #include "support/stats.hpp"
@@ -345,6 +347,36 @@ TEST_F(CoreTest, CrossInputEvaluation) {
   const double baseline = tuner_.baseline_seconds_on(*large, 5);
   EXPECT_NEAR(tuned, baseline, 0.2);
   EXPECT_NEAR(baseline, large->o3_seconds, 0.5);
+}
+
+// -------------------------------------------------------- result extras ----
+
+TEST(ResultExtras, RoundTripsThroughTuningResultJson) {
+  FuncyTunerOptions options;
+  options.samples = 16;
+  FuncyTuner tuner(programs::swim(), machine::broadwell(), options);
+  const TuningResult greedy = tuner.run("greedy");
+  ASSERT_TRUE(greedy.extras.contains(kExtraIndependentSpeedup));
+
+  const std::string json =
+      tuning_result_json(greedy, tuner.space(), tuner.program());
+  EXPECT_NE(json.find("\"schema_version\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"extras\":{"), std::string::npos);
+
+  // The artifact prints numbers at the table precision (6 significant
+  // digits), so the round trip is near, not bit-exact.
+  const ResultExtras read = read_tuning_result_extras(json);
+  ASSERT_EQ(read.items().size(), greedy.extras.items().size());
+  for (const auto& [key, value] : greedy.extras.items()) {
+    EXPECT_NEAR(read.get_or(key, -1.0), value,
+                1e-4 * std::abs(value) + 1e-9)
+        << key;
+  }
+  // Malformed JSON and future schemas are hard errors.
+  EXPECT_THROW((void)read_tuning_result_extras("{\"schema"),
+               std::runtime_error);
+  EXPECT_THROW((void)read_tuning_result_extras("{\"schema_version\":99}"),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -565,6 +565,26 @@ TEST(Server, OverloadedRefusalIsRetryable) {
   server.stop();
 }
 
+TEST(Server, DefaultOptionsServeAPaperScaleBatch) {
+  // A CFR campaign at the paper's budget sends 1000-request batches;
+  // a default daemon must admit one whole instead of refusing it as
+  // overloaded, so the default max_inflight must cover a full batch.
+  Server server(test_server_options());
+  server.start();
+  Socket socket = greet(server);
+  std::vector<core::EvalRequest> batch(1000, valid_request());
+  for (std::size_t i = 0; i < batch.size(); ++i) batch[i].rep_base = i;
+  const support::JsonValue reply =
+      roundtrip(socket.fd(), encode_eval_batch(3, batch));
+  ASSERT_EQ(frame_type(reply), "result_batch");
+  std::vector<core::EvalResponse> responses;
+  std::string error;
+  ASSERT_TRUE(decode_result(reply, &responses, &error)) << error;
+  EXPECT_EQ(responses.size(), batch.size());
+  EXPECT_EQ(server.stats().overloads, 0u);
+  server.stop();
+}
+
 TEST(Server, BatchBeyondMaxBatchIsRefused) {
   ServerOptions options = test_server_options();
   options.max_batch = 2;

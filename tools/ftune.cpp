@@ -234,7 +234,7 @@ support::OptionSet::Parsed parse_or_exit(
       if (command == "tune" || command == "campaign") {
         std::cout << "\nAlgorithm knobs are namespaced: "
                      "--<algorithm>:<knob>[=value], e.g. --cfr:top-x=8 "
-                     "--bo:acquisition=ei --group:size=4\n";
+                     "--cfr:patience=20\n";
       }
       std::exit(0);
     }

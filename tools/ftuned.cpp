@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
             "ephemeral)")
       .real("idle-timeout", 0.0,
             "exit after this many seconds with no sessions (0 = never)")
-      .integer("max-inflight", 256,
+      .integer("max-inflight", 4096,
                "admitted-but-unfinished evaluations before refusing "
                "with `overloaded`")
       .integer("max-batch", 1024,
