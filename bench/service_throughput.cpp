@@ -9,8 +9,8 @@
 // after warmup is a replay, so the wire and the loop are the
 // bottleneck being measured.
 //
-// Run it under both framings to quantify what the negotiated binary
-// encoding buys over the JSON baseline:
+// Run it under both framings to measure what the negotiated CRC-32
+// trailer costs over plain binary (the "crc32 share" line):
 //   service_throughput --clients 8 --batch 16 --seconds 2 --framing both
 // Numbers for this machine live in BENCH_service_throughput.json
 // (regenerate with --json).
@@ -20,9 +20,9 @@
 // exercise the real binary end to end).
 //
 // --check-allocs additionally asserts the steady-state claim behind
-// FrameBuffer: after warmup, a binary ping round-trip performs ZERO
-// client-side heap allocations (the reusable read/write buffers have
-// reached their high-water capacity).
+// FrameBuffer: after warmup, a ping round-trip performs ZERO
+// client-side heap allocations under every framing (the reusable
+// read/write buffers have reached their high-water capacity).
 
 #include <algorithm>
 #include <atomic>
@@ -109,7 +109,7 @@ struct BenchSetup {
   std::string program = "CL";
   std::string arch = "broadwell";
   core::FuncyTunerOptions options;
-  service::Framing framing = service::Framing::kJson;
+  service::Framing framing = service::Framing::kBinary;
   std::size_t clients = 8;
   std::size_t batch = 16;
   double seconds = 2.0;
@@ -127,7 +127,7 @@ std::shared_ptr<service::Client> dial(const BenchSetup& setup) {
 }
 
 /// After warmup every buffer in the client has reached its high-water
-/// capacity; a further binary ping round-trip must not allocate.
+/// capacity; a further ping round-trip must not allocate.
 void assert_zero_alloc_pings(const BenchSetup& setup) {
   const std::shared_ptr<service::Client> client = dial(setup);
   for (int i = 0; i < 64; ++i) client->ping();  // warmup
@@ -235,7 +235,7 @@ int run(int argc, char** argv) {
   set.integer("clients", 8, "concurrent client sessions")
       .integer("batch", 16, "requests per eval_batch frame")
       .real("seconds", 2.0, "timed window per framing")
-      .text("framing", "both", "json, binary, or both")
+      .text("framing", "both", "binary, binary-crc32, or both")
       .text("program", "CL", "benchmark the workspace serves")
       .text("arch", "broadwell", "architecture the workspace serves")
       .text("json", "", "append machine-readable results to this file")
@@ -244,7 +244,7 @@ int run(int argc, char** argv) {
             "of an in-process daemon")
       .flag("check-allocs", false,
             "assert zero client-side allocations per steady-state "
-            "binary ping round-trip")
+            "ping round-trip")
       .flag("help", false, "print this help");
   const support::OptionSet::Parsed parsed =
       BenchConfig::parse_or_exit(set, argc, argv);
@@ -260,12 +260,12 @@ int run(int argc, char** argv) {
   std::vector<service::Framing> framings;
   const std::string framing_arg = parsed.text("framing");
   if (framing_arg == "both") {
-    framings = {service::Framing::kJson, service::Framing::kBinary};
+    framings = {service::Framing::kBinary, service::Framing::kBinaryCrc};
   } else {
     service::Framing framing;
     if (!service::framing_from_name(framing_arg, &framing)) {
       std::cerr << "service_throughput: unknown framing '" << framing_arg
-                << "' (expected json, binary or both)\n";
+                << "' (expected binary, binary-crc32 or both)\n";
       return 1;
     }
     framings = {framing};
@@ -291,19 +291,24 @@ int run(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"service_throughput\",\n  \"runs\": [\n";
-  bool first = true;
+  std::vector<double> evals_per_sec;
   for (const service::Framing framing : framings) {
     setup.framing = framing;
     const RunResult result = run_load(setup);
     print_result(service::framing_name(framing), result);
-    if (!first) json << ",\n";
-    first = false;
+    if (!evals_per_sec.empty()) json << ",\n";
+    evals_per_sec.push_back(result.evals_per_sec);
     append_json(json, service::framing_name(framing), setup, result);
-    if (setup.check_allocs && framing == service::Framing::kBinary) {
-      assert_zero_alloc_pings(setup);
-    }
+    if (setup.check_allocs) assert_zero_alloc_pings(setup);
   }
-  json << "\n  ]\n}\n";
+  json << "\n  ]";
+  if (evals_per_sec.size() == 2 && evals_per_sec[0] > 0) {
+    // The throughput binary-crc32 gives up relative to plain binary.
+    const double crc_share = 1.0 - evals_per_sec[1] / evals_per_sec[0];
+    std::cout << "crc32 share: " << crc_share * 100 << "%\n";
+    json << ",\n  \"crc32_share\": " << crc_share;
+  }
+  json << "\n}\n";
 
   const std::string json_path = parsed.text("json");
   if (!json_path.empty()) {

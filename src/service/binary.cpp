@@ -1,7 +1,57 @@
-#include "service/binary.hpp"
+// The wire codec of the ftuned protocol (service/protocol.hpp): every
+// frame, handshake included, is encoded and decoded here. Under
+// Framing::kBinaryCrc the payload also carries a 4-byte little-endian
+// CRC-32 trailer over everything before it.
+//
+// Layout: every payload is `u8 tag, u64le seq, fields...`. All
+// integers are little-endian fixed width; doubles are their IEEE-754
+// bit pattern as u64le (bit-exactness is structural - no %.17g
+// round-trip argument needed); strings are u32le length + raw bytes;
+// compilation vectors are u32le count + raw choice bytes.
+//
+//   tag  frame         fields after the (tag, seq) header
+//   ---  ------------  ------------------------------------------------
+//    1   hello         caps, str program, str arch, str personality,
+//                      u64 seed, f64 noise_sigma, f64 attribution_sigma,
+//                      f64 fault_rate, u64 fault_seed, f64 compile_share,
+//                      f64 crash_share, f64 timeout_share,
+//                      f64 outlier_rate, f64 outlier_min_scale,
+//                      f64 outlier_max_scale
+//    2   welcome       str server, u64 session, u64 max_batch,
+//                      u8 framing, caps
+//    3   error         str code, str detail, u8 retryable, u8 fatal
+//    4   eval          request
+//    5   eval_batch    u32 count, request*
+//    6   result        response
+//    7   result_batch  u32 count, response*
+//    8   ping          -
+//    9   pong          -
+//   10   bye           -
+//
+//   caps     = u32 protocol, u8 framing_count, u8 framing*
+//              (1 binary, 2 binary-crc32; unknown codes are skipped),
+//              u64 max_frame_bytes, u32 arch_count, str*
+//   request  = u32 loop_count, cv* loops, cv nonloop, u64 rep_base,
+//              u32 repetitions, u8 instrumented, u8 noise,
+//              u8 aggregate (0 mean, 1 median, 2 trimmed)
+//   response = u8 served (0 run, 1 cache, 2 journal), u32 attempts,
+//              u64 modules_compiled, u8 ok;
+//              ok:  f64 end_to_end, f64 stddev, u32 loop_count, f64*
+//              !ok: str fault_kind, str detail
+//
+// hello leads with caps, so the protocol version is the first field
+// after the header: a peer speaking another version is identified
+// before anything version-specific is parsed. Bytes after the last
+// field are ignored, which lets a later version append fields.
+//
+// The decoder is fuzz-safe by construction: a bounds-checked cursor
+// rejects any truncated field, and element counts are validated
+// against the bytes actually remaining before any allocation, so a
+// forged count cannot force a huge reserve.
+#include "service/protocol.hpp"
 
 #include <bit>
-#include <cstring>
+#include <string>
 
 namespace ft::service {
 
@@ -58,9 +108,20 @@ void put_caps(std::string* out, const Capabilities& caps) {
   }
 }
 
-void put_header(std::string* out, FrameKind kind, std::uint64_t seq) {
+/// Starts a payload in *out (cleared, capacity kept): tag and seq.
+void begin_frame(std::string* out, FrameKind kind, std::uint64_t seq) {
+  out->clear();
   put_u8(out, static_cast<std::uint8_t>(kind));
   put_u64(out, seq);
+}
+
+/// Appends the little-endian CRC32 trailer for binary-crc32 frames.
+void seal(Framing framing, std::string* out) {
+  if (framing != Framing::kBinaryCrc) return;
+  const std::uint32_t crc = crc32(*out);
+  for (int i = 0; i < 4; ++i) {
+    out->push_back(static_cast<char>((crc >> (8 * i)) & 0xFFu));
+  }
 }
 
 void put_request(std::string* out, const core::EvalRequest& request) {
@@ -162,14 +223,23 @@ struct Cursor {
   }
 };
 
+bool known_framing(std::uint8_t code) {
+  return code == static_cast<std::uint8_t>(Framing::kBinary) ||
+         code == static_cast<std::uint8_t>(Framing::kBinaryCrc);
+}
+
 bool read_caps(Cursor* cursor, Capabilities* out, std::string* error) {
   std::uint32_t protocol = 0;
   std::uint8_t framing_count = 0;
-  if (!cursor->u32(&protocol) || !cursor->u8(&framing_count)) {
+  if (!cursor->u32(&protocol)) {
     *error = "truncated capabilities";
     return false;
   }
   out->protocol = static_cast<int>(protocol);
+  if (!cursor->u8(&framing_count)) {
+    *error = "truncated capabilities";
+    return false;
+  }
   out->framings.clear();
   for (std::uint8_t i = 0; i < framing_count; ++i) {
     std::uint8_t framing = 0;
@@ -178,11 +248,11 @@ bool read_caps(Cursor* cursor, Capabilities* out, std::string* error) {
       return false;
     }
     // Unknown framing bytes are future framings: skip, don't fail.
-    if (framing <= static_cast<std::uint8_t>(Framing::kBinary)) {
+    if (known_framing(framing)) {
       out->framings.push_back(static_cast<Framing>(framing));
     }
   }
-  if (out->framings.empty()) out->framings.push_back(Framing::kJson);
+  if (out->framings.empty()) out->framings.push_back(Framing::kBinary);
   std::uint32_t arch_count = 0;
   if (!cursor->u64(&out->max_frame_bytes) || !cursor->u32(&arch_count)) {
     *error = "truncated capabilities";
@@ -307,17 +377,17 @@ bool read_response(Cursor* cursor, core::EvalResponse* out,
     }
     loop_sum += result.loop_seconds[i];
   }
-  // Not transmitted; recompute exactly as the engine (and the JSON
-  // decoder) derive it.
+  // Not transmitted; recompute exactly as the engine derives it.
   result.derived_nonloop_seconds = result.end_to_end - loop_sum;
   return true;
 }
 
 }  // namespace
 
-void binary_encode_hello(const HelloFrame& hello, std::string* out) {
-  out->clear();
-  put_header(out, FrameKind::kHello, 0);
+void encode_hello_frame(Framing framing, const HelloFrame& hello,
+                        std::string* out) {
+  begin_frame(out, FrameKind::kHello, 0);
+  put_caps(out, hello.caps);  // leads with the protocol version
   put_string(out, hello.program);
   put_string(out, hello.arch);
   put_string(out, hello.personality);
@@ -333,94 +403,123 @@ void binary_encode_hello(const HelloFrame& hello, std::string* out) {
   put_f64(out, faults.outlier_rate);
   put_f64(out, faults.outlier_min_scale);
   put_f64(out, faults.outlier_max_scale);
-  put_caps(out, hello.caps);
+  seal(framing, out);
 }
 
-void binary_encode_welcome(const WelcomeFrame& welcome, std::string* out) {
-  out->clear();
-  put_header(out, FrameKind::kWelcome, 0);
+void encode_welcome_frame(Framing framing, const WelcomeFrame& welcome,
+                          std::string* out) {
+  begin_frame(out, FrameKind::kWelcome, 0);
   put_string(out, welcome.server);
   put_u64(out, welcome.session);
   put_u64(out, static_cast<std::uint64_t>(welcome.max_batch));
   put_u8(out, static_cast<std::uint8_t>(welcome.framing));
   put_caps(out, welcome.caps);
+  seal(framing, out);
 }
 
-void binary_encode_error(const ErrorFrame& error, std::string* out) {
-  out->clear();
-  put_header(out, FrameKind::kError, error.seq);
+void encode_error_frame(Framing framing, const ErrorFrame& error,
+                        std::string* out) {
+  begin_frame(out, FrameKind::kError, error.seq);
   put_string(out, error.code);
   put_string(out, error.detail);
   put_u8(out, error.retryable ? 1 : 0);
   put_u8(out, error.fatal ? 1 : 0);
+  seal(framing, out);
 }
 
-void binary_encode_eval(std::uint64_t seq,
-                        const core::EvalRequest& request,
-                        std::string* out) {
-  out->clear();
-  put_header(out, FrameKind::kEval, seq);
+void encode_eval_frame(Framing framing, std::uint64_t seq,
+                       const core::EvalRequest& request, std::string* out) {
+  begin_frame(out, FrameKind::kEval, seq);
   put_request(out, request);
+  seal(framing, out);
 }
 
-void binary_encode_eval_batch(std::uint64_t seq,
-                              std::span<const core::EvalRequest> requests,
-                              std::string* out) {
-  out->clear();
-  put_header(out, FrameKind::kEvalBatch, seq);
+void encode_eval_batch_frame(Framing framing, std::uint64_t seq,
+                             std::span<const core::EvalRequest> requests,
+                             std::string* out) {
+  begin_frame(out, FrameKind::kEvalBatch, seq);
   put_u32(out, static_cast<std::uint32_t>(requests.size()));
   for (const core::EvalRequest& request : requests) {
     put_request(out, request);
   }
+  seal(framing, out);
 }
 
-void binary_encode_result(std::uint64_t seq,
-                          const core::EvalResponse& response,
-                          std::string* out) {
-  out->clear();
-  put_header(out, FrameKind::kResult, seq);
+void encode_result_frame(Framing framing, std::uint64_t seq,
+                         const core::EvalResponse& response,
+                         std::string* out) {
+  begin_frame(out, FrameKind::kResult, seq);
   put_response(out, response);
+  seal(framing, out);
 }
 
-void binary_encode_result_batch(
-    std::uint64_t seq, std::span<const core::EvalResponse> responses,
-    std::string* out) {
-  out->clear();
-  put_header(out, FrameKind::kResultBatch, seq);
+void encode_result_batch_frame(
+    Framing framing, std::uint64_t seq,
+    std::span<const core::EvalResponse> responses, std::string* out) {
+  begin_frame(out, FrameKind::kResultBatch, seq);
   put_u32(out, static_cast<std::uint32_t>(responses.size()));
   for (const core::EvalResponse& response : responses) {
     put_response(out, response);
   }
+  seal(framing, out);
 }
 
-void binary_encode_ping(std::uint64_t seq, std::string* out) {
-  out->clear();
-  put_header(out, FrameKind::kPing, seq);
+void encode_ping_frame(Framing framing, std::uint64_t seq,
+                       std::string* out) {
+  begin_frame(out, FrameKind::kPing, seq);
+  seal(framing, out);
 }
 
-void binary_encode_pong(std::uint64_t seq, std::string* out) {
-  out->clear();
-  put_header(out, FrameKind::kPong, seq);
+void encode_pong_frame(Framing framing, std::uint64_t seq,
+                       std::string* out) {
+  begin_frame(out, FrameKind::kPong, seq);
+  seal(framing, out);
 }
 
-void binary_encode_bye(std::string* out) {
-  out->clear();
-  put_header(out, FrameKind::kBye, 0);
+void encode_bye_frame(Framing framing, std::string* out) {
+  begin_frame(out, FrameKind::kBye, 0);
+  seal(framing, out);
 }
 
-DecodeStatus binary_decode_frame(std::string_view payload, AnyFrame* out,
-                                 std::string* error) {
+DecodeStatus decode_frame(Framing framing, std::string_view payload,
+                          AnyFrame* out, std::string* error) {
   out->reset();
   error->clear();
+  if (framing == Framing::kBinaryCrc) {
+    // Verify-then-strip: the trailer covers the whole payload, so a
+    // flipped byte ANYWHERE (tag, length, double bits) fails here and
+    // never reaches the field decoder. Length framing stays
+    // synchronized, so the caller refuses just this frame (bad_frame)
+    // and the session survives.
+    if (payload.size() < 4) {
+      *error = "binary-crc32 frame shorter than its checksum";
+      return DecodeStatus::kUnparseable;
+    }
+    const std::string_view trailer = payload.substr(payload.size() - 4);
+    payload.remove_suffix(4);
+    std::uint32_t declared = 0;
+    for (int i = 3; i >= 0; --i) {
+      declared = (declared << 8) |
+                 static_cast<unsigned char>(trailer[static_cast<std::size_t>(i)]);
+    }
+    if (crc32(payload) != declared) {
+      *error = "crc32 mismatch: frame corrupted in flight";
+      return DecodeStatus::kUnparseable;
+    }
+  }
   Cursor cursor{
       reinterpret_cast<const unsigned char*>(payload.data()),
       reinterpret_cast<const unsigned char*>(payload.data()) +
           payload.size(),
   };
   std::uint8_t tag = 0;
-  if (!cursor.u8(&tag)) return DecodeStatus::kUnparseable;
+  if (!cursor.u8(&tag)) {
+    *error = "empty frame";
+    return DecodeStatus::kUnparseable;
+  }
   if (tag < static_cast<std::uint8_t>(FrameKind::kHello) ||
       tag > static_cast<std::uint8_t>(FrameKind::kBye)) {
+    *error = "unknown frame tag " + std::to_string(tag);
     return DecodeStatus::kUnknownType;
   }
   if (!cursor.u64(&out->seq)) {
@@ -435,8 +534,11 @@ DecodeStatus binary_decode_frame(std::string_view payload, AnyFrame* out,
   switch (out->kind) {
     case FrameKind::kHello: {
       HelloFrame& hello = out->hello;
-      const machine::FaultConfig defaults{};
-      hello.options.faults = defaults;
+      // The version comes first: a skewed peer's hello is refused as
+      // unsupported_version even when the rest of it does not parse.
+      if (!read_caps(&cursor, &hello.caps, error)) {
+        return DecodeStatus::kMalformed;
+      }
       if (!cursor.string(&hello.program) || !cursor.string(&hello.arch) ||
           !cursor.string(&hello.personality) ||
           !cursor.u64(&hello.options.seed) ||
@@ -461,9 +563,6 @@ DecodeStatus binary_decode_frame(std::string_view payload, AnyFrame* out,
       if (hello.personality != "icc" && hello.personality != "gcc") {
         return malformed("hello personality must be icc or gcc");
       }
-      if (!read_caps(&cursor, &hello.caps, error)) {
-        return DecodeStatus::kMalformed;
-      }
       return DecodeStatus::kOk;
     }
     case FrameKind::kWelcome: {
@@ -478,7 +577,7 @@ DecodeStatus binary_decode_frame(std::string_view payload, AnyFrame* out,
       if (max_batch == 0) {
         return malformed("welcome frame is incomplete");
       }
-      if (framing > static_cast<std::uint8_t>(Framing::kBinary)) {
+      if (!known_framing(framing)) {
         return malformed("welcome names an unknown framing");
       }
       welcome.max_batch = static_cast<std::size_t>(max_batch);

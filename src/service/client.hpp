@@ -3,13 +3,13 @@
 // `RemoteBackend` attached, every raw measurement a tuning run needs
 // travels to the daemon (batches as ONE frame) while all resilience
 // bookkeeping stays local - `ftune --remote ADDR` is bit-identical to
-// a plain `ftune` run, under either framing.
+// a plain `ftune` run, with or without the CRC trailer.
 //
 // Transport setup lives in service/connect.hpp (the single dial +
 // handshake + negotiation path shared with the fleet); Client adds
 // the RPC surface, the overload-retry policy, and reusable
 // encode/decode buffers so the steady-state hot path allocates
-// nothing under binary framing.
+// nothing.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,7 @@ class Client {
   [[nodiscard]] static std::unique_ptr<Client> connect(
       const Endpoint& endpoint, const ConnectOptions& options);
 
-  /// Convenience overload (the historical signature): JSON framing,
+  /// Convenience overload (the historical signature): binary framing,
   /// fields spread out. Equivalent to packing them into ConnectOptions.
   [[nodiscard]] static std::unique_ptr<Client> connect(
       const std::string& address, const std::string& program,

@@ -37,20 +37,21 @@ Session connect(const Endpoint& endpoint, const ConnectOptions& options) {
           : "icc";
   hello.options = options.workspace.options;
   hello.caps.framings = options.framings;
-  // JSON is the mandatory fallback: offering it last means "anything
-  // better if you can, baseline otherwise", and guarantees the
+  // binary is the mandatory fallback: offering it last means "the CRC
+  // trailer if you can, plain binary otherwise", and guarantees the
   // negotiation never dead-ends.
   if (std::find(hello.caps.framings.begin(), hello.caps.framings.end(),
-                Framing::kJson) == hello.caps.framings.end()) {
-    hello.caps.framings.push_back(Framing::kJson);
+                Framing::kBinary) == hello.caps.framings.end()) {
+    hello.caps.framings.push_back(Framing::kBinary);
   }
-  if (!write_frame(session.socket_.fd(), encode_hello(hello),
-                   timeout_ms, session.chaos_.get())) {
+  std::string payload;
+  encode_hello_frame(Framing::kBinary, hello, &payload);
+  if (!write_frame(session.socket_.fd(), payload, timeout_ms,
+                   session.chaos_.get())) {
     throw ServiceError("connect",
                        "cannot send hello to " + endpoint.spec);
   }
 
-  std::string payload;
   const FrameStatus status =
       read_frame(session.socket_.fd(), &payload, kDefaultMaxFrameBytes,
                  timeout_ms, session.chaos_.get());
@@ -67,7 +68,7 @@ Session connect(const Endpoint& endpoint, const ConnectOptions& options) {
   AnyFrame reply;
   std::string error;
   const DecodeStatus decoded =
-      decode_frame(Framing::kJson, payload, &reply, &error);
+      decode_frame(Framing::kBinary, payload, &reply, &error);
   if (decoded == DecodeStatus::kOk && reply.kind == FrameKind::kError) {
     throw_error_frame(reply.error);
   }
@@ -76,12 +77,10 @@ Session connect(const Endpoint& endpoint, const ConnectOptions& options) {
     throw ServiceError("bad_frame",
                        "expected a welcome frame: " + error);
   }
-  // The server's pick is binding, but it must be something we offered
-  // (JSON always implicitly is): anything else means the peer is
-  // broken, and switching to a framing we never asked for would
-  // desynchronize the stream.
-  if (reply.welcome.framing != Framing::kJson &&
-      std::find(hello.caps.framings.begin(), hello.caps.framings.end(),
+  // The server's pick is binding, but it must be something we offered:
+  // anything else means the peer is broken, and switching to a framing
+  // we never asked for would desynchronize the stream.
+  if (std::find(hello.caps.framings.begin(), hello.caps.framings.end(),
                 reply.welcome.framing) == hello.caps.framings.end()) {
     throw ServiceError("bad_frame",
                        "server picked a framing that was not offered");

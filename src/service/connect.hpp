@@ -75,11 +75,11 @@ struct ClientOptions {
 
 struct ConnectOptions {
   WorkspaceSpec workspace;
-  /// Framings to offer, most preferred first. JSON is appended
+  /// Framings to offer, most preferred first. binary is appended
   /// automatically when absent (negotiation must be able to fall back
-  /// to the baseline), so {kBinary} means "binary if the daemon can,
-  /// JSON otherwise".
-  std::vector<Framing> framings = {Framing::kJson};
+  /// to the baseline), so {kBinaryCrc} means "binary-crc32 if the
+  /// daemon can, plain binary otherwise".
+  std::vector<Framing> framings = {Framing::kBinary};
   ClientOptions transport;
 };
 
@@ -122,13 +122,13 @@ class Session {
                          const ConnectOptions& options);
 
   Socket socket_;
-  Framing framing_ = Framing::kJson;
+  Framing framing_ = Framing::kBinary;
   WelcomeFrame welcome_;
   ClientOptions transport_;
   std::shared_ptr<chaos::ChaosEngine> chaos_;
 };
 
-/// Dials, sends hello (always JSON - it carries the negotiation),
+/// Dials, sends hello (always plain binary - it carries the negotiation),
 /// reads welcome | error, and adopts the framing the server picked.
 /// Throws ServiceError: the server's error code on a refusal,
 /// "connect"/"timeout" on transport failure, "bad_frame" when the

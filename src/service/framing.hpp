@@ -1,8 +1,8 @@
 // Wire framing for the ftuned evaluation service: every message is one
 // length-prefixed payload. The prefix is a 4-byte big-endian payload
 // length, so frames are self-delimiting regardless of payload content
-// (JSON or negotiated binary) and a reader can reject an oversized
-// frame before allocating for it. Framing is transport-agnostic (any
+// (binary, with or without the CRC trailer) and a reader can reject an
+// oversized frame before allocating for it. Framing is transport-agnostic (any
 // stream socket fd).
 #pragma once
 

@@ -1,201 +1,20 @@
 #include "service/protocol.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cinttypes>
-#include <cmath>
-#include <cstdio>
-#include <sstream>
-
-#include "service/binary.hpp"
-#include "support/serialization.hpp"
 
 namespace ft::service {
 
-namespace {
-
-/// %.17g round-trips every finite double bit-exactly - the reason a
-/// remote measurement is indistinguishable from a local one.
-std::string fmt_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    const auto byte = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (byte < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x", byte);
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-void append_u64(std::ostringstream& oss, const char* name,
-                std::uint64_t value) {
-  oss << '"' << name << "\":\"" << value << '"';
-}
-
-const char* aggregation_name(machine::Aggregation aggregate) {
-  switch (aggregate) {
-    case machine::Aggregation::kMean:
-      return "mean";
-    case machine::Aggregation::kMedian:
-      return "median";
-    case machine::Aggregation::kTrimmedMean:
-      return "trimmed";
-  }
-  return "mean";
-}
-
-bool aggregation_from_name(const std::string& name,
-                           machine::Aggregation* out) {
-  if (name == "mean") {
-    *out = machine::Aggregation::kMean;
-  } else if (name == "median") {
-    *out = machine::Aggregation::kMedian;
-  } else if (name == "trimmed") {
-    *out = machine::Aggregation::kTrimmedMean;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* served_name(core::EvalServedBy served) {
-  switch (served) {
-    case core::EvalServedBy::kRun:
-      return "run";
-    case core::EvalServedBy::kCacheHit:
-      return "cache";
-    case core::EvalServedBy::kJournalReplay:
-      return "journal";
-  }
-  return "run";
-}
-
-bool served_from_name(const std::string& name,
-                      core::EvalServedBy* out) {
-  if (name == "run") {
-    *out = core::EvalServedBy::kRun;
-  } else if (name == "cache") {
-    *out = core::EvalServedBy::kCacheHit;
-  } else if (name == "journal") {
-    *out = core::EvalServedBy::kJournalReplay;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-void append_cv(std::ostringstream& oss,
-               const flags::CompilationVector& cv) {
-  oss << '[';
-  for (std::size_t i = 0; i < cv.size(); ++i) {
-    if (i) oss << ',';
-    oss << static_cast<unsigned>(cv[i]);
-  }
-  oss << ']';
-}
-
-bool parse_cv(const support::JsonValue& value,
-              flags::CompilationVector* out, std::string* error) {
-  if (!value.is_array()) {
-    *error = "compilation vector is not an array";
-    return false;
-  }
-  std::vector<std::uint8_t> choices;
-  choices.reserve(value.array().size());
-  for (const support::JsonValue& item : value.array()) {
-    if (!item.is_number() || item.number() < 0 ||
-        item.number() > 255 ||
-        item.number() != std::floor(item.number())) {
-      *error = "compilation vector entry is not a byte";
-      return false;
-    }
-    choices.push_back(static_cast<std::uint8_t>(item.number()));
-  }
-  *out = flags::CompilationVector(std::move(choices));
-  return true;
-}
-
-bool fail(std::string* error, const char* reason) {
-  *error = reason;
-  return false;
-}
-
-/// JSON form of a Capabilities set (archs stay a top-level welcome
-/// member for wire compatibility with pre-negotiation peers; the
-/// binary codec carries them inside caps).
-void append_caps(std::ostringstream& oss, const Capabilities& caps) {
-  oss << "\"caps\":{\"protocol\":" << caps.protocol << ",\"framings\":[";
-  for (std::size_t i = 0; i < caps.framings.size(); ++i) {
-    if (i) oss << ',';
-    oss << '"' << framing_name(caps.framings[i]) << '"';
-  }
-  oss << "],";
-  append_u64(oss, "max_frame", caps.max_frame_bytes);
-  oss << '}';
-}
-
-/// Merges an optional "caps" member into *out. Tolerant by design:
-/// unknown keys, unknown framing names and wrongly-typed members are
-/// skipped, never fatal - that is what lets a newer peer talk to this
-/// build. A caps member that is not an object is ignored wholesale.
-void parse_caps(const support::JsonValue& frame, Capabilities* out) {
-  const support::JsonValue* caps = frame.find("caps");
-  if (caps == nullptr || !caps->is_object()) return;
-  std::int64_t protocol = 0;
-  if (caps->get("protocol", &protocol)) {
-    out->protocol = static_cast<int>(protocol);
-  }
-  const support::JsonValue* framings = caps->find("framings");
-  if (framings != nullptr && framings->is_array()) {
-    std::vector<Framing> parsed;
-    for (const support::JsonValue& name : framings->array()) {
-      Framing framing = Framing::kJson;
-      if (name.is_string() &&
-          framing_from_name(name.string(), &framing)) {
-        parsed.push_back(framing);
-      }
-    }
-    if (!parsed.empty()) out->framings = std::move(parsed);
-  }
-  std::uint64_t max_frame = 0;
-  if (caps->get("max_frame", &max_frame) && max_frame > 0) {
-    out->max_frame_bytes = max_frame;
-  }
-}
-
-}  // namespace
-
 const char* framing_name(Framing framing) {
   switch (framing) {
-    case Framing::kJson:
-      return "json";
     case Framing::kBinary:
       return "binary";
     case Framing::kBinaryCrc:
       return "binary-crc32";
   }
-  return "json";
+  return "binary";
 }
 
 bool framing_from_name(std::string_view name, Framing* out) {
-  if (name == "json") {
-    *out = Framing::kJson;
-    return true;
-  }
   if (name == "binary") {
     *out = Framing::kBinary;
     return true;
@@ -210,25 +29,25 @@ bool framing_from_name(std::string_view name, Framing* out) {
 Framing negotiate_framing(const std::vector<Framing>& client_order,
                           const std::vector<Framing>& server_supported) {
   for (const Framing preference : client_order) {
-    if (preference == Framing::kJson) return Framing::kJson;
+    if (preference == Framing::kBinary) return Framing::kBinary;
     if (std::find(server_supported.begin(), server_supported.end(),
                   preference) != server_supported.end()) {
       return preference;
     }
   }
-  return Framing::kJson;
+  return Framing::kBinary;
 }
 
 namespace {
 
 /// Restores default-constructed Capabilities without the temporary a
-/// `caps = Capabilities{}` would build (whose {kJson} initializer
+/// `caps = Capabilities{}` would build (whose {kBinary} initializer
 /// allocates a fresh vector - the enemy of reset()'s zero-allocation
 /// promise).
 void reset_caps(Capabilities* caps) {
   caps->protocol = kProtocolVersion;
   caps->framings.clear();
-  caps->framings.push_back(Framing::kJson);
+  caps->framings.push_back(Framing::kBinary);
   caps->max_frame_bytes = kDefaultMaxFrameBytes;
   caps->archs.clear();
 }
@@ -249,7 +68,7 @@ void AnyFrame::reset() {
   welcome.server = "ftuned";
   welcome.session = 0;
   welcome.max_batch = 0;
-  welcome.framing = Framing::kJson;
+  welcome.framing = Framing::kBinary;
   reset_caps(&welcome.caps);
   error.code.clear();
   error.detail.clear();
@@ -258,652 +77,6 @@ void AnyFrame::reset() {
   error.fatal = false;
   requests.clear();
   responses.clear();
-}
-
-std::string frame_type(const support::JsonValue& frame) {
-  std::string type;
-  if (!frame.is_object() || !frame.get("type", &type)) return "";
-  return type;
-}
-
-std::uint64_t frame_seq(const support::JsonValue& frame) {
-  std::uint64_t seq = 0;
-  if (!frame.is_object() || !frame.get("seq", &seq)) return 0;
-  return seq;
-}
-
-std::string encode_hello(const HelloFrame& hello) {
-  const machine::FaultConfig& faults = hello.options.faults;
-  std::ostringstream oss;
-  oss << "{\"type\":\"hello\"," << support::schema_version_field()
-      << ",\"protocol\":" << hello.caps.protocol << ",\"program\":\""
-      << json_escape(hello.program) << "\",\"arch\":\""
-      << json_escape(hello.arch) << "\",\"personality\":\""
-      << json_escape(hello.personality) << "\",";
-  append_caps(oss, hello.caps);
-  oss << ",\"options\":{";
-  append_u64(oss, "seed", hello.options.seed);
-  oss << ",\"noise_sigma\":" << fmt_double(hello.options.noise_sigma_rel)
-      << ",\"attribution_sigma\":"
-      << fmt_double(hello.options.attribution_sigma)
-      << ",\"faults\":{\"rate\":" << fmt_double(faults.rate) << ',';
-  append_u64(oss, "seed", faults.seed);
-  oss << ",\"compile_share\":" << fmt_double(faults.compile_share)
-      << ",\"crash_share\":" << fmt_double(faults.crash_share)
-      << ",\"timeout_share\":" << fmt_double(faults.timeout_share)
-      << ",\"outlier_rate\":" << fmt_double(faults.outlier_rate)
-      << ",\"outlier_min_scale\":" << fmt_double(faults.outlier_min_scale)
-      << ",\"outlier_max_scale\":" << fmt_double(faults.outlier_max_scale)
-      << "}}}";
-  return oss.str();
-}
-
-bool decode_hello(const support::JsonValue& frame, HelloFrame* out,
-                  std::string* error) {
-  if (!frame.is_object()) return fail(error, "hello is not an object");
-  std::int64_t protocol = 0;
-  if (!frame.get("protocol", &protocol)) {
-    return fail(error, "hello lacks a protocol version");
-  }
-  // The legacy top-level member is the base; an explicit caps object
-  // (absent from pre-negotiation clients) refines it.
-  out->caps = Capabilities{};
-  out->caps.protocol = static_cast<int>(protocol);
-  parse_caps(frame, &out->caps);
-  if (!frame.get("program", &out->program) || out->program.empty()) {
-    return fail(error, "hello lacks a program name");
-  }
-  if (!frame.get("arch", &out->arch) || out->arch.empty()) {
-    return fail(error, "hello lacks an architecture name");
-  }
-  if (!frame.get("personality", &out->personality) ||
-      (out->personality != "icc" && out->personality != "gcc")) {
-    return fail(error, "hello personality must be icc or gcc");
-  }
-  const support::JsonValue* options = frame.find("options");
-  if (options == nullptr || !options->is_object()) {
-    return fail(error, "hello lacks an options object");
-  }
-  if (!options->get("seed", &out->options.seed) ||
-      !options->get("noise_sigma", &out->options.noise_sigma_rel) ||
-      !options->get("attribution_sigma",
-                    &out->options.attribution_sigma)) {
-    return fail(error, "hello options are incomplete");
-  }
-  const support::JsonValue* faults = options->find("faults");
-  if (faults == nullptr || !faults->is_object()) {
-    return fail(error, "hello options lack a faults object");
-  }
-  machine::FaultConfig& config = out->options.faults;
-  if (!faults->get("rate", &config.rate) ||
-      !faults->get("seed", &config.seed) ||
-      !faults->get("compile_share", &config.compile_share) ||
-      !faults->get("crash_share", &config.crash_share) ||
-      !faults->get("timeout_share", &config.timeout_share) ||
-      !faults->get("outlier_rate", &config.outlier_rate) ||
-      !faults->get("outlier_min_scale", &config.outlier_min_scale) ||
-      !faults->get("outlier_max_scale", &config.outlier_max_scale)) {
-    return fail(error, "hello fault config is incomplete");
-  }
-  return true;
-}
-
-std::string encode_welcome(const WelcomeFrame& welcome) {
-  std::ostringstream oss;
-  oss << "{\"type\":\"welcome\"," << support::schema_version_field()
-      << ",\"server\":\"" << json_escape(welcome.server) << "\",";
-  append_u64(oss, "session", welcome.session);
-  oss << ",\"max_batch\":" << welcome.max_batch << ",\"framing\":\""
-      << framing_name(welcome.framing) << "\",";
-  append_caps(oss, welcome.caps);
-  oss << ",\"archs\":[";
-  for (std::size_t i = 0; i < welcome.caps.archs.size(); ++i) {
-    if (i) oss << ',';
-    oss << '"' << json_escape(welcome.caps.archs[i]) << '"';
-  }
-  oss << "]}";
-  return oss.str();
-}
-
-bool decode_welcome(const support::JsonValue& frame, WelcomeFrame* out,
-                    std::string* error) {
-  if (!frame.is_object()) {
-    return fail(error, "welcome is not an object");
-  }
-  std::uint64_t max_batch = 0;
-  if (!frame.get("server", &out->server) ||
-      !frame.get("session", &out->session) ||
-      !frame.get("max_batch", &max_batch) || max_batch == 0) {
-    return fail(error, "welcome frame is incomplete");
-  }
-  out->max_batch = static_cast<std::size_t>(max_batch);
-  out->caps = Capabilities{};
-  // Optional members: pre-fleet daemons sent no archs, and
-  // pre-negotiation daemons sent no framing/caps (= JSON only).
-  if (const support::JsonValue* archs = frame.find("archs")) {
-    if (!archs->is_array()) return fail(error, "archs is not an array");
-    for (const support::JsonValue& name : archs->array()) {
-      if (!name.is_string()) return fail(error, "archs entry not a string");
-      out->caps.archs.push_back(name.string());
-    }
-  }
-  out->framing = Framing::kJson;
-  std::string framing;
-  if (frame.get("framing", &framing) &&
-      !framing_from_name(framing, &out->framing)) {
-    // Unlike an unknown name in a caps LIST (future option: skip), an
-    // unknown name HERE is the server's binding choice for this
-    // session - we cannot speak it, so the handshake must fail.
-    return fail(error, "welcome names an unknown framing");
-  }
-  parse_caps(frame, &out->caps);
-  return true;
-}
-
-std::string encode_error(const ErrorFrame& error) {
-  std::ostringstream oss;
-  oss << "{\"type\":\"error\",\"code\":\"" << json_escape(error.code)
-      << "\",\"detail\":\"" << json_escape(error.detail) << "\",";
-  append_u64(oss, "seq", error.seq);
-  oss << ",\"retryable\":" << (error.retryable ? 1 : 0)
-      << ",\"fatal\":" << (error.fatal ? 1 : 0) << '}';
-  return oss.str();
-}
-
-bool decode_error(const support::JsonValue& frame, ErrorFrame* out) {
-  if (!frame.is_object() || !frame.get("code", &out->code)) {
-    return false;
-  }
-  (void)frame.get("detail", &out->detail);
-  out->seq = frame_seq(frame);
-  (void)frame.get("retryable", &out->retryable);
-  (void)frame.get("fatal", &out->fatal);
-  return true;
-}
-
-std::string eval_request_json(const core::EvalRequest& request) {
-  std::ostringstream oss;
-  oss << "{\"loops\":[";
-  for (std::size_t j = 0; j < request.assignment.loop_cvs.size(); ++j) {
-    if (j) oss << ',';
-    append_cv(oss, request.assignment.loop_cvs[j]);
-  }
-  oss << "],\"nonloop\":";
-  append_cv(oss, request.assignment.nonloop_cv);
-  oss << ',';
-  append_u64(oss, "rep", request.rep_base);
-  oss << ",\"reps\":" << request.repetitions
-      << ",\"instr\":" << (request.instrumented ? 1 : 0)
-      << ",\"noise\":" << (request.noise ? 1 : 0) << ",\"agg\":\""
-      << aggregation_name(request.aggregate) << "\"}";
-  return oss.str();
-}
-
-bool parse_eval_request(const support::JsonValue& value,
-                        core::EvalRequest* out, std::string* error) {
-  if (!value.is_object()) {
-    return fail(error, "request is not an object");
-  }
-  const support::JsonValue* loops = value.find("loops");
-  if (loops == nullptr || !loops->is_array()) {
-    return fail(error, "request lacks a loops array");
-  }
-  out->assignment.loop_cvs.clear();
-  out->assignment.loop_cvs.reserve(loops->array().size());
-  for (const support::JsonValue& loop : loops->array()) {
-    flags::CompilationVector cv;
-    if (!parse_cv(loop, &cv, error)) return false;
-    out->assignment.loop_cvs.push_back(std::move(cv));
-  }
-  const support::JsonValue* nonloop = value.find("nonloop");
-  if (nonloop == nullptr) {
-    return fail(error, "request lacks a nonloop CV");
-  }
-  if (!parse_cv(*nonloop, &out->assignment.nonloop_cv, error)) {
-    return false;
-  }
-  std::int64_t reps = 0;
-  if (!value.get("rep", &out->rep_base) ||
-      !value.get("reps", &reps) || reps < 1 || reps > 1000000) {
-    return fail(error, "request rep/reps fields are malformed");
-  }
-  out->repetitions = static_cast<int>(reps);
-  std::string aggregate;
-  if (!value.get("instr", &out->instrumented) ||
-      !value.get("noise", &out->noise) ||
-      !value.get("agg", &aggregate) ||
-      !aggregation_from_name(aggregate, &out->aggregate)) {
-    return fail(error, "request instr/noise/agg fields are malformed");
-  }
-  return true;
-}
-
-std::string eval_response_json(const core::EvalResponse& response) {
-  std::ostringstream oss;
-  oss << "{\"ok\":" << (response.ok() ? 1 : 0) << ",\"served\":\""
-      << served_name(response.served_by)
-      << "\",\"attempts\":" << response.outcome.attempts
-      << ",\"compiled\":" << response.modules_compiled;
-  if (response.ok()) {
-    // caliper_report is deliberately never serialized (it is bulky and
-    // consumed only by the profiling phase, which always runs
-    // locally); derived_nonloop_seconds is recomputed by the parser
-    // exactly as the engine derives it.
-    const machine::RunResult& result = response.outcome.result;
-    oss << ",\"end\":" << fmt_double(result.end_to_end)
-        << ",\"stddev\":" << fmt_double(result.stddev) << ",\"loops\":[";
-    for (std::size_t j = 0; j < result.loop_seconds.size(); ++j) {
-      if (j) oss << ',';
-      oss << fmt_double(result.loop_seconds[j]);
-    }
-    oss << ']';
-  } else {
-    oss << ",\"fault\":\""
-        << core::to_string(response.outcome.error.kind)
-        << "\",\"detail\":\""
-        << json_escape(response.outcome.error.detail) << '"';
-  }
-  oss << '}';
-  return oss.str();
-}
-
-bool parse_eval_response(const support::JsonValue& value,
-                         core::EvalResponse* out, std::string* error) {
-  if (!value.is_object()) {
-    return fail(error, "result is not an object");
-  }
-  bool ok = false;
-  std::string served;
-  std::int64_t attempts = 0;
-  std::uint64_t compiled = 0;
-  if (!value.get("ok", &ok) || !value.get("served", &served) ||
-      !served_from_name(served, &out->served_by) ||
-      !value.get("attempts", &attempts) ||
-      !value.get("compiled", &compiled)) {
-    return fail(error, "result frame is incomplete");
-  }
-  out->outcome.attempts = static_cast<int>(attempts);
-  out->modules_compiled = static_cast<std::size_t>(compiled);
-  if (!ok) {
-    std::string fault;
-    if (!value.get("fault", &fault)) {
-      return fail(error, "failed result lacks a fault kind");
-    }
-    out->outcome.error.kind = core::eval_fault_from_string(fault);
-    if (out->outcome.error.kind == core::EvalFault::kNone) {
-      return fail(error, "failed result has an unknown fault kind");
-    }
-    (void)value.get("detail", &out->outcome.error.detail);
-    return true;
-  }
-  out->outcome.error = core::EvalError{};
-  machine::RunResult& result = out->outcome.result;
-  if (!value.get("end", &result.end_to_end) ||
-      !value.get("stddev", &result.stddev)) {
-    return fail(error, "result lacks end/stddev measurements");
-  }
-  const support::JsonValue* loops = value.find("loops");
-  if (loops == nullptr || !loops->is_array()) {
-    return fail(error, "result lacks a loops array");
-  }
-  result.loop_seconds.clear();
-  result.loop_seconds.reserve(loops->array().size());
-  double loop_sum = 0.0;
-  for (const support::JsonValue& loop : loops->array()) {
-    if (!loop.is_number()) {
-      return fail(error, "result loop entry is not a number");
-    }
-    result.loop_seconds.push_back(loop.number());
-    loop_sum += loop.number();
-  }
-  // Not transmitted; recompute exactly as the engine (and the
-  // checkpoint journal decoder) derive it.
-  result.derived_nonloop_seconds = result.end_to_end - loop_sum;
-  return true;
-}
-
-std::string encode_eval(std::uint64_t seq,
-                        const core::EvalRequest& request) {
-  std::ostringstream oss;
-  oss << "{\"type\":\"eval\",";
-  append_u64(oss, "seq", seq);
-  oss << ",\"request\":" << eval_request_json(request) << '}';
-  return oss.str();
-}
-
-std::string encode_eval_batch(
-    std::uint64_t seq, std::span<const core::EvalRequest> requests) {
-  std::ostringstream oss;
-  oss << "{\"type\":\"eval_batch\",";
-  append_u64(oss, "seq", seq);
-  oss << ",\"requests\":[";
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (i) oss << ',';
-    oss << eval_request_json(requests[i]);
-  }
-  oss << "]}";
-  return oss.str();
-}
-
-std::string encode_result(std::uint64_t seq,
-                          const core::EvalResponse& response) {
-  std::ostringstream oss;
-  oss << "{\"type\":\"result\",";
-  append_u64(oss, "seq", seq);
-  oss << ",\"result\":" << eval_response_json(response) << '}';
-  return oss.str();
-}
-
-std::string encode_result_batch(
-    std::uint64_t seq, std::span<const core::EvalResponse> responses) {
-  std::ostringstream oss;
-  oss << "{\"type\":\"result_batch\",";
-  append_u64(oss, "seq", seq);
-  oss << ",\"results\":[";
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    if (i) oss << ',';
-    oss << eval_response_json(responses[i]);
-  }
-  oss << "]}";
-  return oss.str();
-}
-
-bool decode_eval(const support::JsonValue& frame,
-                 std::vector<core::EvalRequest>* out,
-                 std::string* error) {
-  out->clear();
-  const std::string type = frame_type(frame);
-  if (type == "eval") {
-    const support::JsonValue* request = frame.find("request");
-    if (request == nullptr) {
-      return fail(error, "eval frame lacks a request");
-    }
-    core::EvalRequest parsed;
-    if (!parse_eval_request(*request, &parsed, error)) return false;
-    out->push_back(std::move(parsed));
-    return true;
-  }
-  if (type == "eval_batch") {
-    const support::JsonValue* requests = frame.find("requests");
-    if (requests == nullptr || !requests->is_array()) {
-      return fail(error, "eval_batch frame lacks a requests array");
-    }
-    out->reserve(requests->array().size());
-    for (const support::JsonValue& request : requests->array()) {
-      core::EvalRequest parsed;
-      if (!parse_eval_request(request, &parsed, error)) return false;
-      out->push_back(std::move(parsed));
-    }
-    return true;
-  }
-  return fail(error, "not an eval frame");
-}
-
-bool decode_result(const support::JsonValue& frame,
-                   std::vector<core::EvalResponse>* out,
-                   std::string* error) {
-  out->clear();
-  const std::string type = frame_type(frame);
-  if (type == "result") {
-    const support::JsonValue* result = frame.find("result");
-    if (result == nullptr) {
-      return fail(error, "result frame lacks a result");
-    }
-    core::EvalResponse parsed;
-    if (!parse_eval_response(*result, &parsed, error)) return false;
-    out->push_back(std::move(parsed));
-    return true;
-  }
-  if (type == "result_batch") {
-    const support::JsonValue* results = frame.find("results");
-    if (results == nullptr || !results->is_array()) {
-      return fail(error, "result_batch frame lacks a results array");
-    }
-    out->reserve(results->array().size());
-    for (const support::JsonValue& result : results->array()) {
-      core::EvalResponse parsed;
-      if (!parse_eval_response(result, &parsed, error)) return false;
-      out->push_back(std::move(parsed));
-    }
-    return true;
-  }
-  return fail(error, "not a result frame");
-}
-
-std::string encode_ping(std::uint64_t seq) {
-  std::ostringstream oss;
-  oss << "{\"type\":\"ping\",";
-  append_u64(oss, "seq", seq);
-  oss << '}';
-  return oss.str();
-}
-
-std::string encode_pong(std::uint64_t seq) {
-  std::ostringstream oss;
-  oss << "{\"type\":\"pong\",";
-  append_u64(oss, "seq", seq);
-  oss << '}';
-  return oss.str();
-}
-
-std::string encode_bye() { return "{\"type\":\"bye\"}"; }
-
-// --- unified decode --------------------------------------------------------
-
-namespace {
-
-DecodeStatus json_decode_frame(std::string_view payload, AnyFrame* out,
-                               std::string* error) {
-  support::JsonValue frame;
-  if (!support::JsonValue::parse(payload, &frame, error)) {
-    return DecodeStatus::kUnparseable;
-  }
-  const std::string type = frame_type(frame);
-  out->seq = frame_seq(frame);
-  if (type == "hello") {
-    out->kind = FrameKind::kHello;
-    return decode_hello(frame, &out->hello, error)
-               ? DecodeStatus::kOk
-               : DecodeStatus::kMalformed;
-  }
-  if (type == "welcome") {
-    out->kind = FrameKind::kWelcome;
-    return decode_welcome(frame, &out->welcome, error)
-               ? DecodeStatus::kOk
-               : DecodeStatus::kMalformed;
-  }
-  if (type == "error") {
-    out->kind = FrameKind::kError;
-    if (!decode_error(frame, &out->error)) {
-      *error = "malformed error frame";
-      return DecodeStatus::kMalformed;
-    }
-    return DecodeStatus::kOk;
-  }
-  if (type == "eval" || type == "eval_batch") {
-    out->kind = type == "eval" ? FrameKind::kEval : FrameKind::kEvalBatch;
-    return decode_eval(frame, &out->requests, error)
-               ? DecodeStatus::kOk
-               : DecodeStatus::kMalformed;
-  }
-  if (type == "result" || type == "result_batch") {
-    out->kind =
-        type == "result" ? FrameKind::kResult : FrameKind::kResultBatch;
-    return decode_result(frame, &out->responses, error)
-               ? DecodeStatus::kOk
-               : DecodeStatus::kMalformed;
-  }
-  if (type == "ping") {
-    out->kind = FrameKind::kPing;
-    return DecodeStatus::kOk;
-  }
-  if (type == "pong") {
-    out->kind = FrameKind::kPong;
-    return DecodeStatus::kOk;
-  }
-  if (type == "bye") {
-    out->kind = FrameKind::kBye;
-    return DecodeStatus::kOk;
-  }
-  *error = "unknown frame type '" + type + "'";
-  return DecodeStatus::kUnknownType;
-}
-
-}  // namespace
-
-DecodeStatus decode_frame(Framing framing, std::string_view payload,
-                          AnyFrame* out, std::string* error) {
-  out->reset();
-  error->clear();
-  if (framing == Framing::kBinaryCrc) {
-    // Verify-then-strip: the trailer covers the whole binary payload,
-    // so a flipped byte ANYWHERE (tag, length, double bits) fails here
-    // and never reaches the binary decoder. Length framing stays
-    // synchronized, so the caller refuses just this frame (bad_frame)
-    // and the session survives.
-    if (payload.size() < 4) {
-      *error = "binary-crc32 frame shorter than its checksum";
-      return DecodeStatus::kUnparseable;
-    }
-    const std::string_view body = payload.substr(0, payload.size() - 4);
-    const std::string_view trailer = payload.substr(payload.size() - 4);
-    std::uint32_t declared = 0;
-    for (int i = 3; i >= 0; --i) {
-      declared = (declared << 8) |
-                 static_cast<unsigned char>(trailer[static_cast<std::size_t>(i)]);
-    }
-    if (crc32(body) != declared) {
-      *error = "crc32 mismatch: frame corrupted in flight";
-      return DecodeStatus::kUnparseable;
-    }
-    return binary_decode_frame(body, out, error);
-  }
-  if (framing == Framing::kBinary) {
-    return binary_decode_frame(payload, out, error);
-  }
-  return json_decode_frame(payload, out, error);
-}
-
-// --- framing-dispatched encoders -------------------------------------------
-
-namespace {
-
-[[nodiscard]] bool is_binary(Framing framing) {
-  return framing == Framing::kBinary || framing == Framing::kBinaryCrc;
-}
-
-/// Appends the little-endian CRC32 trailer for binary-crc32 frames.
-void seal_crc(Framing framing, std::string* out) {
-  if (framing != Framing::kBinaryCrc) return;
-  const std::uint32_t crc = crc32(*out);
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((crc >> (8 * i)) & 0xFFu));
-  }
-}
-
-}  // namespace
-
-void encode_hello_frame(Framing framing, const HelloFrame& hello,
-                        std::string* out) {
-  if (is_binary(framing)) {
-    binary_encode_hello(hello, out);
-    seal_crc(framing, out);
-    return;
-  }
-  out->assign(encode_hello(hello));
-}
-
-void encode_welcome_frame(Framing framing, const WelcomeFrame& welcome,
-                          std::string* out) {
-  if (is_binary(framing)) {
-    binary_encode_welcome(welcome, out);
-    seal_crc(framing, out);
-    return;
-  }
-  out->assign(encode_welcome(welcome));
-}
-
-void encode_error_frame(Framing framing, const ErrorFrame& error,
-                        std::string* out) {
-  if (is_binary(framing)) {
-    binary_encode_error(error, out);
-    seal_crc(framing, out);
-    return;
-  }
-  out->assign(encode_error(error));
-}
-
-void encode_eval_frame(Framing framing, std::uint64_t seq,
-                       const core::EvalRequest& request,
-                       std::string* out) {
-  if (is_binary(framing)) {
-    binary_encode_eval(seq, request, out);
-    seal_crc(framing, out);
-    return;
-  }
-  out->assign(encode_eval(seq, request));
-}
-
-void encode_eval_batch_frame(Framing framing, std::uint64_t seq,
-                             std::span<const core::EvalRequest> requests,
-                             std::string* out) {
-  if (is_binary(framing)) {
-    binary_encode_eval_batch(seq, requests, out);
-    seal_crc(framing, out);
-    return;
-  }
-  out->assign(encode_eval_batch(seq, requests));
-}
-
-void encode_result_frame(Framing framing, std::uint64_t seq,
-                         const core::EvalResponse& response,
-                         std::string* out) {
-  if (is_binary(framing)) {
-    binary_encode_result(seq, response, out);
-    seal_crc(framing, out);
-    return;
-  }
-  out->assign(encode_result(seq, response));
-}
-
-void encode_result_batch_frame(
-    Framing framing, std::uint64_t seq,
-    std::span<const core::EvalResponse> responses, std::string* out) {
-  if (is_binary(framing)) {
-    binary_encode_result_batch(seq, responses, out);
-    seal_crc(framing, out);
-    return;
-  }
-  out->assign(encode_result_batch(seq, responses));
-}
-
-void encode_ping_frame(Framing framing, std::uint64_t seq,
-                       std::string* out) {
-  if (is_binary(framing)) {
-    binary_encode_ping(seq, out);
-    seal_crc(framing, out);
-    return;
-  }
-  out->assign(encode_ping(seq));
-}
-
-void encode_pong_frame(Framing framing, std::uint64_t seq,
-                       std::string* out) {
-  if (is_binary(framing)) {
-    binary_encode_pong(seq, out);
-    seal_crc(framing, out);
-    return;
-  }
-  out->assign(encode_pong(seq));
-}
-
-void encode_bye_frame(Framing framing, std::string* out) {
-  if (is_binary(framing)) {
-    binary_encode_bye(out);
-    seal_crc(framing, out);
-    return;
-  }
-  out->assign(encode_bye());
 }
 
 }  // namespace ft::service

@@ -1,18 +1,14 @@
-// The ftuned wire protocol: typed frames over service/framing. Frames
-// travel in one of two negotiated framings:
+// The ftuned wire protocol: typed frames over service/framing. Every
+// frame, the handshake included, uses one compact binary codec
+// (service/binary.cpp has the byte layout): fixed-width tags and raw
+// little-endian doubles, so bit-exactness is structural and
+// encode/decode runs at memcpy speed. The only negotiated choice is
+// whether each payload also carries a CRC-32 trailer (binary-crc32).
 //
-//   - JSON (the default and compatibility baseline): every frame is a
-//     JSON object with a "type" member; doubles travel as %.17g
-//     (bit-exact round-trip) and 64-bit integers as decimal strings,
-//     the same conventions as the checkpoint journal.
-//   - binary (opt-in, negotiated in hello/welcome): fixed-width tags
-//     and raw little-endian doubles - bit-exactness is structural
-//     instead of a printf-format property, and encode/decode cost
-//     drops to memcpy speed.
-//
-// hello and welcome are ALWAYS JSON - they carry the negotiation, so
-// they must be readable before its outcome is known. Every frame
-// after welcome uses the negotiated framing, both directions.
+// hello and welcome always travel as plain binary - they carry the
+// negotiation, so they must be readable before its outcome is known.
+// Every frame after welcome uses the negotiated framing, both
+// directions.
 //
 // EvalRequest / EvalResponse from core/evaluator.hpp are serialized
 // field-for-field: the in-process evaluation currency IS the wire
@@ -40,23 +36,24 @@
 #include "core/funcy_tuner.hpp"
 #include "service/framing.hpp"
 #include "support/crc32.hpp"
-#include "support/json.hpp"
 
 namespace ft::service {
 
 /// Bumped on any incompatible frame change; a hello with a different
 /// version is refused with a structured "unsupported_version" error.
-inline constexpr int kProtocolVersion = 1;
+/// The version leads the hello payload, so that refusal holds however
+/// the rest of a skewed peer's hello is laid out. Version 1 (JSON
+/// frames) is gone: its hellos start with '{' and are refused the
+/// same way.
+inline constexpr int kProtocolVersion = 2;
 
-/// Payload encodings a session can speak. JSON is mandatory on every
-/// implementation (it is the negotiation carrier and the bit-identity
-/// baseline); binary is the opt-in fast path, and binary-crc32 is
-/// binary with a 4-byte little-endian CRC32 trailer over the payload -
-/// a corrupted frame is rejected as `bad_frame` instead of being
-/// decoded into garbage. Negotiated like any other framing: peers that
-/// predate it simply skip the unknown name.
+/// Payload encodings a session can speak. binary is mandatory on every
+/// implementation (it carries the handshake); binary-crc32 is binary
+/// with a 4-byte little-endian CRC32 trailer over the payload - a
+/// corrupted frame is rejected as `bad_frame` instead of being decoded
+/// into garbage. Peers skip framing codes they do not know, so a new
+/// framing can be offered without breaking older peers.
 enum class Framing : std::uint8_t {
-  kJson = 0,
   kBinary = 1,
   kBinaryCrc = 2,
 };
@@ -77,15 +74,14 @@ enum class Framing : std::uint8_t {
 
 /// Versioned capability set exchanged in hello (what the client can
 /// speak, preference-ordered) and welcome (what the server serves).
-/// Unknown keys and unknown framing names are ignored on decode, so
-/// adding capabilities never breaks older peers; a peer that sent no
-/// capabilities at all gets the conservative defaults below (protocol
-/// 1, JSON only), which is exactly what pre-negotiation daemons spoke.
+/// Unknown framing codes are skipped on decode, so adding a framing
+/// never breaks older peers; an offer naming no known framing decodes
+/// as the binary baseline.
 struct Capabilities {
   int protocol = kProtocolVersion;
   /// In a hello: client preference order. In a welcome: the server's
-  /// supported set. JSON is always present.
-  std::vector<Framing> framings = {Framing::kJson};
+  /// supported set. binary is always implicitly present.
+  std::vector<Framing> framings = {Framing::kBinary};
   std::uint64_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Architecture names this daemon serves, in canonical table order;
   /// empty in a hello. Heterogeneous fleets pin campaign cells to
@@ -93,9 +89,9 @@ struct Capabilities {
   std::vector<std::string> archs;
 };
 
-/// First client-preferred framing the server also supports. JSON is
-/// implicitly in both sets, so negotiation cannot fail - worst case
-/// both sides fall back to the baseline.
+/// First client-preferred framing the server also supports. binary is
+/// implicitly in both sets, so negotiation cannot fail - it only
+/// decides whether the CRC trailer is on.
 [[nodiscard]] Framing negotiate_framing(
     const std::vector<Framing>& client_order,
     const std::vector<Framing>& server_supported);
@@ -117,7 +113,7 @@ struct WelcomeFrame {
   std::uint64_t session = 0;
   std::size_t max_batch = 0;  ///< requests the server accepts per frame
   /// The framing the server picked for every frame after this one.
-  Framing framing = Framing::kJson;
+  Framing framing = Framing::kBinary;
   Capabilities caps;          ///< caps.archs = served architectures
 };
 
@@ -164,22 +160,21 @@ struct AnyFrame {
 
 enum class DecodeStatus {
   kOk,
-  kUnparseable,   ///< not JSON / not a known binary envelope
-  kUnknownType,   ///< parsed fine but names a frame type we don't know
-  kMalformed,     ///< known type, invalid contents (reason in *error)
+  kUnparseable,   ///< empty, or a binary-crc32 checksum failure
+  kUnknownType,   ///< a frame tag this build does not know
+  kMalformed,     ///< known tag, invalid or truncated contents
 };
 
 /// Decodes one payload under the given framing into *out (reset
-/// first). On kMalformed, *error holds a human-readable reason.
+/// first). On any failure, *error holds a human-readable reason.
 [[nodiscard]] DecodeStatus decode_frame(Framing framing,
                                         std::string_view payload,
                                         AnyFrame* out, std::string* error);
 
-// --- framing-dispatched encoders -------------------------------------------
+// --- encoders --------------------------------------------------------------
 // All append to *out after clearing it, so callers thread one
 // FrameBuffer through their whole write path and reach steady-state
-// zero allocation. hello/welcome are JSON-only on the wire (see file
-// header); their binary forms exist for symmetry and round-trip tests.
+// zero allocation. Framing::kBinaryCrc appends the CRC-32 trailer.
 
 void encode_hello_frame(Framing framing, const HelloFrame& hello,
                         std::string* out);
@@ -203,63 +198,5 @@ void encode_ping_frame(Framing framing, std::uint64_t seq,
 void encode_pong_frame(Framing framing, std::uint64_t seq,
                        std::string* out);
 void encode_bye_frame(Framing framing, std::string* out);
-
-// --- JSON encoders (exact, deterministic text) -----------------------------
-// The historical API; the framing-dispatched encoders above delegate
-// here for Framing::kJson.
-
-[[nodiscard]] std::string encode_hello(const HelloFrame& hello);
-[[nodiscard]] std::string encode_welcome(const WelcomeFrame& welcome);
-[[nodiscard]] std::string encode_error(const ErrorFrame& error);
-[[nodiscard]] std::string encode_eval(std::uint64_t seq,
-                                      const core::EvalRequest& request);
-[[nodiscard]] std::string encode_eval_batch(
-    std::uint64_t seq, std::span<const core::EvalRequest> requests);
-[[nodiscard]] std::string encode_result(
-    std::uint64_t seq, const core::EvalResponse& response);
-[[nodiscard]] std::string encode_result_batch(
-    std::uint64_t seq, std::span<const core::EvalResponse> responses);
-[[nodiscard]] std::string encode_ping(std::uint64_t seq);
-[[nodiscard]] std::string encode_pong(std::uint64_t seq);
-[[nodiscard]] std::string encode_bye();
-
-// --- JSON decoders ---------------------------------------------------------
-// Each returns false (with a human-readable reason in `error`) for a
-// structurally valid JSON object that is not a valid frame of that
-// type. Callers parse the JSON first and dispatch on frame_type().
-
-/// The "type" member, or "" when absent / not an object.
-[[nodiscard]] std::string frame_type(const support::JsonValue& frame);
-/// The "seq" member, or 0 when absent.
-[[nodiscard]] std::uint64_t frame_seq(const support::JsonValue& frame);
-
-[[nodiscard]] bool decode_hello(const support::JsonValue& frame,
-                                HelloFrame* out, std::string* error);
-[[nodiscard]] bool decode_welcome(const support::JsonValue& frame,
-                                  WelcomeFrame* out, std::string* error);
-[[nodiscard]] bool decode_error(const support::JsonValue& frame,
-                                ErrorFrame* out);
-
-/// Request/response payloads (the "request"/"result" members of
-/// eval/result frames). Exposed directly for the round-trip tests.
-[[nodiscard]] std::string eval_request_json(
-    const core::EvalRequest& request);
-[[nodiscard]] bool parse_eval_request(const support::JsonValue& value,
-                                      core::EvalRequest* out,
-                                      std::string* error);
-[[nodiscard]] std::string eval_response_json(
-    const core::EvalResponse& response);
-[[nodiscard]] bool parse_eval_response(const support::JsonValue& value,
-                                       core::EvalResponse* out,
-                                       std::string* error);
-
-/// Decodes the request payload(s) of an eval / eval_batch frame.
-[[nodiscard]] bool decode_eval(const support::JsonValue& frame,
-                               std::vector<core::EvalRequest>* out,
-                               std::string* error);
-/// Decodes the response payload(s) of a result / result_batch frame.
-[[nodiscard]] bool decode_result(const support::JsonValue& frame,
-                                 std::vector<core::EvalResponse>* out,
-                                 std::string* error);
 
 }  // namespace ft::service

@@ -17,7 +17,6 @@
 #include "core/persistent_cache.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
-#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -110,11 +109,11 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {
             .dir = options_.cache_dir,
             .max_bytes = options_.cache_disk_bytes});
   }
-  // JSON is the negotiation carrier and the compatibility baseline:
-  // a daemon may refuse to *prefer* it, never to speak it.
+  // binary carries the handshake: a daemon may offer the CRC trailer
+  // on top, never drop the baseline.
   if (std::find(options_.framings.begin(), options_.framings.end(),
-                Framing::kJson) == options_.framings.end()) {
-    options_.framings.insert(options_.framings.begin(), Framing::kJson);
+                Framing::kBinary) == options_.framings.end()) {
+    options_.framings.insert(options_.framings.begin(), Framing::kBinary);
   }
 }
 
@@ -220,7 +219,6 @@ Server::Stats Server::stats() const {
   out.cache_hits = stats_.cache_hits.load();
   out.errors_sent = stats_.errors_sent.load();
   out.overloads = stats_.overloads.load();
-  out.binary_sessions = stats_.binary_sessions.load();
   out.drain_refusals = stats_.drain_refusals.load();
   out.deadline_refusals = stats_.deadline_refusals.load();
   out.cancelled_jobs = stats_.cancelled_jobs.load();
@@ -538,12 +536,9 @@ void Server::apply_completions() {
       continue;  // session destroyed on a dead socket
     }
     if (completion.greeted) {
-      // The welcome itself went out under JSON (the negotiation
+      // The welcome itself went out as plain binary (the negotiation
       // carrier); everything after it speaks the negotiated framing.
       session->framing = completion.framing;
-      if (completion.framing != Framing::kJson) {
-        stats_.binary_sessions.fetch_add(1, std::memory_order_relaxed);
-      }
     }
     if (completion.close) {
       session->closing = true;
@@ -743,49 +738,56 @@ Server::Completion Server::error_completion(std::uint64_t session_id,
 
 Server::Completion Server::serve_hello(const Job& job) {
   const std::uint64_t sid = job.session_id;
-  // The hello is ALWAYS JSON: it carries the negotiation that decides
-  // what everything after the welcome speaks.
+  // The hello is ALWAYS plain binary: it carries the negotiation that
+  // decides what everything after the welcome speaks.
   static thread_local AnyFrame frame;
   std::string error;
   const DecodeStatus status =
-      decode_frame(Framing::kJson, job.payload, &frame, &error);
+      decode_frame(Framing::kBinary, job.payload, &frame, &error);
+  // The version leads the hello, so a skewed peer is told so even when
+  // the rest of its hello does not parse. A protocol-1 peer sends JSON,
+  // whose first byte is '{'.
+  const bool json_hello = status == DecodeStatus::kUnknownType &&
+                          job.payload.front() == '{';
+  if (json_hello || (frame.kind == FrameKind::kHello &&
+                     frame.hello.caps.protocol != kProtocolVersion)) {
+    return error_completion(
+        sid, Framing::kBinary,
+        ErrorFrame{"unsupported_version",
+                   "server speaks protocol version " +
+                       std::to_string(kProtocolVersion) +
+                       " (binary frames)",
+                   0, false, true});
+  }
   if (status == DecodeStatus::kUnparseable) {
-    return error_completion(sid, Framing::kJson,
+    return error_completion(sid, Framing::kBinary,
                             ErrorFrame{"bad_frame", error, 0, false,
                                        true});
   }
   if (frame.kind != FrameKind::kHello ||
       status == DecodeStatus::kUnknownType) {
-    return error_completion(sid, Framing::kJson,
+    return error_completion(sid, Framing::kBinary,
                             ErrorFrame{"bad_request",
                                        "expected a hello frame", 0,
                                        false, true});
   }
   if (status != DecodeStatus::kOk) {
-    return error_completion(sid, Framing::kJson,
+    return error_completion(sid, Framing::kBinary,
                             ErrorFrame{"bad_request", error, 0, false,
                                        true});
   }
   const HelloFrame& hello = frame.hello;
-  if (hello.caps.protocol != kProtocolVersion) {
-    return error_completion(
-        sid, Framing::kJson,
-        ErrorFrame{"unsupported_version",
-                   "server speaks protocol version " +
-                       std::to_string(kProtocolVersion),
-                   0, false, true});
-  }
   try {
     (void)programs::by_name(hello.program);
   } catch (const std::exception& reason) {
-    return error_completion(sid, Framing::kJson,
+    return error_completion(sid, Framing::kBinary,
                             ErrorFrame{"unknown_program", reason.what(),
                                        0, false, true});
   }
   try {
     (void)machine::architecture_by_name(hello.arch);
   } catch (const std::exception& reason) {
-    return error_completion(sid, Framing::kJson,
+    return error_completion(sid, Framing::kBinary,
                             ErrorFrame{"unknown_architecture",
                                        reason.what(), 0, false, true});
   }
@@ -799,7 +801,7 @@ Server::Completion Server::serve_hello(const Job& job) {
     // unknown_architecture so a fleet can treat the endpoint as
     // ineligible for the cell rather than the hello as malformed.
     return error_completion(
-        sid, Framing::kJson,
+        sid, Framing::kBinary,
         ErrorFrame{"unsupported_architecture",
                    "this daemon does not serve " + hello.arch, 0, false,
                    true});
@@ -809,7 +811,7 @@ Server::Completion Server::serve_hello(const Job& job) {
   try {
     workspace = workspace_for(hello);
   } catch (const std::exception& reason) {
-    return error_completion(sid, Framing::kJson,
+    return error_completion(sid, Framing::kBinary,
                             ErrorFrame{"bad_request", reason.what(), 0,
                                        false, true});
   }
@@ -834,7 +836,7 @@ Server::Completion Server::serve_hello(const Job& job) {
   completion.greeted = true;
   completion.framing = welcome.framing;
   completion.workspace = workspace;
-  encode_welcome_frame(Framing::kJson, welcome, &completion.reply);
+  encode_welcome_frame(Framing::kBinary, welcome, &completion.reply);
   return completion;
 }
 
@@ -845,7 +847,7 @@ void Server::run_job(Job job) {
       // the client should take its workspace to another daemon.
       stats_.drain_refusals.fetch_add(1, std::memory_order_relaxed);
       post(error_completion(
-          job.session_id, Framing::kJson,
+          job.session_id, Framing::kBinary,
           ErrorFrame{"draining", "daemon is draining for shutdown", 0,
                      true, true}));
       return;

@@ -25,7 +25,7 @@
 // client's EvalCache) stays in the *client's* Evaluator. Because the
 // measurement stack is deterministic per (content, noise key), the
 // daemon's answers are bit-identical to what the client's own engine
-// would have produced - under either framing.
+// would have produced - with or without the CRC trailer.
 //
 // Workspaces are keyed by (program, arch, personality, measurement
 // options), so any number of clients tuning the same cell share one
@@ -84,11 +84,11 @@ struct ServerOptions {
   /// "unsupported_architecture"; the served set is advertised in the
   /// welcome frame so heterogeneous fleets can pin campaign cells.
   std::vector<std::string> archs;
-  /// Framings this daemon accepts in negotiation. JSON is forced into
-  /// the set (it is the negotiation carrier and compatibility
-  /// baseline); listing only {kJson} makes a JSON-only daemon, which
-  /// is how mixed fleets exercise per-endpoint downgrade.
-  std::vector<Framing> framings = {Framing::kJson, Framing::kBinary};
+  /// Framings this daemon accepts in negotiation. binary is forced into
+  /// the set (it carries the handshake); listing only {kBinary} makes
+  /// a daemon without the CRC trailer, which is how mixed fleets
+  /// exercise per-endpoint downgrade.
+  std::vector<Framing> framings = {Framing::kBinary, Framing::kBinaryCrc};
   /// Worker threads executing eval batches off the event loop;
   /// 0 = one per hardware thread (capped at 16, floored at 2).
   std::size_t workers = 0;
@@ -125,7 +125,6 @@ class Server {
     std::size_t cache_hits = 0;
     std::size_t errors_sent = 0;
     std::size_t overloads = 0;
-    std::size_t binary_sessions = 0;  ///< negotiated a non-JSON framing
     std::size_t drain_refusals = 0;   ///< frames refused while draining
     std::size_t deadline_refusals = 0;  ///< request_deadline expiries
     std::size_t cancelled_jobs = 0;  ///< dead-session work skipped
@@ -197,7 +196,7 @@ class Server {
   struct SessionState {
     std::uint64_t id = 0;
     Socket socket;
-    Framing framing = Framing::kJson;
+    Framing framing = Framing::kBinary;
     Workspace* workspace = nullptr;
     bool greeted = false;
     bool busy = false;     ///< one worker job in flight (ordering)
@@ -215,7 +214,7 @@ class Server {
   struct Job {
     std::uint64_t session_id = 0;
     bool is_hello = false;
-    Framing framing = Framing::kJson;
+    Framing framing = Framing::kBinary;
     Workspace* workspace = nullptr;
     std::string payload;
     double enqueued = 0.0;  ///< queue-entry time (request deadline)
@@ -228,7 +227,7 @@ class Server {
     bool close = false;
     /// Handshake results (is_hello jobs only):
     bool greeted = false;
-    Framing framing = Framing::kJson;
+    Framing framing = Framing::kBinary;
     Workspace* workspace = nullptr;
   };
 
@@ -240,7 +239,6 @@ class Server {
     std::atomic<std::size_t> cache_hits{0};
     std::atomic<std::size_t> errors_sent{0};
     std::atomic<std::size_t> overloads{0};
-    std::atomic<std::size_t> binary_sessions{0};
     std::atomic<std::size_t> drain_refusals{0};
     std::atomic<std::size_t> deadline_refusals{0};
     std::atomic<std::size_t> cancelled_jobs{0};

@@ -1,6 +1,6 @@
 // Artifact schema versioning. Every JSON artifact the repo emits
 // (TuningResult json, checkpoint journal headers, telemetry JSONL
-// traces, metrics snapshots, service frames) carries a
+// traces, metrics snapshots) carries a
 // "schema_version" field written and validated through this one
 // helper, so readers can reject artifacts from a future format
 // instead of silently misparsing them. Artifacts written before
@@ -15,7 +15,9 @@ namespace ft::support {
 /// Current artifact schema. History:
 ///   1 - implicit; everything written before the field existed.
 ///   2 - the field itself (tuning json, journal header, telemetry
-///       meta line, metrics snapshot, service hello/welcome).
+///       meta line, metrics snapshot, and the service hello/welcome
+///       until the service went all-binary; its frames now version
+///       through service::kProtocolVersion instead).
 ///   3 - tuning json carries an "extras" object (typed key/value
 ///       algorithm extras replacing the bespoke independent_* pair).
 ///       v2 artifacts (no block) still read back: readers treat a

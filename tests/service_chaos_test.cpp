@@ -34,7 +34,6 @@
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/socket.hpp"
-#include "support/json.hpp"
 
 namespace ft::service {
 namespace {
@@ -80,12 +79,37 @@ std::string only(const std::string& overrides) {
          (overrides.empty() ? "" : "," + overrides);
 }
 
-support::JsonValue parse_or_fail(const std::string& text) {
-  support::JsonValue value;
+/// Decodes one payload, expecting a clean decode.
+AnyFrame decode_ok(const std::string& payload,
+                   Framing framing = Framing::kBinary) {
+  AnyFrame frame;
   std::string error;
-  EXPECT_TRUE(support::JsonValue::parse(text, &value, &error))
-      << error << " in: " << text;
-  return value;
+  EXPECT_EQ(decode_frame(framing, payload, &frame, &error),
+            DecodeStatus::kOk)
+      << error;
+  return frame;
+}
+
+/// The CL/broadwell hello as a plain-binary payload.
+std::string cl_hello() {
+  HelloFrame hello;
+  hello.program = "CL";
+  hello.arch = "broadwell";
+  std::string out;
+  encode_hello_frame(Framing::kBinary, hello, &out);
+  return out;
+}
+
+std::string eval_frame(std::uint64_t seq, const core::EvalRequest& request) {
+  std::string out;
+  encode_eval_frame(Framing::kBinary, seq, request, &out);
+  return out;
+}
+
+std::string ping_frame(std::uint64_t seq) {
+  std::string out;
+  encode_ping_frame(Framing::kBinary, seq, &out);
+  return out;
 }
 
 core::EvalRequest valid_request() {
@@ -256,8 +280,7 @@ TEST(BinaryCrc, FrameShorterThanItsChecksumIsRejected) {
 
 TEST(BinaryCrc, NegotiatesAndServesALiveSession) {
   ServerOptions options = test_server_options();
-  options.framings = {Framing::kJson, Framing::kBinary,
-                      Framing::kBinaryCrc};
+  options.framings = {Framing::kBinary, Framing::kBinaryCrc};
   Server server(options);
   server.start();
 
@@ -272,15 +295,13 @@ TEST(BinaryCrc, NegotiatesAndServesALiveSession) {
   const core::EvalResponse response = client->call(valid_request());
   EXPECT_TRUE(response.ok());
   EXPECT_GT(response.outcome.result.end_to_end, 0.0);
-  EXPECT_GE(server.stats().binary_sessions, 1u);
   client.reset();
   server.stop();
 }
 
 TEST(BinaryCrc, CorruptedWireFrameGetsBadFrameAndTheSessionSurvives) {
   ServerOptions options = test_server_options();
-  options.framings = {Framing::kJson, Framing::kBinary,
-                      Framing::kBinaryCrc};
+  options.framings = {Framing::kBinary, Framing::kBinaryCrc};
   Server server(options);
   server.start();
 
@@ -288,14 +309,15 @@ TEST(BinaryCrc, CorruptedWireFrameGetsBadFrameAndTheSessionSurvives) {
   HelloFrame hello;
   hello.program = "CL";
   hello.arch = "broadwell";
-  hello.caps.framings = {Framing::kBinaryCrc, Framing::kJson};
-  ASSERT_TRUE(write_frame(socket.fd(), encode_hello(hello)));
+  hello.caps.framings = {Framing::kBinaryCrc, Framing::kBinary};
   std::string payload;
+  encode_hello_frame(Framing::kBinary, hello, &payload);
+  ASSERT_TRUE(write_frame(socket.fd(), payload));
   ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-  WelcomeFrame welcome;
+  const AnyFrame welcome = decode_ok(payload);
+  ASSERT_EQ(welcome.kind, FrameKind::kWelcome);
+  ASSERT_EQ(welcome.welcome.framing, Framing::kBinaryCrc);
   std::string error;
-  ASSERT_TRUE(decode_welcome(parse_or_fail(payload), &welcome, &error));
-  ASSERT_EQ(welcome.framing, Framing::kBinaryCrc);
 
   // A ping whose last payload byte was flipped in flight: the length
   // framing stays synchronized, so the server can reject THIS frame
@@ -725,13 +747,10 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
   server.start();
 
   Socket session_a = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  ASSERT_TRUE(write_frame(session_a.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(session_a.fd(), cl_hello()));
   std::string payload;
   ASSERT_EQ(read_frame(session_a.fd(), &payload), FrameStatus::kOk);
-  ASSERT_EQ(frame_type(parse_or_fail(payload)), "welcome");
+  ASSERT_EQ(decode_ok(payload).kind, FrameKind::kWelcome);
 
   // Session B: connected but never greeted - its hello will arrive
   // mid-drain and must be refused fatally.
@@ -756,7 +775,7 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
     return bytes;
   };
   const std::string two_frames =
-      wire(encode_eval(5, slow)) + wire(encode_eval(6, valid_request()));
+      wire(eval_frame(5, slow)) + wire(eval_frame(6, valid_request()));
   ASSERT_EQ(::send(session_a.fd(), two_frames.data(), two_frames.size(),
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(two_frames.size()));
@@ -766,7 +785,7 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
 
   server.request_drain();
   EXPECT_TRUE(server.draining());
-  ASSERT_TRUE(write_frame(session_b.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(session_b.fd(), cl_hello()));
 
   // Session A must see: the seq-5 result (inflight work finishes), a
   // retryable "draining" refusal for seq 6, then bye/EOF.
@@ -779,21 +798,18 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
       closed = true;
       break;
     }
-    const support::JsonValue frame = parse_or_fail(payload);
-    const std::string type = frame_type(frame);
-    if (type == "result") {
-      EXPECT_EQ(frame_seq(frame), 5u);
+    const AnyFrame frame = decode_ok(payload);
+    if (frame.kind == FrameKind::kResult) {
+      EXPECT_EQ(frame.seq, 5u);
       saw_result = true;
-    } else if (type == "error") {
-      ErrorFrame error;
-      ASSERT_TRUE(decode_error(frame, &error));
-      if (error.code == "draining") {
-        EXPECT_EQ(error.seq, 6u);
+    } else if (frame.kind == FrameKind::kError) {
+      if (frame.error.code == "draining") {
+        EXPECT_EQ(frame.error.seq, 6u);
         saw_draining = true;
-        EXPECT_TRUE(error.retryable)
+        EXPECT_TRUE(frame.error.retryable)
             << "draining refusals must be retryable (reroutable)";
       }
-    } else if (type == "bye") {
+    } else if (frame.kind == FrameKind::kBye) {
       closed = true;
     }
   }
@@ -806,12 +822,10 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
   bool b_refused = false;
   while (read_frame(session_b.fd(), &payload, kDefaultMaxFrameBytes,
                     30000) == FrameStatus::kOk) {
-    const support::JsonValue frame = parse_or_fail(payload);
-    if (frame_type(frame) == "error") {
-      ErrorFrame error;
-      ASSERT_TRUE(decode_error(frame, &error));
-      EXPECT_EQ(error.code, "draining");
-      EXPECT_TRUE(error.fatal);
+    const AnyFrame frame = decode_ok(payload);
+    if (frame.kind == FrameKind::kError) {
+      EXPECT_EQ(frame.error.code, "draining");
+      EXPECT_TRUE(frame.error.fatal);
       b_refused = true;
     }
   }
@@ -884,10 +898,7 @@ TEST(Server, NeverHelloConnectionIsReapedGreetedIdleIsNot) {
 
   // Greeted and idle with an empty inbox: legal, never reaped.
   Socket greeted = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  ASSERT_TRUE(write_frame(greeted.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(greeted.fd(), cl_hello()));
   std::string payload;
   ASSERT_EQ(read_frame(greeted.fd(), &payload), FrameStatus::kOk);
 
@@ -901,10 +912,10 @@ TEST(Server, NeverHelloConnectionIsReapedGreetedIdleIsNot) {
       [&] { return server.stats().loris_kills >= 1; }, 10.0));
 
   // The greeted session outlived several sweep periods and still works.
-  ASSERT_TRUE(write_frame(greeted.fd(), encode_ping(9)));
+  ASSERT_TRUE(write_frame(greeted.fd(), ping_frame(9)));
   ASSERT_EQ(read_frame(greeted.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  EXPECT_EQ(frame_type(parse_or_fail(payload)), "pong");
+  EXPECT_EQ(decode_ok(payload).kind, FrameKind::kPong);
   server.stop();
 }
 
@@ -912,10 +923,7 @@ TEST(Server, HelloSplitIntoSingleByteWritesStillGreets) {
   Server server(test_server_options());
   server.start();
   Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  const std::string payload = encode_hello(hello);
+  const std::string payload = cl_hello();
   std::string wire;
   const std::uint32_t length = static_cast<std::uint32_t>(payload.size());
   wire.push_back(static_cast<char>((length >> 24) & 0xff));
@@ -929,7 +937,7 @@ TEST(Server, HelloSplitIntoSingleByteWritesStillGreets) {
   std::string reply;
   ASSERT_EQ(read_frame(socket.fd(), &reply, kDefaultMaxFrameBytes, 10000),
             FrameStatus::kOk);
-  EXPECT_EQ(frame_type(parse_or_fail(reply)), "welcome");
+  EXPECT_EQ(decode_ok(reply).kind, FrameKind::kWelcome);
   server.stop();
 }
 
@@ -937,10 +945,7 @@ TEST(Server, HalfOpenPeerIsCollectedAndServiceContinues) {
   Server server(test_server_options());
   server.start();
   Socket half_open = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  ASSERT_TRUE(write_frame(half_open.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(half_open.fd(), cl_hello()));
   std::string payload;
   ASSERT_EQ(read_frame(half_open.fd(), &payload), FrameStatus::kOk);
   // Half-open: we will never write again, but keep the fd. The server
@@ -951,10 +956,10 @@ TEST(Server, HalfOpenPeerIsCollectedAndServiceContinues) {
             FrameStatus::kClosed);
   // And the server keeps serving new sessions afterwards.
   Socket fresh = Socket::connect(server.address());
-  ASSERT_TRUE(write_frame(fresh.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(fresh.fd(), cl_hello()));
   ASSERT_EQ(read_frame(fresh.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  EXPECT_EQ(frame_type(parse_or_fail(payload)), "welcome");
+  EXPECT_EQ(decode_ok(payload).kind, FrameKind::kWelcome);
   server.stop();
 }
 
@@ -964,10 +969,7 @@ TEST(Server, IdleTimeoutWaitsForAnInflightBatch) {
   Server server(options);
   server.start();
   Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  ASSERT_TRUE(write_frame(socket.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(socket.fd(), cl_hello()));
   std::string payload;
   ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
   // Disconnect right after submitting a batch: sessions drop to zero
@@ -975,7 +977,9 @@ TEST(Server, IdleTimeoutWaitsForAnInflightBatch) {
   // worker pool. The server must finish the batch (not abort mid-job)
   // and only then exit on idleness.
   std::vector<core::EvalRequest> batch(200, valid_request());
-  ASSERT_TRUE(write_frame(socket.fd(), encode_eval_batch(3, batch)));
+  std::string batch_frame;
+  encode_eval_batch_frame(Framing::kBinary, 3, batch, &batch_frame);
+  ASSERT_TRUE(write_frame(socket.fd(), batch_frame));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   socket.close();
   server.wait();
@@ -995,25 +999,22 @@ TEST(Server, ConnectionCapEvictsTheOldestIdleSession) {
   options.max_sessions = 2;
   Server server(options);
   server.start();
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
   std::string payload;
 
   Socket oldest = Socket::connect(server.address());
-  ASSERT_TRUE(write_frame(oldest.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(oldest.fd(), cl_hello()));
   ASSERT_EQ(read_frame(oldest.fd(), &payload), FrameStatus::kOk);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   Socket newer = Socket::connect(server.address());
-  ASSERT_TRUE(write_frame(newer.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(newer.fd(), cl_hello()));
   ASSERT_EQ(read_frame(newer.fd(), &payload), FrameStatus::kOk);
 
   // At the cap: the third connection evicts `oldest` (longest idle).
   Socket third = Socket::connect(server.address());
-  ASSERT_TRUE(write_frame(third.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(third.fd(), cl_hello()));
   ASSERT_EQ(read_frame(third.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  EXPECT_EQ(frame_type(parse_or_fail(payload)), "welcome");
+  EXPECT_EQ(decode_ok(payload).kind, FrameKind::kWelcome);
   const FrameStatus evicted =
       read_frame(oldest.fd(), &payload, kDefaultMaxFrameBytes, 10000);
   EXPECT_TRUE(evicted == FrameStatus::kClosed ||
@@ -1021,10 +1022,10 @@ TEST(Server, ConnectionCapEvictsTheOldestIdleSession) {
   EXPECT_TRUE(
       wait_until([&] { return server.stats().evictions >= 1; }, 5.0));
   // The surviving newer session still works.
-  ASSERT_TRUE(write_frame(newer.fd(), encode_ping(4)));
+  ASSERT_TRUE(write_frame(newer.fd(), ping_frame(4)));
   ASSERT_EQ(read_frame(newer.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  EXPECT_EQ(frame_type(parse_or_fail(payload)), "pong");
+  EXPECT_EQ(decode_ok(payload).kind, FrameKind::kPong);
   server.stop();
 }
 
@@ -1034,22 +1035,17 @@ TEST(Server, ExpiredRequestDeadlineIsARetryableRefusal) {
   Server server(options);
   server.start();
   Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  ASSERT_TRUE(write_frame(socket.fd(), encode_hello(hello)));
+  ASSERT_TRUE(write_frame(socket.fd(), cl_hello()));
   std::string payload;
   ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-  ASSERT_TRUE(write_frame(socket.fd(), encode_eval(2, valid_request())));
+  ASSERT_TRUE(write_frame(socket.fd(), eval_frame(2, valid_request())));
   ASSERT_EQ(read_frame(socket.fd(), &payload, kDefaultMaxFrameBytes, 5000),
             FrameStatus::kOk);
-  const support::JsonValue frame = parse_or_fail(payload);
-  ASSERT_EQ(frame_type(frame), "error");
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(frame, &error));
-  EXPECT_EQ(error.code, "deadline");
-  EXPECT_TRUE(error.retryable);
-  EXPECT_FALSE(error.fatal);
+  const AnyFrame frame = decode_ok(payload);
+  ASSERT_EQ(frame.kind, FrameKind::kError);
+  EXPECT_EQ(frame.error.code, "deadline");
+  EXPECT_TRUE(frame.error.retryable);
+  EXPECT_FALSE(frame.error.fatal);
   EXPECT_TRUE(wait_until(
       [&] { return server.stats().deadline_refusals >= 1; }, 5.0));
   server.stop();

@@ -1,9 +1,9 @@
-// Tests for the ftuned evaluation service: frame protocol round-trips
-// (every frame type, %.17g bit-exact doubles), length-prefixed framing
-// over a socketpair, live-server error semantics, a >=1000-frame
-// garbage fuzz that must leave the daemon serving, and the property
-// the whole subsystem rests on - remote tuning runs are bit-identical
-// to in-process ones, faults and all.
+// Tests for the ftuned evaluation service: frame codec round-trips
+// (every frame type, bit-exact doubles), length-prefixed framing over
+// a socketpair, live-server error semantics, a >=1000-frame garbage
+// fuzz that must leave the daemon serving, and the property the whole
+// subsystem rests on - remote tuning runs are bit-identical to
+// in-process ones, faults and all.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -30,117 +30,60 @@
 #include "service/protocol.hpp"
 #include "service/server.hpp"
 #include "service/socket.hpp"
-#include "support/json.hpp"
 
 namespace ft::service {
 namespace {
 
-// --- protocol round-trips ---------------------------------------------------
+// --- frame helpers ----------------------------------------------------------
 
-support::JsonValue parse_or_fail(const std::string& text) {
-  support::JsonValue value;
+/// Decodes one payload, expecting a clean decode.
+AnyFrame decode_ok(const std::string& payload,
+                   Framing framing = Framing::kBinary) {
+  AnyFrame frame;
   std::string error;
-  EXPECT_TRUE(support::JsonValue::parse(text, &value, &error))
-      << error << " in: " << text;
-  return value;
-}
-
-TEST(Protocol, HelloRoundTripIsBitExact) {
-  HelloFrame hello;
-  hello.program = "LULESH";
-  hello.arch = "sandybridge";
-  hello.personality = "gcc";
-  hello.options.seed = 0x0123456789abcdefull;
-  hello.options.noise_sigma_rel = 0.1 + 0.2;  // not exactly 0.3
-  hello.options.attribution_sigma = 1e-17;
-  hello.options.faults.rate = 1.0 / 3.0;
-  hello.options.faults.seed = 0xffffffffffffffffull;
-  hello.options.faults.compile_share = 0.7;
-  hello.options.faults.crash_share = 0.2;
-  hello.options.faults.timeout_share = 0.1;
-  hello.options.faults.outlier_rate = 0.015625;
-  hello.options.faults.outlier_min_scale = 1.5;
-  hello.options.faults.outlier_max_scale = 9.999999999999998;
-
-  const support::JsonValue frame = parse_or_fail(encode_hello(hello));
-  EXPECT_EQ(frame_type(frame), "hello");
-  HelloFrame out;
-  std::string error;
-  ASSERT_TRUE(decode_hello(frame, &out, &error)) << error;
-  EXPECT_EQ(out.caps.protocol, kProtocolVersion);
-  EXPECT_EQ(out.program, hello.program);
-  EXPECT_EQ(out.arch, hello.arch);
-  EXPECT_EQ(out.personality, hello.personality);
-  EXPECT_EQ(out.options.seed, hello.options.seed);
-  // EXPECT_EQ on doubles is exact equality: %.17g must round-trip bits.
-  EXPECT_EQ(out.options.noise_sigma_rel, hello.options.noise_sigma_rel);
-  EXPECT_EQ(out.options.attribution_sigma,
-            hello.options.attribution_sigma);
-  EXPECT_EQ(out.options.faults.rate, hello.options.faults.rate);
-  EXPECT_EQ(out.options.faults.seed, hello.options.faults.seed);
-  EXPECT_EQ(out.options.faults.compile_share,
-            hello.options.faults.compile_share);
-  EXPECT_EQ(out.options.faults.crash_share,
-            hello.options.faults.crash_share);
-  EXPECT_EQ(out.options.faults.timeout_share,
-            hello.options.faults.timeout_share);
-  EXPECT_EQ(out.options.faults.outlier_rate,
-            hello.options.faults.outlier_rate);
-  EXPECT_EQ(out.options.faults.outlier_min_scale,
-            hello.options.faults.outlier_min_scale);
-  EXPECT_EQ(out.options.faults.outlier_max_scale,
-            hello.options.faults.outlier_max_scale);
-}
-
-TEST(Protocol, WelcomeRoundTrip) {
-  WelcomeFrame welcome;
-  welcome.session = 0xdeadbeefcafef00dull;
-  welcome.max_batch = 512;
-  const support::JsonValue frame = parse_or_fail(encode_welcome(welcome));
-  EXPECT_EQ(frame_type(frame), "welcome");
-  WelcomeFrame out;
-  std::string error;
-  ASSERT_TRUE(decode_welcome(frame, &out, &error)) << error;
-  EXPECT_EQ(out.server, "ftuned");
-  EXPECT_EQ(out.session, welcome.session);
-  EXPECT_EQ(out.max_batch, welcome.max_batch);
-}
-
-TEST(Protocol, WelcomeArchsRoundTrip) {
-  WelcomeFrame welcome;
-  welcome.session = 7;
-  welcome.max_batch = 8;
-  welcome.caps.archs = {"AMD Opteron", "Intel Broadwell"};
-  const support::JsonValue frame = parse_or_fail(encode_welcome(welcome));
-  WelcomeFrame out;
-  std::string error;
-  ASSERT_TRUE(decode_welcome(frame, &out, &error)) << error;
-  EXPECT_EQ(out.caps.archs, welcome.caps.archs);
-
-  // archs is optional on the wire: a pre-fleet daemon's welcome (no
-  // member at all) must still decode, as an empty served set.
-  WelcomeFrame bare;
-  ASSERT_TRUE(decode_welcome(
-      parse_or_fail(
-          R"({"type":"welcome","server":"ftuned","session":"1","max_batch":4})"),
-      &bare, &error))
+  EXPECT_EQ(decode_frame(framing, payload, &frame, &error),
+            DecodeStatus::kOk)
       << error;
-  EXPECT_TRUE(bare.caps.archs.empty());
+  return frame;
 }
 
-TEST(Protocol, ErrorRoundTrip) {
-  ErrorFrame error_frame{"overloaded", "max_inflight \"quoted\"\n", 42,
-                         true, false};
-  const support::JsonValue frame =
-      parse_or_fail(encode_error(error_frame));
-  EXPECT_EQ(frame_type(frame), "error");
-  ErrorFrame out;
-  ASSERT_TRUE(decode_error(frame, &out));
-  EXPECT_EQ(out.code, error_frame.code);
-  EXPECT_EQ(out.detail, error_frame.detail);
-  EXPECT_EQ(out.seq, 42u);
-  EXPECT_TRUE(out.retryable);
-  EXPECT_FALSE(out.fatal);
+// Plain-binary payloads (the handshake framing and the default
+// session framing).
+std::string hello_frame(const HelloFrame& hello) {
+  std::string out;
+  encode_hello_frame(Framing::kBinary, hello, &out);
+  return out;
+}
+
+std::string welcome_frame(const WelcomeFrame& welcome) {
+  std::string out;
+  encode_welcome_frame(Framing::kBinary, welcome, &out);
+  return out;
+}
+
+std::string eval_frame(std::uint64_t seq, const core::EvalRequest& request) {
+  std::string out;
+  encode_eval_frame(Framing::kBinary, seq, request, &out);
+  return out;
+}
+
+std::string eval_batch_frame(std::uint64_t seq,
+                             const std::vector<core::EvalRequest>& requests) {
+  std::string out;
+  encode_eval_batch_frame(Framing::kBinary, seq, requests, &out);
+  return out;
+}
+
+std::string ping_frame(std::uint64_t seq) {
+  std::string out;
+  encode_ping_frame(Framing::kBinary, seq, &out);
+  return out;
+}
+
+std::string bye_frame() {
+  std::string out;
+  encode_bye_frame(Framing::kBinary, &out);
+  return out;
 }
 
 core::EvalRequest make_request() {
@@ -169,46 +112,6 @@ void expect_request_eq(const core::EvalRequest& got,
   EXPECT_EQ(got.aggregate, want.aggregate);
 }
 
-TEST(Protocol, EvalRequestRoundTrip) {
-  const core::EvalRequest request = make_request();
-  const support::JsonValue value =
-      parse_or_fail(eval_request_json(request));
-  core::EvalRequest out;
-  std::string error;
-  ASSERT_TRUE(parse_eval_request(value, &out, &error)) << error;
-  expect_request_eq(out, request);
-}
-
-TEST(Protocol, EvalFrameRoundTrip) {
-  const core::EvalRequest request = make_request();
-  const support::JsonValue frame =
-      parse_or_fail(encode_eval(17, request));
-  EXPECT_EQ(frame_type(frame), "eval");
-  EXPECT_EQ(frame_seq(frame), 17u);
-  std::vector<core::EvalRequest> out;
-  std::string error;
-  ASSERT_TRUE(decode_eval(frame, &out, &error)) << error;
-  ASSERT_EQ(out.size(), 1u);
-  expect_request_eq(out[0], request);
-}
-
-TEST(Protocol, EvalBatchFrameRoundTrip) {
-  std::vector<core::EvalRequest> requests(3, make_request());
-  requests[1].rep_base = 2;
-  requests[1].aggregate = machine::Aggregation::kMedian;
-  requests[2].repetitions = 1;
-  requests[2].noise = true;
-  const support::JsonValue frame =
-      parse_or_fail(encode_eval_batch(99, requests));
-  EXPECT_EQ(frame_type(frame), "eval_batch");
-  EXPECT_EQ(frame_seq(frame), 99u);
-  std::vector<core::EvalRequest> out;
-  std::string error;
-  ASSERT_TRUE(decode_eval(frame, &out, &error)) << error;
-  ASSERT_EQ(out.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) expect_request_eq(out[i], requests[i]);
-}
-
 core::EvalResponse make_ok_response() {
   core::EvalResponse response;
   machine::RunResult& result = response.outcome.result;
@@ -226,104 +129,69 @@ core::EvalResponse make_ok_response() {
   return response;
 }
 
-TEST(Protocol, EvalResponseRoundTripIsBitExact) {
-  const core::EvalResponse response = make_ok_response();
-  const support::JsonValue value =
-      parse_or_fail(eval_response_json(response));
-  core::EvalResponse out;
-  std::string error;
-  ASSERT_TRUE(parse_eval_response(value, &out, &error)) << error;
-  EXPECT_TRUE(out.ok());
-  EXPECT_EQ(out.outcome.result.end_to_end,
-            response.outcome.result.end_to_end);
-  EXPECT_EQ(out.outcome.result.loop_seconds,
-            response.outcome.result.loop_seconds);
-  EXPECT_EQ(out.outcome.result.derived_nonloop_seconds,
-            response.outcome.result.derived_nonloop_seconds);
-  EXPECT_EQ(out.outcome.result.stddev, response.outcome.result.stddev);
-  EXPECT_EQ(out.outcome.attempts, 2);
-  EXPECT_EQ(out.served_by, core::EvalServedBy::kCacheHit);
-  EXPECT_EQ(out.modules_compiled, 5u);
-}
+TEST(Protocol, WelcomeArchsRoundTrip) {
+  WelcomeFrame welcome;
+  welcome.session = 7;
+  welcome.max_batch = 8;
+  welcome.caps.archs = {"AMD Opteron", "Intel Broadwell"};
+  EXPECT_EQ(decode_ok(welcome_frame(welcome)).welcome.caps.archs,
+            welcome.caps.archs);
 
-TEST(Protocol, FailedEvalResponseRoundTrip) {
-  core::EvalResponse response;
-  response.outcome.error.kind = core::EvalFault::kCompileFailure;
-  response.outcome.error.detail = "cv 0xdeadbeef ICEd";
-  response.outcome.attempts = 3;
-  const support::JsonValue value =
-      parse_or_fail(eval_response_json(response));
-  core::EvalResponse out;
-  std::string error;
-  ASSERT_TRUE(parse_eval_response(value, &out, &error)) << error;
-  EXPECT_FALSE(out.ok());
-  EXPECT_EQ(out.outcome.error.kind, core::EvalFault::kCompileFailure);
-  EXPECT_EQ(out.outcome.error.detail, response.outcome.error.detail);
-  EXPECT_EQ(out.outcome.attempts, 3);
-}
-
-TEST(Protocol, ResultBatchFrameRoundTrip) {
-  std::vector<core::EvalResponse> responses(2, make_ok_response());
-  responses[1].outcome.result.end_to_end = 2.718281828459045;
-  responses[1].served_by = core::EvalServedBy::kRun;
-  const support::JsonValue frame =
-      parse_or_fail(encode_result_batch(7, responses));
-  EXPECT_EQ(frame_type(frame), "result_batch");
-  EXPECT_EQ(frame_seq(frame), 7u);
-  std::vector<core::EvalResponse> out;
-  std::string error;
-  ASSERT_TRUE(decode_result(frame, &out, &error)) << error;
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].outcome.result.end_to_end,
-            responses[0].outcome.result.end_to_end);
-  EXPECT_EQ(out[1].outcome.result.end_to_end,
-            responses[1].outcome.result.end_to_end);
-  EXPECT_EQ(out[1].served_by, core::EvalServedBy::kRun);
-}
-
-TEST(Protocol, ResultFrameRoundTrip) {
-  const support::JsonValue frame =
-      parse_or_fail(encode_result(3, make_ok_response()));
-  EXPECT_EQ(frame_type(frame), "result");
-  EXPECT_EQ(frame_seq(frame), 3u);
-  std::vector<core::EvalResponse> out;
-  std::string error;
-  ASSERT_TRUE(decode_result(frame, &out, &error)) << error;
-  ASSERT_EQ(out.size(), 1u);
-}
-
-TEST(Protocol, PingPongByeFrames) {
-  support::JsonValue ping = parse_or_fail(encode_ping(42));
-  EXPECT_EQ(frame_type(ping), "ping");
-  EXPECT_EQ(frame_seq(ping), 42u);
-  support::JsonValue pong = parse_or_fail(encode_pong(42));
-  EXPECT_EQ(frame_type(pong), "pong");
-  EXPECT_EQ(frame_seq(pong), 42u);
-  support::JsonValue bye = parse_or_fail(encode_bye());
-  EXPECT_EQ(frame_type(bye), "bye");
+  // A welcome advertising no archs decodes as an empty served set.
+  WelcomeFrame bare;
+  bare.session = 1;
+  bare.max_batch = 4;
+  EXPECT_TRUE(decode_ok(welcome_frame(bare)).welcome.caps.archs.empty());
 }
 
 TEST(Protocol, DecodersRejectMalformedFrames) {
+  AnyFrame frame;
   std::string error;
+  const auto expect_malformed = [&](const std::string& payload,
+                                    const char* what) {
+    error.clear();
+    EXPECT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
+              DecodeStatus::kMalformed)
+        << what;
+    EXPECT_FALSE(error.empty()) << what;
+  };
+
+  // A hello that stops after its header lacks every field.
   HelloFrame hello;
-  EXPECT_FALSE(
-      decode_hello(parse_or_fail(R"({"type":"hello"})"), &hello, &error));
-  EXPECT_FALSE(error.empty());
-  std::vector<core::EvalRequest> requests;
-  error.clear();
-  EXPECT_FALSE(decode_eval(
-      parse_or_fail(R"({"type":"eval","seq":"1"})"), &requests, &error));
-  error.clear();
-  EXPECT_FALSE(decode_eval(
-      parse_or_fail(
-          R"({"type":"eval","seq":"1","request":{"loops":[[300]],"nonloop":[],"rep":"0","reps":1,"instr":0,"noise":1,"agg":"mean"}})"),
-      &requests, &error))
-      << "CV bytes above 255 must be rejected";
-  std::vector<core::EvalResponse> responses;
-  error.clear();
-  EXPECT_FALSE(decode_result(
-      parse_or_fail(R"({"type":"result","seq":"1","result":{"ok":1}})"),
-      &responses, &error));
+  hello.program = "CL";
+  hello.arch = "broadwell";
+  const std::string valid_hello = hello_frame(hello);
+  expect_malformed(valid_hello.substr(0, 9), "hello header only");
+  HelloFrame nameless = hello;
+  nameless.program.clear();
+  expect_malformed(hello_frame(nameless), "hello without a program");
+  HelloFrame clang = hello;
+  clang.personality = "clang";
+  expect_malformed(hello_frame(clang), "hello with an unknown personality");
+
+  // An eval whose request stops inside its loop CVs.
+  const std::string eval = eval_frame(1, make_request());
+  expect_malformed(eval.substr(0, 9 + 4 + 4 + 2), "truncated loop CV");
+  // A request whose aggregation byte names no aggregation.
+  std::string bad_agg = eval;
+  bad_agg.back() = '\x07';
+  expect_malformed(bad_agg, "unknown aggregation");
+
+  // A result flagged ok that carries no measurements.
+  std::string result;
+  encode_result_frame(Framing::kBinary, 1, make_ok_response(), &result);
+  expect_malformed(result.substr(0, 9 + 1 + 4 + 8 + 1),
+                   "ok result without measurements");
+  // A failed result naming a fault kind this build does not know.
+  core::EvalResponse failed;
+  failed.outcome.error.kind = core::EvalFault::kCompileFailure;
+  failed.outcome.error.detail = "x";
+  encode_result_frame(Framing::kBinary, 1, failed, &result);
+  const std::string kind(core::to_string(failed.outcome.error.kind));
+  const std::size_t at = result.find(kind);
+  ASSERT_NE(at, std::string::npos);
+  result[at] = '#';
+  expect_malformed(result, "unknown fault kind");
 }
 
 // --- framing over a socketpair ----------------------------------------------
@@ -421,24 +289,26 @@ ServerOptions test_server_options() {
   return options;
 }
 
-/// Writes `frame`, reads one reply, parses it. Raw-socket counterpart
-/// of Client for the error-path tests.
-support::JsonValue roundtrip(int fd, const std::string& frame) {
+/// Writes `frame`, reads one reply, decodes it as plain binary.
+/// Raw-socket counterpart of Client for the error-path tests.
+AnyFrame roundtrip(int fd, const std::string& frame) {
   EXPECT_TRUE(write_frame(fd, frame));
   std::string payload;
   EXPECT_EQ(read_frame(fd, &payload), FrameStatus::kOk);
-  return parse_or_fail(payload);
+  return decode_ok(payload);
 }
 
 /// Connects and handshakes a raw session for program CL on broadwell.
+/// The hello offers only the baseline, so the session stays plain
+/// binary.
 Socket greet(const Server& server) {
   Socket socket = Socket::connect(server.address());
   HelloFrame hello;
   hello.program = "CL";
   hello.arch = "broadwell";
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_hello(hello));
-  EXPECT_EQ(frame_type(reply), "welcome");
+  const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
+  EXPECT_EQ(reply.kind, FrameKind::kWelcome);
+  EXPECT_EQ(reply.welcome.framing, Framing::kBinary);
   return socket;
 }
 
@@ -458,24 +328,19 @@ TEST(Server, RejectsUnknownProgramAndArchitecture) {
     HelloFrame hello;
     hello.program = "no-such-benchmark";
     hello.arch = "broadwell";
-    const support::JsonValue reply =
-        roundtrip(socket.fd(), encode_hello(hello));
-    EXPECT_EQ(frame_type(reply), "error");
-    ErrorFrame error;
-    ASSERT_TRUE(decode_error(reply, &error));
-    EXPECT_EQ(error.code, "unknown_program");
-    EXPECT_TRUE(error.fatal);
+    const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "unknown_program");
+    EXPECT_TRUE(reply.error.fatal);
   }
   {
     Socket socket = Socket::connect(server.address());
     HelloFrame hello;
     hello.program = "CL";
     hello.arch = "m68k";
-    const support::JsonValue reply =
-        roundtrip(socket.fd(), encode_hello(hello));
-    ErrorFrame error;
-    ASSERT_TRUE(decode_error(reply, &error));
-    EXPECT_EQ(error.code, "unknown_architecture");
+    const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "unknown_architecture");
   }
   server.stop();
 }
@@ -483,26 +348,51 @@ TEST(Server, RejectsUnknownProgramAndArchitecture) {
 TEST(Server, RejectsUnsupportedProtocolVersion) {
   Server server(test_server_options());
   server.start();
-  Socket socket = Socket::connect(server.address());
   HelloFrame hello;
   hello.program = "CL";
   hello.arch = "broadwell";
-  std::string text = encode_hello(hello);
-  // The version travels twice (legacy top-level member + caps object);
-  // a skewed client disagrees in both places.
-  const std::string needle = "\"protocol\":" +
-                             std::to_string(kProtocolVersion);
-  std::size_t at = text.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  while (at != std::string::npos) {
-    text.replace(at, needle.size(), "\"protocol\":999");
-    at = text.find(needle, at);
+  hello.caps.protocol = 999;
+  {
+    Socket socket = Socket::connect(server.address());
+    const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "unsupported_version");
+    EXPECT_TRUE(reply.error.fatal);
   }
-  const support::JsonValue reply = roundtrip(socket.fd(), text);
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(reply, &error));
-  EXPECT_EQ(error.code, "unsupported_version");
-  EXPECT_TRUE(error.fatal);
+  {
+    // The version leads the hello: a skewed peer whose hello lays out
+    // the rest differently (here: nothing after the version) is still
+    // refused as unsupported_version, not as a malformed bad_request.
+    Socket socket = Socket::connect(server.address());
+    const AnyFrame reply =
+        roundtrip(socket.fd(), hello_frame(hello).substr(0, 9 + 4));
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "unsupported_version");
+    EXPECT_TRUE(reply.error.fatal);
+  }
+  server.stop();
+}
+
+TEST(Server, JsonHelloFromAProtocolOnePeerGetsAFatalErrorAndAClose) {
+  // What a peer from before the binary handshake sends: a JSON hello.
+  // It must earn a structured refusal and a hangup, not a hang.
+  Server server(test_server_options());
+  server.start();
+  Socket socket = Socket::connect(server.address());
+  ASSERT_TRUE(write_frame(
+      socket.fd(),
+      R"({"type":"hello","protocol":1,"program":"CL","arch":"broadwell"})"));
+  std::string payload;
+  ASSERT_EQ(read_frame(socket.fd(), &payload, kDefaultMaxFrameBytes, 5000),
+            FrameStatus::kOk);
+  const AnyFrame reply = decode_ok(payload);
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "unsupported_version");
+  EXPECT_TRUE(reply.error.fatal);
+  const FrameStatus after =
+      read_frame(socket.fd(), &payload, kDefaultMaxFrameBytes, 5000);
+  EXPECT_TRUE(after == FrameStatus::kClosed || after == FrameStatus::kTorn)
+      << "the daemon must hang up after a fatal handshake error";
   server.stop();
 }
 
@@ -513,30 +403,32 @@ TEST(Server, GarbagePayloadIsNonFatalButOversizedFrameHangsUp) {
   server.start();
   Socket socket = greet(server);
 
-  // Garbage JSON: framing stays synchronized, session survives.
-  const support::JsonValue garbage_reply =
-      roundtrip(socket.fd(), "{not json!!");
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(garbage_reply, &error));
-  EXPECT_EQ(error.code, "bad_frame");
-  EXPECT_FALSE(error.fatal);
-  // Unknown frame type: refused per-frame, session survives.
-  const support::JsonValue unknown_reply =
-      roundtrip(socket.fd(), R"({"type":"launch_missiles","seq":"9"})");
-  ASSERT_TRUE(decode_error(unknown_reply, &error));
-  EXPECT_EQ(error.code, "bad_request");
-  EXPECT_EQ(error.seq, 9u);
+  // An empty payload: framing stays synchronized, session survives.
+  AnyFrame reply = roundtrip(socket.fd(), "");
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "bad_frame");
+  EXPECT_FALSE(reply.error.fatal);
+  // Unknown frame tag: refused per-frame, session survives.
+  reply = roundtrip(socket.fd(), std::string("\x7f", 1) + "launch");
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "bad_request");
+  EXPECT_FALSE(reply.error.fatal);
+  // A known tag with a truncated body: refused with its seq.
+  reply = roundtrip(socket.fd(), eval_frame(9, valid_request()).substr(0, 20));
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "bad_request");
+  EXPECT_EQ(reply.error.seq, 9u);
+  EXPECT_FALSE(reply.error.fatal);
   // ...still serving:
-  const support::JsonValue pong = roundtrip(socket.fd(), encode_ping(5));
-  EXPECT_EQ(frame_type(pong), "pong");
-  EXPECT_EQ(frame_seq(pong), 5u);
+  const AnyFrame pong = roundtrip(socket.fd(), ping_frame(5));
+  EXPECT_EQ(pong.kind, FrameKind::kPong);
+  EXPECT_EQ(pong.seq, 5u);
 
   // Oversized frame: stream unsynchronized -> fatal error, then EOF.
-  const support::JsonValue oversized_reply =
-      roundtrip(socket.fd(), std::string(8192, ' '));
-  ASSERT_TRUE(decode_error(oversized_reply, &error));
-  EXPECT_EQ(error.code, "oversized_frame");
-  EXPECT_TRUE(error.fatal);
+  reply = roundtrip(socket.fd(), std::string(8192, ' '));
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "oversized_frame");
+  EXPECT_TRUE(reply.error.fatal);
   // Hang-up may surface as a clean FIN or (when the server closes with
   // our unread payload still in flight) a TCP reset; either way, no
   // further frame is served.
@@ -551,16 +443,14 @@ TEST(Server, OverloadedRefusalIsRetryable) {
   Server server(options);
   server.start();
   Socket socket = greet(server);
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_eval(11, valid_request()));
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(reply, &error));
-  EXPECT_EQ(error.code, "overloaded");
-  EXPECT_EQ(error.seq, 11u);
-  EXPECT_TRUE(error.retryable);
-  EXPECT_FALSE(error.fatal);
+  const AnyFrame reply = roundtrip(socket.fd(), eval_frame(11, valid_request()));
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "overloaded");
+  EXPECT_EQ(reply.error.seq, 11u);
+  EXPECT_TRUE(reply.error.retryable);
+  EXPECT_FALSE(reply.error.fatal);
   // The refusal is per-frame: the session still answers pings.
-  EXPECT_EQ(frame_type(roundtrip(socket.fd(), encode_ping(12))), "pong");
+  EXPECT_EQ(roundtrip(socket.fd(), ping_frame(12)).kind, FrameKind::kPong);
   EXPECT_EQ(server.stats().overloads, 1u);
   server.stop();
 }
@@ -574,13 +464,9 @@ TEST(Server, DefaultOptionsServeAPaperScaleBatch) {
   Socket socket = greet(server);
   std::vector<core::EvalRequest> batch(1000, valid_request());
   for (std::size_t i = 0; i < batch.size(); ++i) batch[i].rep_base = i;
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_eval_batch(3, batch));
-  ASSERT_EQ(frame_type(reply), "result_batch");
-  std::vector<core::EvalResponse> responses;
-  std::string error;
-  ASSERT_TRUE(decode_result(reply, &responses, &error)) << error;
-  EXPECT_EQ(responses.size(), batch.size());
+  const AnyFrame reply = roundtrip(socket.fd(), eval_batch_frame(3, batch));
+  ASSERT_EQ(reply.kind, FrameKind::kResultBatch);
+  EXPECT_EQ(reply.responses.size(), batch.size());
   EXPECT_EQ(server.stats().overloads, 0u);
   server.stop();
 }
@@ -592,12 +478,10 @@ TEST(Server, BatchBeyondMaxBatchIsRefused) {
   server.start();
   Socket socket = greet(server);
   const std::vector<core::EvalRequest> requests(3, valid_request());
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_eval_batch(4, requests));
-  ErrorFrame error;
-  ASSERT_TRUE(decode_error(reply, &error));
-  EXPECT_EQ(error.code, "bad_request");
-  EXPECT_FALSE(error.fatal);
+  const AnyFrame reply = roundtrip(socket.fd(), eval_batch_frame(4, requests));
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "bad_request");
+  EXPECT_FALSE(reply.error.fatal);
   server.stop();
 }
 
@@ -605,23 +489,17 @@ TEST(Server, ServesEvalAndBatchFrames) {
   Server server(test_server_options());
   server.start();
   Socket socket = greet(server);
-  const support::JsonValue single =
-      roundtrip(socket.fd(), encode_eval(1, valid_request()));
-  EXPECT_EQ(frame_type(single), "result");
-  std::vector<core::EvalResponse> responses;
-  std::string error;
-  ASSERT_TRUE(decode_result(single, &responses, &error)) << error;
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_TRUE(responses[0].ok());
-  EXPECT_GT(responses[0].seconds(), 0.0);
+  const AnyFrame single = roundtrip(socket.fd(), eval_frame(1, valid_request()));
+  ASSERT_EQ(single.kind, FrameKind::kResult);
+  ASSERT_EQ(single.responses.size(), 1u);
+  EXPECT_TRUE(single.responses[0].ok());
+  EXPECT_GT(single.responses[0].seconds(), 0.0);
 
   std::vector<core::EvalRequest> batch(4, valid_request());
   for (std::size_t i = 0; i < batch.size(); ++i) batch[i].rep_base = i;
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_eval_batch(2, batch));
-  EXPECT_EQ(frame_type(reply), "result_batch");
-  responses.clear();
-  ASSERT_TRUE(decode_result(reply, &responses, &error)) << error;
+  const AnyFrame reply = roundtrip(socket.fd(), eval_batch_frame(2, batch));
+  ASSERT_EQ(reply.kind, FrameKind::kResultBatch);
+  const std::vector<core::EvalResponse>& responses = reply.responses;
   ASSERT_EQ(responses.size(), 4u);
   // Identical assignments under different noise keys: all valid, not
   // all equal (the noise model is keyed by rep_base).
@@ -690,26 +568,20 @@ TEST(Server, ArchRestrictedDaemonRefusesAndAdvertises) {
     HelloFrame hello;
     hello.program = "CL";
     hello.arch = "broadwell";
-    const support::JsonValue reply =
-        roundtrip(socket.fd(), encode_hello(hello));
-    ErrorFrame error;
-    ASSERT_TRUE(decode_error(reply, &error));
-    EXPECT_EQ(error.code, "unsupported_architecture");
-    EXPECT_TRUE(error.fatal);
+    const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "unsupported_architecture");
+    EXPECT_TRUE(reply.error.fatal);
   }
   {
     Socket socket = Socket::connect(server.address());
     HelloFrame hello;
     hello.program = "CL";
     hello.arch = "opteron";
-    const support::JsonValue reply =
-        roundtrip(socket.fd(), encode_hello(hello));
-    EXPECT_EQ(frame_type(reply), "welcome");
-    WelcomeFrame welcome;
-    std::string error;
-    ASSERT_TRUE(decode_welcome(reply, &welcome, &error)) << error;
+    const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
+    ASSERT_EQ(reply.kind, FrameKind::kWelcome);
     // The served set is advertised canonicalized to display names.
-    EXPECT_EQ(welcome.caps.archs,
+    EXPECT_EQ(reply.welcome.caps.archs,
               std::vector<std::string>{machine::opteron().name});
   }
   server.stop();
@@ -755,7 +627,7 @@ TEST(Client, CallTimesOutWhenDaemonGoesSilentMidSession) {
     WelcomeFrame welcome;
     welcome.session = 1;
     welcome.max_batch = 64;
-    ASSERT_TRUE(write_frame(session.fd(), encode_welcome(welcome)));
+    ASSERT_TRUE(write_frame(session.fd(), welcome_frame(welcome)));
     (void)read_frame(session.fd(), &payload);  // eat the ping, go silent
     (void)read_frame(session.fd(), &payload);  // wait for the hangup
   });
@@ -1080,8 +952,8 @@ TEST(Service, IdleTimeoutShutsTheServerDown) {
   server.start();
   {
     Socket socket = greet(server);
-    EXPECT_EQ(frame_type(roundtrip(socket.fd(), encode_ping(1))), "pong");
-    ASSERT_TRUE(write_frame(socket.fd(), encode_bye()));
+    EXPECT_EQ(roundtrip(socket.fd(), ping_frame(1)).kind, FrameKind::kPong);
+    ASSERT_TRUE(write_frame(socket.fd(), bye_frame()));
   }
   server.wait();  // must return on its own - no stop() call
   EXPECT_FALSE(server.running());
@@ -1098,24 +970,40 @@ TEST(ServiceFuzz, ThousandGarbageFramesLeaveTheDaemonServing) {
   std::size_t frames_sent = 0;
 
   // Phase 1: one long-lived session eats garbage payloads (valid
-  // framing, hostile content). Every one must earn a non-fatal error
-  // frame; interleaved pings prove the session keeps serving.
+  // framing, hostile content): random byte soup, and eval frames cut
+  // short with one byte flipped. A payload that happens to decode as a
+  // valid frame is re-rolled, so the corpus is garbage by construction.
+  // Every one must earn a non-fatal error frame; interleaved pings
+  // prove the session keeps serving.
+  const std::string valid = eval_frame(1, valid_request());
+  AnyFrame probe;
+  std::string probe_error;
+  const auto garbage = [&] {
+    for (;;) {
+      std::string payload;
+      if (rng() % 2 == 0) {
+        payload.assign(rng() % 64, '\0');
+        for (char& byte : payload) byte = static_cast<char>(rng() & 0xff);
+      } else {
+        payload = valid.substr(0, 1 + rng() % (valid.size() - 1));
+        payload[rng() % payload.size()] ^= static_cast<char>(1 + rng() % 255);
+      }
+      if (decode_frame(Framing::kBinary, payload, &probe, &probe_error) !=
+          DecodeStatus::kOk) {
+        return payload;
+      }
+    }
+  };
   {
     Socket socket = greet(server);
     for (int i = 0; i < 700; ++i) {
-      std::string payload(rng() % 64, '\0');
-      for (char& byte : payload) {
-        byte = static_cast<char>(rng() & 0xff);
-      }
-      const support::JsonValue reply = roundtrip(socket.fd(), payload);
+      const AnyFrame reply = roundtrip(socket.fd(), garbage());
       ++frames_sent;
-      ASSERT_EQ(frame_type(reply), "error") << "frame " << i;
-      ErrorFrame error;
-      ASSERT_TRUE(decode_error(reply, &error));
-      ASSERT_FALSE(error.fatal) << "frame " << i;
+      ASSERT_EQ(reply.kind, FrameKind::kError) << "frame " << i;
+      ASSERT_FALSE(reply.error.fatal) << "frame " << i;
       if (i % 100 == 0) {
-        ASSERT_EQ(frame_type(roundtrip(socket.fd(), encode_ping(1))),
-                  "pong");
+        ASSERT_EQ(roundtrip(socket.fd(), ping_frame(1)).kind,
+                  FrameKind::kPong);
         ++frames_sent;
       }
     }
@@ -1146,8 +1034,8 @@ TEST(ServiceFuzz, ThousandGarbageFramesLeaveTheDaemonServing) {
         ASSERT_EQ(send(socket.fd(), "trunc", 5, 0), 5);
         break;
       }
-      case 3: {  // structurally valid JSON that is not a hello
-        ASSERT_TRUE(write_frame(socket.fd(), R"([1,2,3])"));
+      case 3: {  // a well-formed frame that is not a hello
+        ASSERT_TRUE(write_frame(socket.fd(), ping_frame(1)));
         break;
       }
     }
@@ -1173,15 +1061,6 @@ TEST(ServiceFuzz, ThousandGarbageFramesLeaveTheDaemonServing) {
 
 // --- binary framing: every frame type round-trips bit-exactly ---------------
 
-AnyFrame binary_roundtrip(const std::string& payload) {
-  AnyFrame frame;
-  std::string error;
-  EXPECT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
-            DecodeStatus::kOk)
-      << error;
-  return frame;
-}
-
 TEST(Binary, HelloRoundTripIsBitExact) {
   HelloFrame hello;
   hello.program = "LULESH";
@@ -1192,15 +1071,18 @@ TEST(Binary, HelloRoundTripIsBitExact) {
   hello.options.attribution_sigma = 1e-17;
   hello.options.faults.rate = 1.0 / 3.0;
   hello.options.faults.seed = 0xffffffffffffffffull;
+  hello.options.faults.compile_share = 0.7;
+  hello.options.faults.crash_share = 0.2;
+  hello.options.faults.timeout_share = 0.1;
+  hello.options.faults.outlier_rate = 0.015625;
+  hello.options.faults.outlier_min_scale = 1.5;
   hello.options.faults.outlier_max_scale = 9.999999999999998;
-  hello.caps.framings = {Framing::kBinary, Framing::kJson};
   hello.caps.max_frame_bytes = 123456789;
 
-  std::string payload;
-  encode_hello_frame(Framing::kBinary, hello, &payload);
-  const AnyFrame frame = binary_roundtrip(payload);
+  const AnyFrame frame = decode_ok(hello_frame(hello));
   ASSERT_EQ(frame.kind, FrameKind::kHello);
   const HelloFrame& out = frame.hello;
+  EXPECT_EQ(out.caps.protocol, kProtocolVersion);
   EXPECT_EQ(out.program, hello.program);
   EXPECT_EQ(out.arch, hello.arch);
   EXPECT_EQ(out.personality, hello.personality);
@@ -1212,6 +1094,16 @@ TEST(Binary, HelloRoundTripIsBitExact) {
             hello.options.attribution_sigma);
   EXPECT_EQ(out.options.faults.rate, hello.options.faults.rate);
   EXPECT_EQ(out.options.faults.seed, hello.options.faults.seed);
+  EXPECT_EQ(out.options.faults.compile_share,
+            hello.options.faults.compile_share);
+  EXPECT_EQ(out.options.faults.crash_share,
+            hello.options.faults.crash_share);
+  EXPECT_EQ(out.options.faults.timeout_share,
+            hello.options.faults.timeout_share);
+  EXPECT_EQ(out.options.faults.outlier_rate,
+            hello.options.faults.outlier_rate);
+  EXPECT_EQ(out.options.faults.outlier_min_scale,
+            hello.options.faults.outlier_min_scale);
   EXPECT_EQ(out.options.faults.outlier_max_scale,
             hello.options.faults.outlier_max_scale);
   EXPECT_EQ(out.caps.framings, hello.caps.framings);
@@ -1223,11 +1115,8 @@ TEST(Binary, WelcomeRoundTrip) {
   welcome.session = 0xdeadbeefcafef00dull;
   welcome.max_batch = 512;
   welcome.framing = Framing::kBinary;
-  welcome.caps.framings = {Framing::kJson, Framing::kBinary};
   welcome.caps.archs = {"AMD Opteron", "Intel Broadwell"};
-  std::string payload;
-  encode_welcome_frame(Framing::kBinary, welcome, &payload);
-  const AnyFrame frame = binary_roundtrip(payload);
+  const AnyFrame frame = decode_ok(welcome_frame(welcome));
   ASSERT_EQ(frame.kind, FrameKind::kWelcome);
   EXPECT_EQ(frame.welcome.server, "ftuned");
   EXPECT_EQ(frame.welcome.session, welcome.session);
@@ -1237,12 +1126,33 @@ TEST(Binary, WelcomeRoundTrip) {
   EXPECT_EQ(frame.welcome.caps.archs, welcome.caps.archs);
 }
 
+TEST(Binary, HandshakeCarriesBinaryCrc32) {
+  // A hello offering the CRC trailer and a welcome binding it must
+  // both survive the codec: the handshake is what turns the trailer on.
+  HelloFrame hello;
+  hello.program = "CL";
+  hello.arch = "broadwell";
+  hello.caps.framings = {Framing::kBinaryCrc, Framing::kBinary};
+  EXPECT_EQ(decode_ok(hello_frame(hello)).hello.caps.framings,
+            hello.caps.framings);
+
+  WelcomeFrame welcome;
+  welcome.session = 3;
+  welcome.max_batch = 64;
+  welcome.framing = Framing::kBinaryCrc;
+  welcome.caps.framings = {Framing::kBinary, Framing::kBinaryCrc};
+  const AnyFrame frame = decode_ok(welcome_frame(welcome));
+  ASSERT_EQ(frame.kind, FrameKind::kWelcome);
+  EXPECT_EQ(frame.welcome.framing, Framing::kBinaryCrc);
+  EXPECT_EQ(frame.welcome.caps.framings, welcome.caps.framings);
+}
+
 TEST(Binary, ErrorRoundTrip) {
   const ErrorFrame error_frame{"overloaded", "max_inflight \"quoted\"\n",
                                42, true, false};
   std::string payload;
   encode_error_frame(Framing::kBinary, error_frame, &payload);
-  const AnyFrame frame = binary_roundtrip(payload);
+  const AnyFrame frame = decode_ok(payload);
   ASSERT_EQ(frame.kind, FrameKind::kError);
   EXPECT_EQ(frame.error.code, error_frame.code);
   EXPECT_EQ(frame.error.detail, error_frame.detail);
@@ -1255,7 +1165,7 @@ TEST(Binary, EvalAndBatchRoundTrip) {
   const core::EvalRequest request = make_request();
   std::string payload;
   encode_eval_frame(Framing::kBinary, 17, request, &payload);
-  AnyFrame frame = binary_roundtrip(payload);
+  AnyFrame frame = decode_ok(payload);
   ASSERT_EQ(frame.kind, FrameKind::kEval);
   EXPECT_EQ(frame.seq, 17u);
   ASSERT_EQ(frame.requests.size(), 1u);
@@ -1267,7 +1177,7 @@ TEST(Binary, EvalAndBatchRoundTrip) {
   requests[2].repetitions = 1;
   requests[2].noise = true;
   encode_eval_batch_frame(Framing::kBinary, 99, requests, &payload);
-  frame = binary_roundtrip(payload);
+  frame = decode_ok(payload);
   ASSERT_EQ(frame.kind, FrameKind::kEvalBatch);
   EXPECT_EQ(frame.seq, 99u);
   ASSERT_EQ(frame.requests.size(), 3u);
@@ -1280,7 +1190,7 @@ TEST(Binary, ResultRoundTripIsBitExact) {
   const core::EvalResponse response = make_ok_response();
   std::string payload;
   encode_result_frame(Framing::kBinary, 3, response, &payload);
-  const AnyFrame frame = binary_roundtrip(payload);
+  const AnyFrame frame = decode_ok(payload);
   ASSERT_EQ(frame.kind, FrameKind::kResult);
   EXPECT_EQ(frame.seq, 3u);
   ASSERT_EQ(frame.responses.size(), 1u);
@@ -1299,19 +1209,25 @@ TEST(Binary, ResultRoundTripIsBitExact) {
 }
 
 TEST(Binary, FailedResultAndBatchRoundTrip) {
-  std::vector<core::EvalResponse> responses(2, make_ok_response());
+  std::vector<core::EvalResponse> responses(3, make_ok_response());
   responses[1] = core::EvalResponse{};
   responses[1].outcome.error.kind = core::EvalFault::kCompileFailure;
   responses[1].outcome.error.detail = "cv 0xdeadbeef ICEd";
   responses[1].outcome.attempts = 3;
+  responses[2].outcome.result.end_to_end = 2.718281828459045;
+  responses[2].served_by = core::EvalServedBy::kRun;
   std::string payload;
   encode_result_batch_frame(Framing::kBinary, 7, responses, &payload);
-  const AnyFrame frame = binary_roundtrip(payload);
+  const AnyFrame frame = decode_ok(payload);
   ASSERT_EQ(frame.kind, FrameKind::kResultBatch);
-  ASSERT_EQ(frame.responses.size(), 2u);
+  EXPECT_EQ(frame.seq, 7u);
+  ASSERT_EQ(frame.responses.size(), 3u);
   EXPECT_TRUE(frame.responses[0].ok());
   EXPECT_EQ(frame.responses[0].outcome.result.end_to_end,
             responses[0].outcome.result.end_to_end);
+  EXPECT_EQ(frame.responses[2].outcome.result.end_to_end,
+            responses[2].outcome.result.end_to_end);
+  EXPECT_EQ(frame.responses[2].served_by, core::EvalServedBy::kRun);
   EXPECT_FALSE(frame.responses[1].ok());
   EXPECT_EQ(frame.responses[1].outcome.error.kind,
             core::EvalFault::kCompileFailure);
@@ -1323,15 +1239,15 @@ TEST(Binary, FailedResultAndBatchRoundTrip) {
 TEST(Binary, PingPongByeRoundTrip) {
   std::string payload;
   encode_ping_frame(Framing::kBinary, 42, &payload);
-  AnyFrame frame = binary_roundtrip(payload);
+  AnyFrame frame = decode_ok(payload);
   EXPECT_EQ(frame.kind, FrameKind::kPing);
   EXPECT_EQ(frame.seq, 42u);
   encode_pong_frame(Framing::kBinary, 42, &payload);
-  frame = binary_roundtrip(payload);
+  frame = decode_ok(payload);
   EXPECT_EQ(frame.kind, FrameKind::kPong);
   EXPECT_EQ(frame.seq, 42u);
   encode_bye_frame(Framing::kBinary, &payload);
-  frame = binary_roundtrip(payload);
+  frame = decode_ok(payload);
   EXPECT_EQ(frame.kind, FrameKind::kBye);
 }
 
@@ -1375,58 +1291,43 @@ TEST(Binary, DecoderSurvivesGarbageTruncationsAndForgedCounts) {
 
 TEST(Protocol, NegotiateFramingPicksFirstMutualPreference) {
   using enum Framing;
-  EXPECT_EQ(negotiate_framing({kBinary, kJson}, {kJson, kBinary}),
+  EXPECT_EQ(negotiate_framing({kBinaryCrc, kBinary}, {kBinary, kBinaryCrc}),
+            kBinaryCrc);
+  EXPECT_EQ(negotiate_framing({kBinaryCrc, kBinary}, {kBinary}), kBinary);
+  EXPECT_EQ(negotiate_framing({kBinary, kBinaryCrc}, {kBinary, kBinaryCrc}),
             kBinary);
-  EXPECT_EQ(negotiate_framing({kBinary, kJson}, {kJson}), kJson);
-  EXPECT_EQ(negotiate_framing({kJson, kBinary}, {kJson, kBinary}),
-            kJson);
   // Degenerate offers still land on the mandatory baseline.
-  EXPECT_EQ(negotiate_framing({}, {kJson, kBinary}), kJson);
-  EXPECT_EQ(negotiate_framing({kBinary}, {}), kJson);
+  EXPECT_EQ(negotiate_framing({}, {kBinary, kBinaryCrc}), kBinary);
+  EXPECT_EQ(negotiate_framing({kBinaryCrc}, {}), kBinary);
 }
 
 TEST(Protocol, CapabilitiesTolerateUnknownKeysAndWrongTypes) {
-  // A hello from some future build: unknown caps keys, unknown framing
-  // names, wrongly-typed members. Everything unknown is skipped, the
-  // frame still decodes, and the mutually-intelligible parts survive.
+  // A hello from some future build: framing codes this build does not
+  // know, and fields appended after the last one it does. Everything
+  // unknown is skipped, the frame still decodes, and the
+  // mutually-intelligible parts survive.
   HelloFrame hello;
   hello.program = "CL";
   hello.arch = "broadwell";
-  std::string text = encode_hello(hello);
-  const std::string needle = "\"caps\":{";
-  const std::size_t at = text.find(needle);
-  ASSERT_NE(at, std::string::npos);
-  text.insert(at + needle.size(),
-              "\"quantum_links\":3,\"future\":{\"deep\":[1,2]},");
-  const std::string framings = "\"framings\":[\"json\"]";
-  const std::size_t framings_at = text.find(framings);
-  ASSERT_NE(framings_at, std::string::npos);
-  text.replace(framings_at, framings.size(),
-               "\"framings\":[17,\"zstd-cbor\",\"json\",{\"x\":1}]");
+  std::string payload = hello_frame(hello);
+  // caps start right after the 9-byte header: u32 protocol, then
+  // u8 framing_count and the codes.
+  const std::size_t count_at = 9 + 4;
+  ASSERT_EQ(payload[count_at], '\x01');
+  payload.replace(count_at, 2, std::string("\x04\x11\x00\x01\xff", 5));
+  payload.append("future fields");
+  AnyFrame frame = decode_ok(payload);
+  ASSERT_EQ(frame.kind, FrameKind::kHello);
+  EXPECT_EQ(frame.hello.caps.protocol, kProtocolVersion);
+  EXPECT_EQ(frame.hello.caps.framings, std::vector<Framing>{Framing::kBinary});
+  EXPECT_EQ(frame.hello.program, "CL");
+  EXPECT_EQ(frame.hello.arch, "broadwell");
 
-  HelloFrame out;
-  std::string error;
-  ASSERT_TRUE(decode_hello(parse_or_fail(text), &out, &error)) << error;
-  EXPECT_EQ(out.caps.protocol, kProtocolVersion);
-  EXPECT_EQ(out.caps.framings, std::vector<Framing>{Framing::kJson});
-
-  // Wrongly-typed known members: ignored, defaults kept.
-  HelloFrame wrong;
-  wrong.program = "CL";
-  wrong.arch = "broadwell";
-  std::string wrong_text = encode_hello(wrong);
-  const std::string caps = "\"caps\":{";
-  const std::size_t caps_at = wrong_text.find(caps);
-  ASSERT_NE(caps_at, std::string::npos);
-  const std::size_t caps_end = wrong_text.find('}', caps_at);
-  wrong_text.replace(
-      caps_at, caps_end - caps_at + 1,
-      R"("caps":{"protocol":"banana","framings":"json","max_frame":[8]})");
-  ASSERT_TRUE(decode_hello(parse_or_fail(wrong_text), &out, &error))
-      << error;
-  EXPECT_EQ(out.caps.protocol, kProtocolVersion);  // legacy member wins
-  EXPECT_EQ(out.caps.framings, std::vector<Framing>{Framing::kJson});
-  EXPECT_EQ(out.caps.max_frame_bytes, kDefaultMaxFrameBytes);
+  // An offer naming no known framing at all decodes as the baseline.
+  payload = hello_frame(hello);
+  payload.replace(count_at, 2, std::string("\x02\x00\x09", 3));
+  frame = decode_ok(payload);
+  EXPECT_EQ(frame.hello.caps.framings, std::vector<Framing>{Framing::kBinary});
 }
 
 TEST(Negotiation, BinaryPreferredClientGetsBinarySession) {
@@ -1437,26 +1338,22 @@ TEST(Negotiation, BinaryPreferredClientGetsBinarySession) {
   connect_options.workspace =
       WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
                     options};
-  connect_options.framings = {Framing::kBinary, Framing::kJson};
   std::shared_ptr<Client> client = Client::connect(
       Endpoint::parse(server.address().display()), connect_options);
   EXPECT_EQ(client->framing(), Framing::kBinary);
   EXPECT_EQ(client->welcome().framing, Framing::kBinary);
   // The welcome advertises the server's own supported set.
-  EXPECT_NE(std::find(client->welcome().caps.framings.begin(),
-                      client->welcome().caps.framings.end(),
-                      Framing::kBinary),
-            client->welcome().caps.framings.end());
+  EXPECT_EQ(client->welcome().caps.framings,
+            (std::vector<Framing>{Framing::kBinary, Framing::kBinaryCrc}));
   client->ping();
   const core::EvalResponse response = client->call(valid_request());
   EXPECT_TRUE(response.ok());
-  EXPECT_EQ(server.stats().binary_sessions, 1u);
   server.stop();
 }
 
-TEST(Negotiation, JsonOnlyDaemonDowngradesTheSession) {
+TEST(Negotiation, CrcLessDaemonDowngradesTheSession) {
   ServerOptions options = test_server_options();
-  options.framings = {Framing::kJson};  // a pre-binary daemon
+  options.framings = {Framing::kBinary};  // a daemon without the trailer
   Server server(options);
   server.start();
   core::FuncyTunerOptions tuner_options;
@@ -1464,13 +1361,12 @@ TEST(Negotiation, JsonOnlyDaemonDowngradesTheSession) {
   connect_options.workspace =
       WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
                     tuner_options};
-  connect_options.framings = {Framing::kBinary, Framing::kJson};
+  connect_options.framings = {Framing::kBinaryCrc};
   std::shared_ptr<Client> client = Client::connect(
       Endpoint::parse(server.address().display()), connect_options);
-  EXPECT_EQ(client->framing(), Framing::kJson);
+  EXPECT_EQ(client->framing(), Framing::kBinary);
   client->ping();
   EXPECT_TRUE(client->call(valid_request()).ok());
-  EXPECT_EQ(server.stats().binary_sessions, 0u);
   server.stop();
 }
 
@@ -1487,12 +1383,14 @@ TEST(Negotiation, WelcomeNamingUnknownFramingFailsTheHandshake) {
     WelcomeFrame welcome;
     welcome.session = 1;
     welcome.max_batch = 64;
-    std::string text = encode_welcome(welcome);
-    const std::string needle = "\"framing\":\"json\"";
-    const std::size_t at = text.find(needle);
-    ASSERT_NE(at, std::string::npos);
-    text.replace(at, needle.size(), "\"framing\":\"cbor\"");
-    ASSERT_TRUE(write_frame(session.fd(), text));
+    std::string reply = welcome_frame(welcome);
+    // The framing byte follows the header, the server name and the
+    // session and max_batch words.
+    const std::size_t framing_at = 9 + 4 + welcome.server.size() + 8 + 8;
+    ASSERT_EQ(reply[framing_at],
+              static_cast<char>(Framing::kBinary));
+    reply[framing_at] = '\x09';
+    ASSERT_TRUE(write_frame(session.fd(), reply));
     (void)read_frame(session.fd(), &payload);  // wait for the hangup
   });
   core::FuncyTunerOptions options;
@@ -1508,40 +1406,15 @@ TEST(Negotiation, WelcomeNamingUnknownFramingFailsTheHandshake) {
 
 // --- binary framing against the live daemon ---------------------------------
 
-/// Handshakes a raw binary session for program CL on broadwell.
-Socket greet_binary(const Server& server) {
-  Socket socket = Socket::connect(server.address());
-  HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
-  hello.caps.framings = {Framing::kBinary, Framing::kJson};
-  const support::JsonValue reply =
-      roundtrip(socket.fd(), encode_hello(hello));
-  EXPECT_EQ(frame_type(reply), "welcome");
-  WelcomeFrame welcome;
-  std::string error;
-  EXPECT_TRUE(decode_welcome(reply, &welcome, &error)) << error;
-  EXPECT_EQ(welcome.framing, Framing::kBinary);
-  return socket;
-}
-
 TEST(Binary, LiveSessionServesEvalAndSurvivesGarbage) {
   ServerOptions server_options = test_server_options();
   server_options.max_frame_bytes = 4096;
   Server server(server_options);
   server.start();
-  Socket socket = greet_binary(server);
-
-  AnyFrame frame;
-  std::string payload, error;
+  Socket socket = greet(server);
 
   // A real binary eval round-trip.
-  encode_eval_frame(Framing::kBinary, 21, valid_request(), &payload);
-  ASSERT_TRUE(write_frame(socket.fd(), payload));
-  ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-  ASSERT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
-            DecodeStatus::kOk)
-      << error;
+  AnyFrame frame = roundtrip(socket.fd(), eval_frame(21, valid_request()));
   ASSERT_EQ(frame.kind, FrameKind::kResult);
   EXPECT_EQ(frame.seq, 21u);
   ASSERT_EQ(frame.responses.size(), 1u);
@@ -1555,11 +1428,7 @@ TEST(Binary, LiveSessionServesEvalAndSurvivesGarbage) {
     std::string garbage(1 + rng() % 48, '\0');
     for (char& byte : garbage) byte = static_cast<char>(rng() & 0xff);
     if (garbage[0] == '\x08' || garbage[0] == '\x0a') garbage[0] = '\0';
-    ASSERT_TRUE(write_frame(socket.fd(), garbage));
-    ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-    ASSERT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
-              DecodeStatus::kOk)
-        << error;
+    frame = roundtrip(socket.fd(), garbage);
     ASSERT_EQ(frame.kind, FrameKind::kError) << "frame " << i;
     ASSERT_FALSE(frame.error.fatal) << "frame " << i;
   }
@@ -1570,21 +1439,12 @@ TEST(Binary, LiveSessionServesEvalAndSurvivesGarbage) {
   forged.push_back('\x05');
   forged.append(8, '\x00');
   forged.append("\xff\xff\xff\xff", 4);
-  ASSERT_TRUE(write_frame(socket.fd(), forged));
-  ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-  ASSERT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
-            DecodeStatus::kOk)
-      << error;
+  frame = roundtrip(socket.fd(), forged);
   ASSERT_EQ(frame.kind, FrameKind::kError);
   EXPECT_EQ(frame.error.code, "bad_request");
 
   // ...and the session still answers a well-formed binary ping.
-  encode_ping_frame(Framing::kBinary, 77, &payload);
-  ASSERT_TRUE(write_frame(socket.fd(), payload));
-  ASSERT_EQ(read_frame(socket.fd(), &payload), FrameStatus::kOk);
-  ASSERT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
-            DecodeStatus::kOk)
-      << error;
+  frame = roundtrip(socket.fd(), ping_frame(77));
   EXPECT_EQ(frame.kind, FrameKind::kPong);
   EXPECT_EQ(frame.seq, 77u);
   server.stop();
@@ -1604,47 +1464,58 @@ TEST(Service, BinaryRemoteTuningIsBitIdenticalToLocal) {
   connect_options.workspace =
       WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
                     options};
-  connect_options.framings = {Framing::kBinary};
+  connect_options.framings = {Framing::kBinaryCrc};
   std::shared_ptr<Client> client = Client::connect(
       Endpoint::parse(server.address().display()), connect_options);
-  ASSERT_EQ(client->framing(), Framing::kBinary);
+  ASSERT_EQ(client->framing(), Framing::kBinaryCrc);
   tuner.evaluator().set_backend(std::make_shared<RemoteBackend>(client));
   const core::TuningResult result = tuner.run("cfr");
-  // The framing is pure transport: raw little-endian doubles and
-  // %.17g JSON text land on identical bits.
+  // The CRC trailer is pure transport: sealed and plain frames land on
+  // identical bits.
   EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
                                             tuner.program()));
-  EXPECT_EQ(server.stats().binary_sessions, 1u);
   EXPECT_GT(server.stats().batch_frames, 0u);
   server.stop();
 }
 
 TEST(Fleet, MixedFramingFleetDowngradesPerEndpointBitIdentically) {
-  // One binary-capable daemon, one JSON-only daemon, one fleet asking
-  // for binary: negotiation is per-endpoint, so the JSON-only daemon
-  // downgrades its one session while the other stays binary - and the
-  // tuning output matches local bit for bit.
-  ServerOptions binary_options = test_server_options();
-  binary_options.max_batch = 7;  // force several chunks per batch
-  ServerOptions json_options = binary_options;
-  json_options.framings = {Framing::kJson};
-  Server binary_server(binary_options);
-  Server json_server(json_options);
-  binary_server.start();
-  json_server.start();
+  // One binary-crc32 daemon, one daemon without the trailer, one fleet
+  // asking for binary-crc32: negotiation is per-endpoint, so the plain
+  // daemon downgrades its one session while the other keeps the
+  // trailer - and the tuning output matches local bit for bit.
+  ServerOptions crc_options = test_server_options();
+  crc_options.max_batch = 7;  // force several chunks per batch
+  ServerOptions plain_options = crc_options;
+  plain_options.framings = {Framing::kBinary};
+  Server crc_server(crc_options);
+  Server plain_server(plain_options);
+  crc_server.start();
+  plain_server.start();
   const std::vector<std::string> addresses = {
-      binary_server.address().display(),
-      json_server.address().display()};
+      crc_server.address().display(), plain_server.address().display()};
 
   core::FuncyTunerOptions options;
   options.samples = 25;
   options.seed = 11;
   const std::string local = tune_json("cfr", options, nullptr);
 
+  // What each endpoint negotiates for the fleet's offer.
+  ConnectOptions connect_options;
+  connect_options.workspace =
+      WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
+                    options};
+  connect_options.framings = {Framing::kBinaryCrc};
+  EXPECT_EQ(Client::connect(Endpoint::parse(addresses[0]), connect_options)
+                ->framing(),
+            Framing::kBinaryCrc);
+  EXPECT_EQ(Client::connect(Endpoint::parse(addresses[1]), connect_options)
+                ->framing(),
+            Framing::kBinary);
+
   core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
                          options);
   FleetOptions fleet_options;
-  fleet_options.framings = {Framing::kBinary, Framing::kJson};
+  fleet_options.framings = connect_options.framings;
   std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
       addresses, "CL", "broadwell", options,
       compiler::Personality::kIcc, fleet_options);
@@ -1653,13 +1524,11 @@ TEST(Fleet, MixedFramingFleetDowngradesPerEndpointBitIdentically) {
   const core::TuningResult result = tuner.run("cfr");
   EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
                                             tuner.program()));
-  EXPECT_EQ(binary_server.stats().binary_sessions, 1u);
-  EXPECT_EQ(json_server.stats().binary_sessions, 0u);
-  EXPECT_GT(binary_server.stats().evaluations +
-                json_server.stats().evaluations,
+  EXPECT_GT(crc_server.stats().evaluations +
+                plain_server.stats().evaluations,
             0u);
-  binary_server.stop();
-  json_server.stop();
+  crc_server.stop();
+  plain_server.stop();
 }
 
 // --- FrameBuffer ------------------------------------------------------------

@@ -1,7 +1,7 @@
 // ftune - the FuncyTuner command-line front end.
 //
 // Subcommands:
-//   ftune list                         benchmarks and architectures
+//   ftune list                         benchmarks, architectures, searches
 //   ftune spaces [--compiler icc|gcc]  print the optimization space
 //   ftune profile --program P [--arch A]
 //                                      Caliper profile of the O3 build
@@ -112,10 +112,10 @@ support::OptionSet common_options() {
       .real("io-timeout", 30.0,
             "remote per-frame send/recv deadline in seconds (0 = wait "
             "forever)")
-      .text("framing", "json",
-            "preferred wire framing for --remote sessions: json, binary "
-            "or binary-crc32 (negotiated per endpoint; daemons that "
-            "lack the preference fall back to json)")
+      .text("framing", "binary",
+            "preferred wire framing for --remote sessions: binary or "
+            "binary-crc32 (negotiated per endpoint; daemons that lack "
+            "binary-crc32 fall back to binary)")
       .integer("chaos-seed", 0,
                "seeded transport fault injection on --remote sessions "
                "(0 = off); equivalent to FT_CHAOS_SEED")
@@ -238,13 +238,6 @@ support::OptionSet::Parsed parse_or_exit(
       }
       std::exit(0);
     }
-    if (parsed.given("threads")) {
-      // Must happen before the first global_pool() use; the pool
-      // reads FT_THREADS once, at construction.
-      setenv("FT_THREADS",
-             std::to_string(parsed.integer("threads")).c_str(),
-             /*overwrite=*/1);
-    }
     return parsed;
   } catch (const support::CliError& error) {
     std::cerr << "ftune " << command << ": " << error.what() << '\n'
@@ -258,6 +251,16 @@ support::OptionSet::Parsed parse_or_exit(const support::OptionSet& set,
                                          int argc, char** argv) {
   return parse_or_exit(set, command,
                        std::vector<std::string>(argv, argv + argc));
+}
+
+/// Applies --threads (declared by common_options() only). Must run
+/// before the first global_pool() use; the pool reads FT_THREADS once,
+/// at construction.
+void apply_threads(const support::OptionSet::Parsed& args) {
+  if (args.given("threads")) {
+    setenv("FT_THREADS", std::to_string(args.integer("threads")).c_str(),
+           /*overwrite=*/1);
+  }
 }
 
 /// The --remote endpoint list: comma-separated, empty fields dropped
@@ -290,8 +293,9 @@ service::ClientOptions client_options_from(
   return options;
 }
 
-/// The --framing preference list. connect() appends the json baseline
-/// itself, so "--framing binary" means "binary where possible".
+/// The --framing preference list. connect() appends the binary
+/// baseline itself, so "--framing binary-crc32" means "the CRC trailer
+/// where possible".
 std::vector<service::Framing> framings_from(
     const support::OptionSet::Parsed& args) {
   std::vector<service::Framing> framings;
@@ -302,12 +306,12 @@ std::vector<service::Framing> framings_from(
     service::Framing framing;
     if (!service::framing_from_name(name, &framing)) {
       std::cerr << "ftune: unknown framing '" << name
-                << "' (expected json, binary or binary-crc32)\n";
+                << "' (expected binary or binary-crc32)\n";
       std::exit(1);
     }
     framings.push_back(framing);
   }
-  if (framings.empty()) framings.push_back(service::Framing::kJson);
+  if (framings.empty()) framings.push_back(service::Framing::kBinary);
   return framings;
 }
 
@@ -404,6 +408,14 @@ int cmd_list(int argc, char** argv) {
                          arch.proc_flag.empty() ? "-" : arch.proc_flag});
   }
   archs_table.print(std::cout);
+
+  const core::SearchRegistry& registry = core::SearchRegistry::global();
+  support::Table algorithms_table("Search algorithms (--algorithm)");
+  algorithms_table.set_header({"Key", "Label"});
+  for (const std::string& name : registry.names()) {
+    algorithms_table.add_row({name, registry.create(name)->display_name()});
+  }
+  algorithms_table.print(std::cout);
   return 0;
 }
 
@@ -438,6 +450,7 @@ int cmd_spaces(int argc, char** argv) {
 int cmd_profile(int argc, char** argv) {
   const support::OptionSet::Parsed args =
       parse_or_exit(common_options(), "profile", argc, argv);
+  apply_threads(args);
   const core::FuncyTunerOptions options = parse_options(args);
   core::FuncyTuner tuner(programs::by_name(args.text("program")),
                          machine::architecture_by_name(args.text("arch")),
@@ -480,6 +493,7 @@ int cmd_tune(int argc, char** argv) {
       extract_algorithm_options(argc, argv, &algorithm_options);
   const support::OptionSet::Parsed args =
       parse_or_exit(set, "tune", tokens);
+  apply_threads(args);
   validate_algorithm_options(algorithm_options);
 
   core::SearchRegistry& registry = core::SearchRegistry::global();
@@ -716,6 +730,7 @@ int cmd_campaign(int argc, char** argv) {
       extract_algorithm_options(argc, argv, &algorithm_options);
   const support::OptionSet::Parsed args =
       parse_or_exit(set, "campaign", tokens);
+  apply_threads(args);
   validate_algorithm_options(algorithm_options);
 
   std::vector<ir::Program> programs;
@@ -827,6 +842,7 @@ int cmd_importance(int argc, char** argv) {
   set.integer("top", 3, "flags shown per module");
   const support::OptionSet::Parsed args =
       parse_or_exit(set, "importance", argc, argv);
+  apply_threads(args);
   const core::FuncyTunerOptions options = parse_options(args);
   core::FuncyTuner tuner(programs::by_name(args.text("program")),
                          machine::architecture_by_name(args.text("arch")),
@@ -854,7 +870,7 @@ void usage(std::ostream& out) {
   out << "usage: ftune <list|spaces|profile|tune|campaign|importance> "
          "[options]\n"
          "\n"
-         "  list        benchmarks and architectures\n"
+         "  list        benchmarks, architectures and searches\n"
          "  spaces      print the optimization space\n"
          "  profile     Caliper profile of the O3 build\n"
          "  tune        run a tuning campaign cell\n"
