@@ -43,7 +43,7 @@ struct JournalRecord {
   std::uint64_t rep_base = 0;  ///< noise-stream offset
   int repetitions = 1;
   bool instrumented = false;
-  EvalOutcome outcome;  ///< caliper_report is not journaled
+  EvalOutcome outcome;
   /// Modeled seconds a re-run of this exact evaluation would charge
   /// (link + measured run time; compile objects are already pooled).
   /// Feeds the eval cache's charged/saved overhead split when a resume

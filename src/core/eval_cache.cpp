@@ -106,11 +106,7 @@ void EvalCache::insert(const Key& key, const EvalOutcome& outcome,
   // Write-through happens outside the shard mutex; PersistentCache
   // does its own dedupe (an on-disk entry for this key is
   // byte-identical by the determinism contract).
-  if (fresh && disk_ != nullptr) {
-    EvalOutcome stripped = outcome;
-    stripped.result.caliper_report.clear();
-    disk_->insert(key, stripped, rerun_seconds);
-  }
+  if (fresh && disk_ != nullptr) disk_->insert(key, outcome, rerun_seconds);
 }
 
 bool EvalCache::insert_memory(const Key& key, const EvalOutcome& outcome,
@@ -136,9 +132,6 @@ bool EvalCache::insert_memory(const Key& key, const EvalOutcome& outcome,
   Entry entry;
   entry.key = key;
   entry.outcome = outcome;
-  // Mirror the checkpoint journal: Caliper text is never part of the
-  // replayed outcome (no consumer reads it back), so drop it here too.
-  entry.outcome.result.caliper_report.clear();
   entry.rerun_seconds = rerun_seconds;
   entry.bytes = payload_bytes(entry.outcome);
 

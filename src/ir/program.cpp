@@ -1,7 +1,9 @@
 #include "ir/program.hpp"
 
 #include <cmath>
+#include <set>
 #include <stdexcept>
+#include <string_view>
 
 namespace ft::ir {
 
@@ -18,6 +20,9 @@ Program::Program(std::string name, std::string language, double loc_k,
     throw std::invalid_argument("program '" + name_ + "' has no loops");
   }
   double share = nonloop_.o3_ratio;
+  // Names identify loops to Caliper regions and noise keys, so two
+  // loops sharing one would silently merge their measurements.
+  std::set<std::string_view> names;
   for (auto& loop : loops_) {
     loop.features.sanitize();
     loop.is_loop = true;
@@ -25,6 +30,11 @@ Program::Program(std::string name, std::string language, double loc_k,
     if (loop.o3_ratio <= 0.0) {
       throw std::invalid_argument("loop '" + loop.name +
                                   "' has non-positive O3 share");
+    }
+    if (!names.insert(loop.name).second) {
+      throw std::invalid_argument("program '" + name_ +
+                                  "' has two loops named '" + loop.name +
+                                  "'");
     }
   }
   nonloop_.is_loop = false;

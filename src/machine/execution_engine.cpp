@@ -1,5 +1,6 @@
 #include "machine/execution_engine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
@@ -20,7 +21,14 @@ ExecutionEngine::ExecutionEngine(const ir::Program& program,
       attribution_noise_(noise.seed() ^ 0x5bd1e995u, attribution_sigma,
                          0.0),
       caliper_overhead_(caliper_overhead_per_event),
-      baseline_(compiler.build_baseline(program)) {}
+      baseline_(compiler.build_baseline(program)),
+      outlier_key_term_(NoiseModel::loop_term("<outlier>")),
+      arch_key_term_(NoiseModel::arch_term(compiler.arch().name)) {
+  for (const ir::LoopModule& loop : program.loops()) {
+    module_key_terms_.push_back(NoiseModel::loop_term(loop.name));
+  }
+  module_key_terms_.push_back(NoiseModel::loop_term(program.nonloop().name));
+}
 
 const std::vector<double>& ExecutionEngine::calibration(
     const ir::InputSpec& input) {
@@ -63,8 +71,13 @@ RunResult ExecutionEngine::run(const compiler::Executable& exe,
                                const RunOptions& options) {
   const std::vector<double> truth = true_module_seconds(exe, input);
   const std::size_t loop_count = program_->loops().size();
-  const std::string& arch_name = compiler_->arch().name;
   const int reps = std::max(options.repetitions, 1);
+  const int steps = std::max(input.timesteps, 1);
+  // The run-level part of every noise key; each draw XORs in its
+  // module and repetition terms (== NoiseModel::make_key).
+  const std::uint64_t run_key = exe.fingerprint ^
+                                NoiseModel::input_term(input.name) ^
+                                arch_key_term_;
 
   RunResult result;
   result.loop_seconds.assign(loop_count, 0.0);
@@ -72,69 +85,77 @@ RunResult ExecutionEngine::run(const compiler::Executable& exe,
   end_samples.reserve(static_cast<std::size_t>(reps));
   std::uint64_t outliers = 0;
 
+  // Per-repetition buffers, allocated once per run: measured module
+  // times and, when instrumented, each module's per-time-step slice and
+  // each loop region's inclusive time.
+  std::vector<double> measured(loop_count + 1);
+  std::vector<double> step_seconds;
+  std::vector<double> inclusive;
+  if (options.instrumented) {
+    step_seconds.resize(loop_count + 1);
+    inclusive.resize(loop_count);
+  }
+
   for (int rep = 0; rep < reps; ++rep) {
     const std::uint64_t rep_index =
         options.rep_base + static_cast<std::uint64_t>(rep);
+    const std::uint64_t rep_key = run_key ^ NoiseModel::rep_term(rep_index);
 
     // One machine-level spike multiplier per repetition (a contended
     // node inflates the whole run, not one loop); 1.0 when the fault
     // model is disabled or the rep is clean.
     const double spike =
         options.noise
-            ? faults_.outlier_multiplier(NoiseModel::make_key(
-                  exe.fingerprint, "<outlier>", input.name, arch_name,
-                  rep_index))
+            ? faults_.outlier_multiplier(rep_key ^ outlier_key_term_)
             : 1.0;
     if (spike != 1.0) ++outliers;
 
     // Measured per-module times for this repetition.
-    std::vector<double> measured(loop_count + 1);
     for (std::size_t j = 0; j <= loop_count; ++j) {
-      const std::string& module_name = j < loop_count
-                                           ? program_->loops()[j].name
-                                           : program_->nonloop().name;
-      measured[j] =
-          options.noise
-              ? noise_.perturb(truth[j],
-                               NoiseModel::make_key(exe.fingerprint,
-                                                    module_name, input.name,
-                                                    arch_name, rep_index))
-              : truth[j];
+      measured[j] = options.noise
+                        ? noise_.perturb(truth[j],
+                                         rep_key ^ module_key_terms_[j])
+                        : truth[j];
       measured[j] *= spike;
     }
 
     double end_to_end;
     if (options.instrumented) {
-      // Drive the Caliper library over a virtual clock: per-loop times
-      // are whatever Caliper aggregates, annotation overhead included.
-      caliper::VirtualClock clock;
-      caliper::Caliper caliper(&clock, caliper_overhead_);
-      const int steps = std::max(input.timesteps, 1);
+      // Replay the annotated run on a virtual clock. Each loop region
+      // charges the per-event overhead on begin and on end and reads
+      // its elapsed time in between - the same additions, in the same
+      // order, that Caliper makes over a VirtualClock, so every sum
+      // rounds identically. No closed form: it would round differently.
+      for (std::size_t j = 0; j <= loop_count; ++j) {
+        step_seconds[j] = measured[j] / static_cast<double>(steps);
+      }
+      std::fill(inclusive.begin(), inclusive.end(), 0.0);
+      const bool charge = caliper_overhead_ > 0.0;
+      double now = 0.0;
       for (int step = 0; step < steps; ++step) {
         for (std::size_t j = 0; j < loop_count; ++j) {
-          caliper.begin(program_->loops()[j].name);
-          clock.advance(measured[j] / static_cast<double>(steps));
-          caliper.end(program_->loops()[j].name);
+          if (charge) now += caliper_overhead_;
+          const double entry = now;
+          now += step_seconds[j];
+          if (charge) now += caliper_overhead_;
+          inclusive[j] += now - entry;
         }
         // Non-loop code is scattered and unannotated: it advances the
         // clock without a region (paper §3.3).
-        clock.advance(measured[loop_count] / static_cast<double>(steps));
+        now += step_seconds[loop_count];
       }
-      end_to_end = clock.now();
+      end_to_end = now;
       for (std::size_t j = 0; j < loop_count; ++j) {
         // Per-region readings carry attribution error on top of the
         // run's physical time (which stayed in end_to_end).
-        const std::string& loop_name = program_->loops()[j].name;
-        double reading = caliper.inclusive(loop_name);
+        double reading = inclusive[j];
         if (options.noise) {
           reading = attribution_noise_.perturb(
-              reading, NoiseModel::make_key(exe.fingerprint, loop_name,
-                                            input.name, arch_name,
-                                            rep_index ^ 0xa7c15ULL));
+              reading, run_key ^ module_key_terms_[j] ^
+                           NoiseModel::rep_term(rep_index ^ 0xa7c15ULL));
         }
         result.loop_seconds[j] += reading;
       }
-      if (rep == reps - 1) result.caliper_report = caliper.report();
     } else {
       end_to_end =
           std::accumulate(measured.begin(), measured.end(), 0.0);

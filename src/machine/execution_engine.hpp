@@ -5,22 +5,25 @@
 //    (program, architecture, input) so the O3 baseline reproduces the
 //    published end-to-end runtime and per-loop shares; every other
 //    variant is priced relative to it by the same physics.
-//  * Instrumented runs drive the ft_caliper library over a virtual
-//    clock: region events carry the modeled annotation overhead (<3%),
-//    and the reported per-loop times are what Caliper aggregated - the
-//    tuner never reads the ground truth directly.
+//  * Instrumented runs replay the annotated time-step loop on a flat
+//    virtual clock: every region begin/end carries the modeled
+//    annotation overhead (<3%), and the reported per-loop times are
+//    the accumulated region readings - the tuner never reads the
+//    ground truth directly. The replay makes the same double additions,
+//    in the same order, as driving ft_caliper over a VirtualClock
+//    would; tests hold the two bit-equal with Caliper as the oracle.
 //  * Non-loop time is NOT directly measurable (paper §3.3); RunResult
 //    exposes the derived value (end-to-end minus loop sum).
 //  * Measurement noise is deterministic per (executable, input, arch,
 //    repetition); see NoiseModel.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "caliper/caliper.hpp"
 #include "compiler/compiler.hpp"
 #include "ir/program.hpp"
 #include "machine/cost_model.hpp"
@@ -48,7 +51,6 @@ struct RunResult {
   std::vector<double> loop_seconds; ///< per hot loop (program order)
   double derived_nonloop_seconds = 0.0;  ///< end_to_end - sum(loops)
   double stddev = 0.0;              ///< of end_to_end across repetitions
-  std::string caliper_report;       ///< non-empty for instrumented runs
 };
 
 class ExecutionEngine {
@@ -118,6 +120,11 @@ class ExecutionEngine {
   FaultModel faults_;
   double caliper_overhead_;
   compiler::Executable baseline_;
+  // NoiseModel::make_key terms hashed once: one per module (loops then
+  // non-loop), the outlier pseudo-module's, and the architecture's.
+  std::vector<std::uint64_t> module_key_terms_;
+  std::uint64_t outlier_key_term_;
+  std::uint64_t arch_key_term_;
   std::map<std::string, std::vector<double>> calibration_cache_;
   std::mutex calibration_mutex_;
 };

@@ -21,12 +21,24 @@ std::uint64_t NoiseModel::make_key(std::uint64_t fingerprint,
                                    std::string_view input_name,
                                    std::string_view arch_name,
                                    std::uint64_t repetition) {
-  std::uint64_t key = fingerprint;
-  key ^= support::fnv1a64(loop_name) * 0x9e3779b97f4a7c15ULL;
-  key ^= support::fnv1a64(input_name) * 0xc2b2ae3d27d4eb4fULL;
-  key ^= support::fnv1a64(arch_name) * 0x165667b19e3779f9ULL;
-  key ^= (repetition + 1) * 0x27d4eb2f165667c5ULL;
-  return key;
+  return fingerprint ^ loop_term(loop_name) ^ input_term(input_name) ^
+         arch_term(arch_name) ^ rep_term(repetition);
+}
+
+std::uint64_t NoiseModel::loop_term(std::string_view loop_name) {
+  return support::fnv1a64(loop_name) * 0x9e3779b97f4a7c15ULL;
+}
+
+std::uint64_t NoiseModel::input_term(std::string_view input_name) {
+  return support::fnv1a64(input_name) * 0xc2b2ae3d27d4eb4fULL;
+}
+
+std::uint64_t NoiseModel::arch_term(std::string_view arch_name) {
+  return support::fnv1a64(arch_name) * 0x165667b19e3779f9ULL;
+}
+
+std::uint64_t NoiseModel::rep_term(std::uint64_t repetition) {
+  return (repetition + 1) * 0x27d4eb2f165667c5ULL;
 }
 
 }  // namespace ft::machine

@@ -31,6 +31,15 @@ class NoiseModel {
                                               std::string_view arch_name,
                                               std::uint64_t repetition);
 
+  /// The terms make_key XORs into the fingerprint, one per context
+  /// field. A caller drawing many keys for one run hashes each name
+  /// once and XORs the cached terms; the result is bit-equal to
+  /// make_key because XOR is associative.
+  [[nodiscard]] static std::uint64_t loop_term(std::string_view loop_name);
+  [[nodiscard]] static std::uint64_t input_term(std::string_view input_name);
+  [[nodiscard]] static std::uint64_t arch_term(std::string_view arch_name);
+  [[nodiscard]] static std::uint64_t rep_term(std::uint64_t repetition);
+
   [[nodiscard]] double sigma_rel() const noexcept { return sigma_rel_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 

@@ -144,9 +144,8 @@ void put_response(std::string* out, const core::EvalResponse& response) {
   put_u64(out, response.modules_compiled);
   put_u8(out, response.ok() ? 1 : 0);
   if (response.ok()) {
-    // caliper_report is deliberately never serialized (bulky, consumed
-    // only by the always-local profiling phase); the decoder recomputes
-    // derived_nonloop_seconds exactly as the engine derives it.
+    // derived_nonloop_seconds is not sent: the decoder recomputes it
+    // exactly as the engine derives it.
     const machine::RunResult& result = response.outcome.result;
     put_f64(out, result.end_to_end);
     put_f64(out, result.stddev);

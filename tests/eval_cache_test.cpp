@@ -118,16 +118,6 @@ TEST(EvalCacheUnit, StoresAndReplaysOutcome) {
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
-TEST(EvalCacheUnit, StripsCaliperReportLikeTheJournal) {
-  EvalCache cache(16);
-  EvalOutcome outcome = make_outcome(1.0);
-  outcome.result.caliper_report = "big attribution text";
-  cache.insert(make_key(5), outcome, 0.0);
-  EvalOutcome out;
-  ASSERT_TRUE(cache.lookup(make_key(5), &out));
-  EXPECT_TRUE(out.result.caliper_report.empty());
-}
-
 TEST(EvalCacheUnit, DuplicateInsertRefreshesInsteadOfGrowing) {
   EvalCache cache(16);
   cache.insert(make_key(1), make_outcome(1.0), 10.0);

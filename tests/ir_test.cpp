@@ -114,6 +114,12 @@ TEST(Program, RejectsNonPositiveLoopShare) {
                std::invalid_argument);
 }
 
+TEST(Program, RejectsDuplicateLoopNames) {
+  EXPECT_THROW(Program("p", "C", 1, {loop("a", 0.3), loop("a", 0.3)},
+                       nonloop(0.4), tuning_only()),
+               std::invalid_argument);
+}
+
 TEST(Program, AllModulesAppendsNonloop) {
   Program p("p", "C", 1, {loop("a", 0.3), loop("b", 0.3)}, nonloop(0.4),
             tuning_only());

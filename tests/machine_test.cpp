@@ -334,8 +334,6 @@ TEST_F(EngineTest, InstrumentedRunCarriesOverheadAndReport) {
                                   program_.tuning_input(), instrumented);
   EXPECT_GT(i.end_to_end, p.end_to_end);            // annotation cost
   EXPECT_LT(i.end_to_end, p.end_to_end * 1.03);     // < 3% (paper §3.3)
-  EXPECT_FALSE(i.caliper_report.empty());
-  EXPECT_TRUE(p.caliper_report.empty());
 }
 
 TEST_F(EngineTest, DerivedNonloopIsEndToEndMinusLoops) {
