@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
       .text("json", "BENCH_drift_retune.json",
             "write machine-readable results to FILE (empty disables)")
       .text("checkpoint", "",
-            "journal completed evaluations to FILE (JSONL)")
+            "journal completed evaluations to FILE (binary, CRC-checked)")
       .text("resume", "", "continue a killed run from its journal")
       .text("eval-cache-dir", "",
             "disk-backed eval-cache tier shared across processes")

@@ -59,7 +59,7 @@ struct CampaignOptions {
   /// run(). Forces sequential cells: concurrent cells would interleave
   /// span ids and break trace determinism.
   std::shared_ptr<telemetry::Sink> trace_sink;
-  /// JSONL evaluation journal shared by every cell (records are keyed
+  /// Binary evaluation journal shared by every cell (records are keyed
   /// by a program/input/arch context hash, so one file serves the whole
   /// grid). Empty disables checkpointing.
   std::string checkpoint_path;

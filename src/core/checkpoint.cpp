@@ -1,15 +1,18 @@
 #include "core/checkpoint.hpp"
 
-#include <cinttypes>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <numeric>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/funcy_tuner.hpp"
-#include "support/parse_number.hpp"
+#include "core/persistent_cache.hpp"
+#include "support/byte_codec.hpp"
+#include "support/crc32.hpp"
 #include "support/rng.hpp"
 #include "support/serialization.hpp"
 
@@ -17,54 +20,25 @@ namespace ft::core {
 
 namespace {
 
-/// %.17g round-trips every double bit-exactly, which the resume
-/// determinism guarantee depends on.
+/// %.17g round-trips every double bit-exactly, so distinct option
+/// values always print (and fingerprint) differently.
 std::string fmt_double(double value) {
   char buffer[40];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   return buffer;
 }
 
-/// Locates `"name":` and returns the raw value text: the quoted body
-/// for strings, the token up to , } ] otherwise. False when absent.
-bool field_text(const std::string& line, const std::string& name,
-                std::string* out) {
-  const std::string needle = "\"" + name + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t begin = at + needle.size();
-  if (begin >= line.size()) return false;
-  if (line[begin] == '"') {
-    ++begin;
-    const std::size_t end = line.find('"', begin);
-    if (end == std::string::npos) return false;
-    *out = line.substr(begin, end - begin);
-    return true;
-  }
-  std::size_t end = begin;
-  while (end < line.size() && line[end] != ',' && line[end] != '}' &&
-         line[end] != ']') {
-    ++end;
-  }
-  if (end == line.size()) return false;  // torn line
-  *out = line.substr(begin, end - begin);
-  return true;
-}
+constexpr std::string_view kMagic = "FTJ1";
+/// Magic, u32 schema version, u64 config fingerprint, u32 CRC-32.
+constexpr std::size_t kHeaderBytes = 20;
 
-bool field_u64(const std::string& line, const std::string& name,
-               std::uint64_t* out) {
-  std::string text;
-  if (!field_text(line, name, &text) || text.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtoull(text.c_str(), &end, 10);
-  return end != nullptr && *end == '\0';
-}
-
-bool field_double(const std::string& line, const std::string& name,
-                  double* out) {
-  std::string text;
-  if (!field_text(line, name, &text) || text.empty()) return false;
-  return support::parse_double(text, out);
+std::string encode_header(std::uint64_t fingerprint) {
+  std::string header(kMagic);
+  support::put_u32(&header,
+                   static_cast<std::uint32_t>(support::kSchemaVersion));
+  support::put_u64(&header, fingerprint);
+  support::put_u32(&header, support::crc32(header));
+  return header;
 }
 
 }  // namespace
@@ -92,175 +66,105 @@ std::uint64_t options_fingerprint(const FuncyTunerOptions& options) {
   return support::fnv1a64(oss.str());
 }
 
-std::string EvalJournal::encode(const JournalRecord& record) {
-  std::ostringstream oss;
-  oss << "{\"type\":\"eval\",\"key\":\"" << record.key << "\",\"rep\":\""
-      << record.rep_base << "\",\"reps\":" << record.repetitions
-      << ",\"instr\":" << (record.instrumented ? 1 : 0)
-      << ",\"ok\":" << (record.outcome.ok() ? 1 : 0) << ",\"fault\":\""
-      << to_string(record.outcome.error.kind) << "\",\"attempts\":"
-      << record.outcome.attempts;
-  if (record.rerun_seconds >= 0.0) {
-    oss << ",\"rerun\":" << fmt_double(record.rerun_seconds);
-  }
-  if (!record.outcome.ok() && !record.outcome.error.detail.empty()) {
-    oss << ",\"detail\":\"" << record.outcome.error.detail << "\"";
-  }
-  if (record.outcome.ok()) {
-    const machine::RunResult& result = record.outcome.result;
-    oss << ",\"end\":" << fmt_double(result.end_to_end)
-        << ",\"stddev\":" << fmt_double(result.stddev) << ",\"loops\":[";
-    for (std::size_t j = 0; j < result.loop_seconds.size(); ++j) {
-      if (j) oss << ',';
-      oss << fmt_double(result.loop_seconds[j]);
-    }
-    oss << ']';
-  }
-  oss << '}';
-  return oss.str();
-}
-
-bool EvalJournal::decode(const std::string& line, JournalRecord* out) {
-  if (line.empty() || line.back() != '}') return false;  // torn tail
-  std::string type;
-  if (!field_text(line, "type", &type) || type != "eval") return false;
-
-  JournalRecord record;
-  std::uint64_t reps = 0, instr = 0, ok = 0, attempts = 0;
-  if (!field_u64(line, "key", &record.key) ||
-      !field_u64(line, "rep", &record.rep_base) ||
-      !field_u64(line, "reps", &reps) ||
-      !field_u64(line, "instr", &instr) || !field_u64(line, "ok", &ok) ||
-      !field_u64(line, "attempts", &attempts)) {
-    return false;
-  }
-  record.repetitions = static_cast<int>(reps);
-  record.instrumented = instr != 0;
-  record.outcome.attempts = static_cast<int>(attempts);
-
-  std::string fault;
-  if (!field_text(line, "fault", &fault)) return false;
-  record.outcome.error.kind = eval_fault_from_string(fault);
-  if (ok == 0 && record.outcome.error.kind == EvalFault::kNone) {
-    return false;  // failed record with unknown fault kind
-  }
-  (void)field_text(line, "detail", &record.outcome.error.detail);
-  // Optional: absent in journals written before the charged/saved
-  // overhead split existed. Leave the -1 "unknown" default then.
-  (void)field_double(line, "rerun", &record.rerun_seconds);
-
-  if (ok != 0) {
-    machine::RunResult& result = record.outcome.result;
-    if (!field_double(line, "end", &result.end_to_end) ||
-        !field_double(line, "stddev", &result.stddev)) {
-      return false;
-    }
-    const std::size_t open = line.find("\"loops\":[");
-    if (open == std::string::npos) return false;
-    std::size_t at = open + 9;
-    const std::size_t close = line.find(']', at);
-    if (close == std::string::npos) return false;
-    while (at < close) {
-      double value = 0.0;
-      std::size_t consumed = 0;
-      if (!support::parse_double_prefix(
-              std::string_view(line).substr(at, close - at), &value,
-              &consumed) ||
-          consumed == 0) {
-        return false;
-      }
-      result.loop_seconds.push_back(value);
-      at += consumed + 1;  // skip ',' (or land past ']')
-    }
-    // Not journaled; recompute exactly as the engine does.
-    result.derived_nonloop_seconds =
-        result.end_to_end -
-        std::accumulate(result.loop_seconds.begin(),
-                        result.loop_seconds.end(), 0.0);
-  }
-  *out = record;
-  return true;
-}
-
 std::shared_ptr<EvalJournal> EvalJournal::create(
     const std::string& path, std::uint64_t config_fingerprint) {
   auto journal = std::shared_ptr<EvalJournal>(new EvalJournal());
   journal->path_ = path;
-  journal->out_ = std::make_unique<std::ofstream>(path, std::ios::trunc);
-  if (!*journal->out_) {
-    throw std::runtime_error("cannot write journal: " + path);
-  }
-  *journal->out_ << "{\"type\":\"header\",\"version\":1,"
-                 << support::schema_version_field() << ",\"config\":\""
-                 << config_fingerprint << "\"}\n";
-  journal->out_->flush();
+  journal->fingerprint_ = config_fingerprint;
+  journal->open(std::ios::trunc, /*with_header=*/true);
   return journal;
 }
 
 std::shared_ptr<EvalJournal> EvalJournal::resume(
     const std::string& path, std::uint64_t config_fingerprint) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error("cannot read journal: " + path);
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+      throw std::runtime_error("cannot read journal: " + path);
+    }
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
   }
   auto journal = std::shared_ptr<EvalJournal>(new EvalJournal());
   journal->path_ = path;
+  journal->fingerprint_ = config_fingerprint;
 
-  std::string line;
-  bool saw_header = false;
-  while (std::getline(in, line)) {
-    if (!saw_header) {
-      std::string type, config;
-      if (!field_text(line, "type", &type) || type != "header") break;
-      saw_header = true;
-      // Pre-versioning journals (no field) read as schema 1; a journal
-      // from a future binary is refused instead of misparsed.
-      support::require_schema_version(line, "journal " + path);
-      if (config_fingerprint != 0 &&
-          field_text(line, "config", &config) &&
-          config != std::to_string(config_fingerprint)) {
-        throw std::runtime_error(
-            "journal " + path +
-            " was recorded under different tuning options (config " +
-            config + "); refusing to resume");
-      }
-      continue;
+  const std::size_t magic_bytes = std::min(bytes.size(), kMagic.size());
+  if (std::string_view(bytes).substr(0, magic_bytes) !=
+      kMagic.substr(0, magic_bytes)) {
+    throw std::runtime_error(
+        "journal " + path +
+        " is not a binary journal (JSONL journals of earlier versions "
+        "cannot be resumed); refusing to resume");
+  }
+  // Cut inside the header: nothing was journaled yet, start afresh.
+  if (bytes.size() < kHeaderBytes) {
+    journal->open(std::ios::trunc, /*with_header=*/true);
+    return journal;
+  }
+
+  support::ByteReader reader{bytes, kMagic.size()};
+  std::uint32_t version = 0, declared = 0;
+  std::uint64_t fingerprint = 0;
+  (void)reader.u32(&version);
+  (void)reader.u64(&fingerprint);
+  (void)reader.u32(&declared);
+  if (support::crc32(std::string_view(bytes).substr(0, kHeaderBytes - 4)) !=
+      declared) {
+    throw std::runtime_error("journal " + path + " has a corrupt header");
+  }
+  if (version > static_cast<std::uint32_t>(support::kSchemaVersion)) {
+    throw std::runtime_error(
+        "journal " + path + ": schema_version " + std::to_string(version) +
+        " is newer than this binary understands (max " +
+        std::to_string(support::kSchemaVersion) + "); upgrade to read it");
+  }
+  if (config_fingerprint != 0 && fingerprint != config_fingerprint) {
+    throw std::runtime_error(
+        "journal " + path +
+        " was recorded under different tuning options (config " +
+        std::to_string(fingerprint) + "); refusing to resume");
+  }
+  journal->fingerprint_ = fingerprint;
+
+  // The first record whose length or CRC fails is the torn tail of a
+  // killed process: every whole record before it is kept, the rest
+  // re-evaluates.
+  std::size_t valid_end = reader.at;
+  for (;;) {
+    std::uint32_t length = 0;
+    std::string_view entry;
+    EvalCache::Key key;
+    Stored stored;
+    if (!reader.u32(&length) || !reader.span(length, &entry) ||
+        !PersistentCache::decode_entry(entry, &key, &stored.outcome,
+                                       &stored.rerun_seconds) ||
+        key.salt != fingerprint) {
+      break;
     }
-    std::string type;
-    if (field_text(line, "type", &type) && type == "snapshot") continue;
-    JournalRecord record;
-    // First malformed line = the torn tail of a killed process; every
-    // complete record before it is kept, the rest re-evaluates.
-    if (!decode(line, &record)) break;
-    journal->records_[Key{record.key, record.rep_base, record.repetitions,
-                          record.instrumented}] =
-        Stored{record.outcome, record.rerun_seconds};
+    journal->records_[Key{key.assignment, key.rep_base, key.repetitions,
+                          key.instrumented}] = std::move(stored);
     ++journal->loaded_;
-    (record.outcome.ok() ? journal->ok_count_ : journal->failed_count_)++;
+    valid_end = reader.at;
   }
-  in.close();
-
-  // Rewrite the file to the valid prefix so a future resume never
-  // stops early at the torn line we just skipped.
-  journal->out_ = std::make_unique<std::ofstream>(path, std::ios::trunc);
-  if (!*journal->out_) {
-    throw std::runtime_error("cannot write journal: " + path);
-  }
-  *journal->out_ << "{\"type\":\"header\",\"version\":1,"
-                 << support::schema_version_field() << ",\"config\":\""
-                 << config_fingerprint << "\"}\n";
-  for (const auto& [key, stored] : journal->records_) {
-    JournalRecord record;
-    record.key = std::get<0>(key);
-    record.rep_base = std::get<1>(key);
-    record.repetitions = std::get<2>(key);
-    record.instrumented = std::get<3>(key);
-    record.outcome = stored.outcome;
-    record.rerun_seconds = stored.rerun_seconds;
-    *journal->out_ << encode(record) << '\n';
-  }
-  journal->out_->flush();
+  // Cut the tail off in place; the valid prefix is never rewritten, so
+  // a kill during resume cannot lose a completed record.
+  if (valid_end < bytes.size()) std::filesystem::resize_file(path, valid_end);
+  journal->open(std::ios::app, /*with_header=*/false);
   return journal;
+}
+
+void EvalJournal::open(std::ios::openmode mode, bool with_header) {
+  out_ = std::make_unique<std::ofstream>(path_, std::ios::binary | mode);
+  if (!*out_) {
+    throw std::runtime_error("cannot write journal: " + path_);
+  }
+  if (with_header) {
+    const std::string header = encode_header(fingerprint_);
+    out_->write(header.data(), static_cast<std::streamsize>(header.size()));
+    out_->flush();
+  }
 }
 
 bool EvalJournal::lookup(std::uint64_t key, std::uint64_t rep_base,
@@ -292,25 +196,20 @@ void EvalJournal::for_each(
 }
 
 void EvalJournal::record(const JournalRecord& record) {
-  const std::string line = encode(record);
+  const std::string entry = PersistentCache::encode_entry(
+      {record.key, record.rep_base, fingerprint_, record.repetitions,
+       record.instrumented},
+      record.outcome, record.rerun_seconds);
+  std::string length;
+  support::put_u32(&length, static_cast<std::uint32_t>(entry.size()));
   std::lock_guard lock(mutex_);
   records_[Key{record.key, record.rep_base, record.repetitions,
                record.instrumented}] =
       Stored{record.outcome, record.rerun_seconds};
   ++appended_;
-  (record.outcome.ok() ? ok_count_ : failed_count_)++;
-  write_locked(line);
-}
-
-void EvalJournal::write_locked(const std::string& line) {
   if (!out_ || !*out_) return;
-  *out_ << line << '\n';
-  if (snapshot_interval_ > 0 && ++since_snapshot_ >= snapshot_interval_) {
-    since_snapshot_ = 0;
-    *out_ << "{\"type\":\"snapshot\",\"records\":" << (loaded_ + appended_)
-          << ",\"ok\":" << ok_count_ << ",\"failed\":" << failed_count_
-          << "}\n";
-  }
+  out_->write(length.data(), static_cast<std::streamsize>(length.size()));
+  out_->write(entry.data(), static_cast<std::streamsize>(entry.size()));
   // Flush every record: the journal's whole point is surviving a kill.
   out_->flush();
 }

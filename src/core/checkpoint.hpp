@@ -1,19 +1,27 @@
-// Checkpoint/resume for long tuning campaigns: a JSONL journal of
-// completed evaluations plus periodic progress snapshots.
+// Checkpoint/resume for long tuning campaigns: an append-only binary
+// journal of completed evaluations.
 //
 // Every evaluation the resilient path completes (success OR classified
-// failure) is appended as one self-contained line keyed by
-// (assignment+context fingerprint, noise rep_base, repetitions,
-// instrumented). Because the whole stack is deterministic for a fixed
-// seed, replaying the journal instead of re-running reproduces
-// bit-identical search trajectories: `ftune tune --resume <journal>`
-// continues a killed campaign and lands on exactly the result an
-// uninterrupted run would have produced.
+// failure) is appended as one record keyed by (assignment+context
+// fingerprint, noise rep_base, repetitions, instrumented). Because the
+// whole stack is deterministic for a fixed seed, replaying the journal
+// instead of re-running reproduces bit-identical search trajectories:
+// `ftune tune --resume <journal>` continues a killed campaign and lands
+// on exactly the result an uninterrupted run would have produced.
 //
-// The loader tolerates a torn tail (a line cut short by process death):
-// it stops at the first malformed line and resumes from there. A
-// config fingerprint in the header line guards against replaying a
-// journal recorded under different tuning options.
+// File format (all integers little-endian):
+//   header  "FTJ1", u32 schema version, u64 config fingerprint,
+//           u32 CRC-32 of the 16 bytes before it
+//   record  u32 length, then exactly the bytes of
+//           PersistentCache::encode_entry (the disk tier's FTC1 entry,
+//           CRC-32 trailer included) for the key {key, rep_base,
+//           salt = config fingerprint, repetitions, instrumented}
+//
+// A kill can only tear the tail: resume keeps every record up to the
+// first length or CRC failure, truncates the file there and appends
+// after it, so the bytes of the valid prefix are never rewritten. The
+// config fingerprint guards against replaying a journal recorded under
+// different tuning options.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +55,8 @@ struct JournalRecord {
   /// Modeled seconds a re-run of this exact evaluation would charge
   /// (link + measured run time; compile objects are already pooled).
   /// Feeds the eval cache's charged/saved overhead split when a resume
-  /// warms the cache from the journal. < 0 = unknown (legacy journal
-  /// lines without the field).
-  double rerun_seconds = -1.0;
+  /// warms the cache from the journal.
+  double rerun_seconds = 0.0;
 };
 
 class EvalJournal {
@@ -60,33 +67,29 @@ class EvalJournal {
   [[nodiscard]] static std::shared_ptr<EvalJournal> create(
       const std::string& path, std::uint64_t config_fingerprint);
 
-  /// Loads completed records from `path` (ignoring a torn tail) and
-  /// re-opens it for appending. Throws std::runtime_error when the
-  /// file is unreadable or was recorded under a different config
-  /// fingerprint (pass 0 to skip the check).
+  /// Loads completed records from `path`, truncates the file after the
+  /// last whole record (a torn tail, or a header cut short, is
+  /// dropped) and re-opens it for appending. Throws std::runtime_error
+  /// when the file is unreadable, is not a binary journal, or was
+  /// recorded under a different config fingerprint (pass 0 to skip
+  /// the check).
   [[nodiscard]] static std::shared_ptr<EvalJournal> resume(
       const std::string& path, std::uint64_t config_fingerprint);
 
   /// Replays a completed evaluation into `out` (and its modeled re-run
-  /// cost into `rerun_seconds` when non-null; -1 when the journal line
-  /// predates the field); false on miss. Thread-safe.
+  /// cost into `rerun_seconds` when non-null); false on miss.
+  /// Thread-safe.
   [[nodiscard]] bool lookup(std::uint64_t key, std::uint64_t rep_base,
                             int repetitions, bool instrumented,
                             EvalOutcome* out,
                             double* rerun_seconds = nullptr);
 
-  /// Visits every loaded/appended record (snapshot under the journal
-  /// lock); used to warm an EvalCache on resume. Thread-safe.
+  /// Visits every loaded/appended record, in key order, under the
+  /// journal lock; used to warm an EvalCache on resume. Thread-safe.
   void for_each(const std::function<void(const JournalRecord&)>& visit);
 
-  /// Appends one completed evaluation (and a snapshot line every
-  /// `snapshot_interval` records) and flushes. Thread-safe.
+  /// Appends one completed evaluation and flushes. Thread-safe.
   void record(const JournalRecord& record);
-
-  /// Snapshot cadence in records (default 64; 0 disables snapshots).
-  void set_snapshot_interval(std::size_t interval) noexcept {
-    snapshot_interval_ = interval;
-  }
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
   /// Records loaded from disk at resume time.
@@ -96,32 +99,25 @@ class EvalJournal {
   /// Lookup hits served so far.
   [[nodiscard]] std::size_t replayed() const noexcept { return replayed_; }
 
-  /// Serializes one record as a journal line (exposed for tests).
-  [[nodiscard]] static std::string encode(const JournalRecord& record);
-  /// Parses a journal line; false for snapshots/headers/torn lines.
-  [[nodiscard]] static bool decode(const std::string& line,
-                                   JournalRecord* out);
-
  private:
   EvalJournal() = default;
-  void write_locked(const std::string& line);
+  /// Opens `path_` with `mode` (trunc or app); writes the header
+  /// first when `with_header`.
+  void open(std::ios::openmode mode, bool with_header);
 
   using Key = std::tuple<std::uint64_t, std::uint64_t, int, bool>;
   struct Stored {
     EvalOutcome outcome;
-    double rerun_seconds = -1.0;
+    double rerun_seconds = 0.0;
   };
 
   std::string path_;
+  std::uint64_t fingerprint_ = 0;
   std::mutex mutex_;
   std::map<Key, Stored> records_;
   std::unique_ptr<std::ofstream> out_;
-  std::size_t snapshot_interval_ = 64;
-  std::size_t since_snapshot_ = 0;
   std::size_t loaded_ = 0;
   std::size_t appended_ = 0;
-  std::size_t ok_count_ = 0;
-  std::size_t failed_count_ = 0;
   std::size_t replayed_ = 0;
 };
 

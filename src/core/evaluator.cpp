@@ -262,7 +262,7 @@ bool Evaluator::pre_evaluate(const EvalRequest& request, EvalResponse* out,
     if (cache_ && out->outcome.error.kind != EvalFault::kQuarantined) {
       cache_->insert({pending->key, options.rep_base, cache_salt_,
                       options.repetitions, options.instrumented},
-                     out->outcome, std::max(rerun_cost, 0.0));
+                     out->outcome, rerun_cost);
     }
     out->served_by = EvalServedBy::kJournalReplay;
     return true;
@@ -515,22 +515,6 @@ std::vector<EvalResponse> Evaluator::evaluate_batch(
   return responses;
 }
 
-double Evaluator::evaluate(const compiler::ModuleAssignment& assignment,
-                           const EvalContext& context) {
-  return try_evaluate(assignment, context).seconds_or(kInvalidSeconds);
-}
-
-EvalOutcome Evaluator::try_evaluate(
-    const compiler::ModuleAssignment& assignment,
-    const EvalContext& context) {
-  EvalRequest request;
-  request.assignment = assignment;
-  request.rep_base = context.rep_base;
-  request.instrumented = context.instrumented;
-  EvalTrace trace = context.trace();
-  return evaluate(request, trace).outcome;
-}
-
 void Evaluator::set_journal(std::shared_ptr<EvalJournal> journal) {
   journal_ = std::move(journal);
 }
@@ -545,13 +529,11 @@ void Evaluator::warm_cache_from_journal() {
   if (!cache_ || !journal_) return;
   journal_->for_each([this](const JournalRecord& record) {
     // Quarantine skips are never cached (see pre_evaluate); everything
-    // else replays bit-identically. Legacy journals without the rerun
-    // field warm with saved = 0 - conservatively under-reporting
-    // savings rather than inventing them.
+    // else replays bit-identically.
     if (record.outcome.error.kind == EvalFault::kQuarantined) return;
     cache_->insert({record.key, record.rep_base, cache_salt_,
                     record.repetitions, record.instrumented},
-                   record.outcome, std::max(record.rerun_seconds, 0.0));
+                   record.outcome, record.rerun_seconds);
   });
 }
 
@@ -578,27 +560,6 @@ ResilienceStats Evaluator::resilience_stats() const {
   stats.cache_saved_seconds =
       saved_overhead_.load(std::memory_order_relaxed);
   return stats;
-}
-
-std::vector<double> Evaluator::evaluate_batch(
-    std::size_t count,
-    const std::function<compiler::ModuleAssignment(std::size_t)>& make,
-    const EvalContext& context) {
-  // Materialize the requests up front (make() was already required to
-  // be thread-safe and order-independent) and ride the unified batch
-  // path.
-  std::vector<EvalRequest> requests(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    requests[i].assignment = make(i);
-    requests[i].rep_base = context.rep_base;
-    requests[i].instrumented = context.instrumented;
-  }
-  EvalTrace trace = context.trace();
-  trace.leaf_spans = false;  // workers never emit spans
-  const std::vector<EvalResponse> responses = evaluate_batch(requests, trace);
-  std::vector<double> seconds(count, 0.0);
-  for (std::size_t i = 0; i < count; ++i) seconds[i] = responses[i].seconds();
-  return seconds;
 }
 
 double Evaluator::final_seconds(const compiler::ModuleAssignment& assignment,

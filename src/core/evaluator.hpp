@@ -17,7 +17,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -242,23 +241,6 @@ class EvalBackend {
   }
 };
 
-/// Everything an evaluation needs besides the assignment itself: the
-/// phase's noise stream, the instrumentation switch and the telemetry
-/// attachment point. Superseded by EvalRequest + EvalTrace; kept so
-/// pre-redesign call sites (`evaluate(a, {.rep_base = ...})`) keep
-/// compiling via the shim overloads below.
-struct EvalContext {
-  std::uint64_t rep_base = 0;
-  bool instrumented = false;
-  telemetry::SpanId parent_span = 0;
-  bool leaf_spans = false;
-  std::string label;
-
-  [[nodiscard]] EvalTrace trace() const {
-    return EvalTrace{parent_span, leaf_spans, label};
-  }
-};
-
 class Evaluator {
  public:
   /// Borrows engine (and through it the compiler); must outlive this.
@@ -303,26 +285,6 @@ class Evaluator {
   [[nodiscard]] EvalBackend::RawResult raw_run(
       const compiler::ModuleAssignment& assignment,
       const machine::RunOptions& options);
-
-  // --- pre-redesign shims ---------------------------------------------------
-
-  /// End-to-end seconds of one run (1 rep, noise on); kInvalidSeconds
-  /// on failure. Shim over evaluate(EvalRequest).
-  [[nodiscard]] double evaluate(const compiler::ModuleAssignment& assignment,
-                                const EvalContext& context = {});
-
-  /// evaluate() with the failure classified instead of collapsed to
-  /// +inf. Shim over evaluate(EvalRequest).
-  [[nodiscard]] EvalOutcome try_evaluate(
-      const compiler::ModuleAssignment& assignment,
-      const EvalContext& context = {});
-
-  /// Generator-style batch shim: result[i] = seconds of `make(i)`
-  /// at noise key `context.rep_base`.
-  [[nodiscard]] std::vector<double> evaluate_batch(
-      std::size_t count,
-      const std::function<compiler::ModuleAssignment(std::size_t)>& make,
-      const EvalContext& context = {});
 
   /// Re-measures an assignment with fresh noise, averaged over `reps`
   /// (the paper's 10-experiment reporting protocol, §4.1).

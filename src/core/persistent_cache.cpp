@@ -16,6 +16,7 @@
 #include <system_error>
 #include <vector>
 
+#include "support/byte_codec.hpp"
 #include "support/crc32.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -34,77 +35,6 @@ void count_metric(const char* name, std::uint64_t n = 1) {
 }
 
 constexpr char kMagic[4] = {'F', 'T', 'C', '1'};
-constexpr std::size_t kMaxStringBytes = 1u << 20;
-constexpr std::size_t kMaxLoops = 1u << 20;
-
-void put_u32(std::string* out, std::uint32_t value) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::string* out, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((value >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_double(std::string* out, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  put_u64(out, bits);
-}
-
-/// Bounds-checked little-endian reader over an entry body.
-struct Reader {
-  std::string_view bytes;
-  std::size_t at = 0;
-
-  [[nodiscard]] bool u8(std::uint8_t* out) {
-    if (at + 1 > bytes.size()) return false;
-    *out = static_cast<std::uint8_t>(bytes[at++]);
-    return true;
-  }
-  [[nodiscard]] bool u32(std::uint32_t* out) {
-    if (at + 4 > bytes.size()) return false;
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      value |= static_cast<std::uint32_t>(
-                   static_cast<unsigned char>(bytes[at + i]))
-               << (8 * i);
-    }
-    at += 4;
-    *out = value;
-    return true;
-  }
-  [[nodiscard]] bool u64(std::uint64_t* out) {
-    if (at + 8 > bytes.size()) return false;
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<std::uint64_t>(
-                   static_cast<unsigned char>(bytes[at + i]))
-               << (8 * i);
-    }
-    at += 8;
-    *out = value;
-    return true;
-  }
-  [[nodiscard]] bool real(double* out) {
-    std::uint64_t bits = 0;
-    if (!u64(&bits)) return false;
-    std::memcpy(out, &bits, sizeof(*out));
-    return true;
-  }
-  [[nodiscard]] bool str(std::string* out, std::size_t cap) {
-    std::uint32_t length = 0;
-    if (!u32(&length) || length > cap || at + length > bytes.size()) {
-      return false;
-    }
-    out->assign(bytes.data() + at, length);
-    at += length;
-    return true;
-  }
-};
 
 std::string hex(std::uint64_t value, int width) {
   char buffer[24];
@@ -144,6 +74,8 @@ bool write_all(int fd, const char* data, std::size_t size) {
 std::string PersistentCache::encode_entry(const EvalCache::Key& key,
                                           const EvalOutcome& outcome,
                                           double rerun_seconds) {
+  using support::put_f64, support::put_string, support::put_u32,
+      support::put_u64, support::put_u8;
   std::string body;
   body.reserve(128 + outcome.result.loop_seconds.size() * 8);
   body.append(kMagic, sizeof(kMagic));
@@ -151,20 +83,19 @@ std::string PersistentCache::encode_entry(const EvalCache::Key& key,
   put_u64(&body, key.rep_base);
   put_u64(&body, key.salt);
   put_u32(&body, static_cast<std::uint32_t>(key.repetitions));
-  body.push_back(key.instrumented ? 1 : 0);
-  body.push_back(static_cast<char>(outcome.error.kind));
+  put_u8(&body, key.instrumented ? 1 : 0);
+  put_u8(&body, static_cast<std::uint8_t>(outcome.error.kind));
   put_u32(&body, static_cast<std::uint32_t>(outcome.attempts));
-  put_u32(&body, static_cast<std::uint32_t>(outcome.error.detail.size()));
-  body.append(outcome.error.detail);
-  put_double(&body, outcome.result.end_to_end);
-  put_double(&body, outcome.result.stddev);
-  put_double(&body, outcome.result.derived_nonloop_seconds);
+  put_string(&body, outcome.error.detail);
+  put_f64(&body, outcome.result.end_to_end);
+  put_f64(&body, outcome.result.stddev);
+  put_f64(&body, outcome.result.derived_nonloop_seconds);
   put_u32(&body,
           static_cast<std::uint32_t>(outcome.result.loop_seconds.size()));
   for (const double seconds : outcome.result.loop_seconds) {
-    put_double(&body, seconds);
+    put_f64(&body, seconds);
   }
-  put_double(&body, rerun_seconds);
+  put_f64(&body, rerun_seconds);
   put_u32(&body, support::crc32(body));
   return body;
 }
@@ -174,14 +105,14 @@ bool PersistentCache::decode_entry(std::string_view bytes,
                                    double* rerun_seconds) {
   if (bytes.size() < sizeof(kMagic) + 4) return false;
   const std::string_view body = bytes.substr(0, bytes.size() - 4);
-  Reader trailer{bytes, bytes.size() - 4};
+  support::ByteReader trailer{bytes, body.size()};
   std::uint32_t declared = 0;
   if (!trailer.u32(&declared) || support::crc32(body) != declared) {
     return false;
   }
   if (std::memcmp(body.data(), kMagic, sizeof(kMagic)) != 0) return false;
 
-  Reader in{body, sizeof(kMagic)};
+  support::ByteReader in{body, sizeof(kMagic)};
   std::uint32_t repetitions = 0, attempts = 0;
   std::uint8_t instrumented = 0, fault = 0;
   EvalCache::Key decoded;
@@ -198,20 +129,22 @@ bool PersistentCache::decode_entry(std::string_view bytes,
   }
   result.error.kind = static_cast<EvalFault>(fault);
   result.attempts = static_cast<int>(attempts);
-  if (!in.str(&result.error.detail, kMaxStringBytes)) return false;
+  if (!in.string(&result.error.detail)) return false;
   std::uint32_t loops = 0;
-  if (!in.real(&result.result.end_to_end) ||
-      !in.real(&result.result.stddev) ||
-      !in.real(&result.result.derived_nonloop_seconds) ||
-      !in.u32(&loops) || loops > kMaxLoops) {
+  // The loop count is checked against the bytes left before anything
+  // is allocated, so a forged count cannot force a huge resize.
+  if (!in.f64(&result.result.end_to_end) ||
+      !in.f64(&result.result.stddev) ||
+      !in.f64(&result.result.derived_nonloop_seconds) ||
+      !in.u32(&loops) || loops > in.remaining() / 8) {
     return false;
   }
   result.result.loop_seconds.resize(loops);
   for (std::uint32_t j = 0; j < loops; ++j) {
-    if (!in.real(&result.result.loop_seconds[j])) return false;
+    if (!in.f64(&result.result.loop_seconds[j])) return false;
   }
   double rerun = 0.0;
-  if (!in.real(&rerun) || in.at != body.size()) return false;
+  if (!in.f64(&rerun) || in.remaining() != 0) return false;
 
   *key = decoded;
   *outcome = std::move(result);

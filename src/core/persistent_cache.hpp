@@ -10,8 +10,9 @@
 // shard is the low byte of the key fingerprint (hex) and the filename
 // its full 64-bit fingerprint (hex). The file body is a fixed little-
 // endian binary encoding of (full key, outcome, modeled rerun cost)
-// with a CRC-32 trailer - the same codec the service layer's
-// binary-crc32 framing uses (support/crc32).
+// with a CRC-32 trailer (support/crc32, also the service layer's
+// binary-crc32 trailer). The checkpoint journal's records are these
+// same entries, length-prefixed (core/checkpoint).
 //
 // Atomicity protocol (the crash-consistency contract the fault-point
 // test harness sweeps): an entry is written to a same-directory

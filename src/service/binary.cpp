@@ -50,43 +50,16 @@
 // forged count cannot force a huge reserve.
 #include "service/protocol.hpp"
 
-#include <bit>
 #include <string>
+
+#include "support/byte_codec.hpp"
 
 namespace ft::service {
 
 namespace {
 
-// --- primitive writers (append-only) ---------------------------------------
-
-void put_u8(std::string* out, std::uint8_t value) {
-  out->push_back(static_cast<char>(value));
-}
-
-void put_u32(std::string* out, std::uint32_t value) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) {
-    bytes[i] = static_cast<char>(value >> (8 * i));
-  }
-  out->append(bytes, sizeof(bytes));
-}
-
-void put_u64(std::string* out, std::uint64_t value) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>(value >> (8 * i));
-  }
-  out->append(bytes, sizeof(bytes));
-}
-
-void put_f64(std::string* out, double value) {
-  put_u64(out, std::bit_cast<std::uint64_t>(value));
-}
-
-void put_string(std::string* out, std::string_view text) {
-  put_u32(out, static_cast<std::uint32_t>(text.size()));
-  out->append(text.data(), text.size());
-}
+using support::put_f64, support::put_string, support::put_u32,
+    support::put_u64, support::put_u8;
 
 void put_cv(std::string* out, const flags::CompilationVector& cv) {
   put_u32(out, static_cast<std::uint32_t>(cv.size()));
@@ -118,10 +91,7 @@ void begin_frame(std::string* out, FrameKind kind, std::uint64_t seq) {
 /// Appends the little-endian CRC32 trailer for binary-crc32 frames.
 void seal(Framing framing, std::string* out) {
   if (framing != Framing::kBinaryCrc) return;
-  const std::uint32_t crc = crc32(*out);
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((crc >> (8 * i)) & 0xFFu));
-  }
+  put_u32(out, crc32(*out));
 }
 
 void put_request(std::string* out, const core::EvalRequest& request) {
@@ -161,63 +131,15 @@ void put_response(std::string* out, const core::EvalResponse& response) {
 
 // --- bounds-checked reader -------------------------------------------------
 
-struct Cursor {
-  const unsigned char* at;
-  const unsigned char* end;
-
-  [[nodiscard]] std::size_t remaining() const {
-    return static_cast<std::size_t>(end - at);
-  }
-
-  bool u8(std::uint8_t* out) {
-    if (remaining() < 1) return false;
-    *out = *at++;
-    return true;
-  }
-
-  bool u32(std::uint32_t* out) {
-    if (remaining() < 4) return false;
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      value |= static_cast<std::uint32_t>(at[i]) << (8 * i);
-    }
-    at += 4;
-    *out = value;
-    return true;
-  }
-
-  bool u64(std::uint64_t* out) {
-    if (remaining() < 8) return false;
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-      value |= static_cast<std::uint64_t>(at[i]) << (8 * i);
-    }
-    at += 8;
-    *out = value;
-    return true;
-  }
-
-  bool f64(double* out) {
-    std::uint64_t bits = 0;
-    if (!u64(&bits)) return false;
-    *out = std::bit_cast<double>(bits);
-    return true;
-  }
-
-  bool string(std::string* out) {
-    std::uint32_t length = 0;
-    if (!u32(&length) || remaining() < length) return false;
-    out->assign(reinterpret_cast<const char*>(at), length);
-    at += length;
-    return true;
-  }
-
+/// The shared little-endian reader plus the wire's compilation vectors.
+struct Cursor : support::ByteReader {
   bool cv(flags::CompilationVector* out) {
     std::uint32_t count = 0;
-    if (!u32(&count) || remaining() < count) return false;
-    std::vector<std::uint8_t> choices(at, at + count);
-    at += count;
-    *out = flags::CompilationVector(std::move(choices));
+    std::string_view choices;
+    if (!u32(&count) || !span(count, &choices)) return false;
+    const auto* first = reinterpret_cast<const std::uint8_t*>(choices.data());
+    *out = flags::CompilationVector(
+        std::vector<std::uint8_t>(first, first + count));
     return true;
   }
 };
@@ -494,23 +416,15 @@ DecodeStatus decode_frame(Framing framing, std::string_view payload,
       *error = "binary-crc32 frame shorter than its checksum";
       return DecodeStatus::kUnparseable;
     }
-    const std::string_view trailer = payload.substr(payload.size() - 4);
-    payload.remove_suffix(4);
     std::uint32_t declared = 0;
-    for (int i = 3; i >= 0; --i) {
-      declared = (declared << 8) |
-                 static_cast<unsigned char>(trailer[static_cast<std::size_t>(i)]);
-    }
+    (void)support::ByteReader{payload, payload.size() - 4}.u32(&declared);
+    payload.remove_suffix(4);
     if (crc32(payload) != declared) {
       *error = "crc32 mismatch: frame corrupted in flight";
       return DecodeStatus::kUnparseable;
     }
   }
-  Cursor cursor{
-      reinterpret_cast<const unsigned char*>(payload.data()),
-      reinterpret_cast<const unsigned char*>(payload.data()) +
-          payload.size(),
-  };
+  Cursor cursor{{payload}};
   std::uint8_t tag = 0;
   if (!cursor.u8(&tag)) {
     *error = "empty frame";

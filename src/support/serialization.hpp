@@ -1,10 +1,10 @@
 // Artifact schema versioning. Every JSON artifact the repo emits
-// (TuningResult json, checkpoint journal headers, telemetry JSONL
-// traces, metrics snapshots) carries a
-// "schema_version" field written and validated through this one
-// helper, so readers can reject artifacts from a future format
+// (TuningResult json, telemetry JSONL traces, metrics snapshots)
+// carries a "schema_version" field written and validated through this
+// one helper, so readers can reject artifacts from a future format
 // instead of silently misparsing them. Artifacts written before
-// versioning existed have no field and read back as version 1.
+// versioning existed have no field and read back as version 1. The
+// binary checkpoint journal stores kSchemaVersion in its header.
 #pragma once
 
 #include <string>

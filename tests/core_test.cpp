@@ -267,47 +267,60 @@ TEST_F(CoreTest, ResultsAreReproducible) {
 TEST_F(CoreTest, EvaluatorCountsEvaluations) {
   Evaluator& evaluator = tuner_.evaluator();
   const std::size_t before = evaluator.evaluations();
-  (void)evaluator.evaluate(compiler::ModuleAssignment::uniform(
-      tuner_.space().default_cv(), tuner_.program().loops().size()));
+  (void)evaluator.evaluate(EvalRequest{compiler::ModuleAssignment::uniform(
+      tuner_.space().default_cv(), tuner_.program().loops().size())});
   EXPECT_EQ(evaluator.evaluations(), before + 1);
   EXPECT_GT(evaluator.modeled_overhead_seconds(), 0.0);
 }
 
+/// One request per presampled CV (uniform over every loop), all at
+/// noise key `rep_base`.
+std::vector<EvalRequest> presampled_requests(FuncyTuner& tuner,
+                                             std::size_t count,
+                                             std::uint64_t rep_base = 0) {
+  std::vector<EvalRequest> requests(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    requests[i].assignment = compiler::ModuleAssignment::uniform(
+        tuner.presampled()[i], tuner.program().loops().size());
+    requests[i].rep_base = rep_base;
+  }
+  return requests;
+}
+
+std::vector<double> batch_seconds(Evaluator& evaluator,
+                                  const std::vector<EvalRequest>& requests) {
+  std::vector<double> seconds;
+  for (const EvalResponse& response : evaluator.evaluate_batch(requests)) {
+    seconds.push_back(response.seconds());
+  }
+  return seconds;
+}
+
 TEST_F(CoreTest, EvaluatorBatchMatchesSequential) {
   Evaluator& evaluator = tuner_.evaluator();
-  const auto& cvs = tuner_.presampled();
-  const std::size_t loops = tuner_.program().loops().size();
-  auto make = [&](std::size_t i) {
-    return compiler::ModuleAssignment::uniform(cvs[i], loops);
-  };
-  const std::vector<double> batch = evaluator.evaluate_batch(16, make);
+  const std::vector<EvalRequest> requests = presampled_requests(tuner_, 16);
+  const std::vector<double> batch = batch_seconds(evaluator, requests);
   // The whole batch shares one rep_base; per-variant noise is keyed by
   // the executable fingerprint, so a sequential re-evaluation under the
   // same rep_base reproduces each measurement exactly.
   for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], evaluator.evaluate(make(i), {}));
+    EXPECT_DOUBLE_EQ(batch[i], evaluator.evaluate(requests[i]).seconds());
   }
 }
 
 TEST_F(CoreTest, BatchRepBaseOffsetsDecorrelatePhases) {
   Evaluator& evaluator = tuner_.evaluator();
-  const auto& cvs = tuner_.presampled();
-  const std::size_t loops = tuner_.program().loops().size();
-  auto make = [&](std::size_t i) {
-    return compiler::ModuleAssignment::uniform(cvs[i], loops);
-  };
+  const std::vector<EvalRequest> collection =
+      presampled_requests(tuner_, 16, rep_streams::kCollection);
+  const std::vector<EvalRequest> random =
+      presampled_requests(tuner_, 16, rep_streams::kRandom);
   // Same variants under two phase offsets: the noise streams must be
   // disjoint (different measurements index-for-index), yet each phase
   // stays deterministic under a fixed offset.
-  const std::vector<double> sweep = evaluator.evaluate_batch(
-      16, make, {.rep_base = rep_streams::kCollection});
-  const std::vector<double> random_phase =
-      evaluator.evaluate_batch(16, make, {.rep_base = rep_streams::kRandom});
-  EXPECT_EQ(sweep, evaluator.evaluate_batch(
-                       16, make, {.rep_base = rep_streams::kCollection}));
-  EXPECT_EQ(random_phase,
-            evaluator.evaluate_batch(16, make,
-                                     {.rep_base = rep_streams::kRandom}));
+  const std::vector<double> sweep = batch_seconds(evaluator, collection);
+  const std::vector<double> random_phase = batch_seconds(evaluator, random);
+  EXPECT_EQ(sweep, batch_seconds(evaluator, collection));
+  EXPECT_EQ(random_phase, batch_seconds(evaluator, random));
   std::size_t identical = 0;
   for (std::size_t i = 0; i < 16; ++i) {
     identical += (sweep[i] == random_phase[i]);
@@ -319,7 +332,7 @@ TEST_F(CoreTest, FinalSecondsUsesFreshNoise) {
   Evaluator& evaluator = tuner_.evaluator();
   const auto o3 = compiler::ModuleAssignment::uniform(
       tuner_.space().default_cv(), tuner_.program().loops().size());
-  const double search_measure = evaluator.evaluate(o3);
+  const double search_measure = evaluator.evaluate(EvalRequest{o3}).seconds();
   const double final_measure = evaluator.final_seconds(o3);
   EXPECT_NE(search_measure, final_measure);
   EXPECT_NEAR(search_measure, final_measure, 1.0);

@@ -7,8 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -17,6 +17,7 @@
 #include "core/eval_cache.hpp"
 #include "core/evolution.hpp"
 #include "core/funcy_tuner.hpp"
+#include "core/persistent_cache.hpp"
 #include "core/serialization.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
@@ -48,18 +49,18 @@ EvalCache::Key make_key(std::uint64_t assignment) {
   return EvalCache::Key{assignment, rep_streams::kCfr, 7, 1, false};
 }
 
-/// Journal lines as an order-insensitive set: append order under a
-/// parallel batch is scheduling-dependent, the record *set* is not.
-std::vector<std::string> journal_record_lines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find("\"type\":\"eval\"") == std::string::npos) continue;
-    lines.push_back(line);
-  }
-  std::sort(lines.begin(), lines.end());
-  return lines;
+/// A journal's records, decoded from the file and re-encoded as FTC1
+/// entries, as an order-insensitive set: append order under a parallel
+/// batch is scheduling-dependent, the record *set* is not.
+std::set<std::string> journal_records(const std::string& path) {
+  std::set<std::string> records;
+  EvalJournal::resume(path, 0)->for_each([&](const JournalRecord& record) {
+    records.insert(PersistentCache::encode_entry(
+        {record.key, record.rep_base, 0, record.repetitions,
+         record.instrumented},
+        record.outcome, record.rerun_seconds));
+  });
+  return records;
 }
 
 void expect_identical(const TuningResult& a, const TuningResult& b) {
@@ -258,8 +259,8 @@ TEST(EvalCacheProperty, JournalsAndQuarantineSetsIdenticalCacheOnVsOff) {
   off.faults.seed = 13;
   FuncyTunerOptions on = off;
   on.eval_cache = true;
-  const std::string path_off = testing::TempDir() + "ft_cache_off.jsonl";
-  const std::string path_on = testing::TempDir() + "ft_cache_on.jsonl";
+  const std::string path_off = testing::TempDir() + "ft_cache_off.ftj";
+  const std::string path_on = testing::TempDir() + "ft_cache_on.ftj";
 
   FuncyTuner a(programs::cloverleaf(), machine::broadwell(), off);
   a.evaluator().set_journal(
@@ -279,7 +280,7 @@ TEST(EvalCacheProperty, JournalsAndQuarantineSetsIdenticalCacheOnVsOff) {
   EXPECT_EQ(sa.quarantine_hits, sb.quarantine_hits);
 
   // Same record set: hits append nothing, exactly like journal replays.
-  EXPECT_EQ(journal_record_lines(path_off), journal_record_lines(path_on));
+  EXPECT_EQ(journal_records(path_off), journal_records(path_on));
 }
 
 TEST(EvalCacheProperty, ChargedPlusSavedEqualsCacheOffTotal) {
@@ -307,7 +308,7 @@ TEST(EvalCacheProperty, ChargedPlusSavedEqualsCacheOffTotal) {
 TEST(EvalCacheProperty, WarmStartResumeSkipsAllJournaledEvaluations) {
   const FuncyTunerOptions options = collision_options();
   const std::uint64_t fingerprint = options_fingerprint(options);
-  const std::string path = testing::TempDir() + "ft_cache_warm.jsonl";
+  const std::string path = testing::TempDir() + "ft_cache_warm.ftj";
 
   FuncyTuner recorded(programs::cloverleaf(), machine::broadwell(), options);
   recorded.evaluator().set_journal(EvalJournal::create(path, fingerprint));
@@ -340,7 +341,7 @@ TEST(EvalCacheProperty, KilledRunResumesViaCacheBitIdentically) {
   // result still matches the uninterrupted run exactly.
   const FuncyTunerOptions options = collision_options();
   const std::uint64_t fingerprint = options_fingerprint(options);
-  const std::string path = testing::TempDir() + "ft_cache_kill.jsonl";
+  const std::string path = testing::TempDir() + "ft_cache_kill.ftj";
 
   FuncyTuner reference(programs::cloverleaf(), machine::broadwell(), options);
   const TuningResult expected = reference.run_cfr();
@@ -349,19 +350,9 @@ TEST(EvalCacheProperty, KilledRunResumesViaCacheBitIdentically) {
   recorded.evaluator().set_journal(EvalJournal::create(path, fingerprint));
   (void)recorded.run_cfr();
 
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_GT(lines.size(), 10u);
-  const std::size_t keep = 1 + (lines.size() - 1) / 2;
-  {
-    std::ofstream out(path, std::ios::trunc);
-    for (std::size_t i = 0; i < keep; ++i) out << lines[i] << '\n';
-    out << lines[keep].substr(0, lines[keep].size() / 3);  // torn tail
-  }
+  // Kill mid-append: keep the first half of the file, torn tail
+  // included.
+  std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
 
   FuncyTunerOptions cached = options;
   cached.eval_cache = true;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -40,10 +41,22 @@ FuncyTunerOptions faulty_options(double rate, std::size_t samples = 60) {
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   std::ostringstream oss;
   oss << in.rdbuf();
   return oss.str();
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/// Cuts the file at `path` down to `fraction` of its size: the state a
+/// kill mid-append leaves behind.
+void cut_file(const std::string& path, double fraction) {
+  const auto size = std::filesystem::file_size(path);
+  std::filesystem::resize_file(
+      path, static_cast<std::uintmax_t>(static_cast<double>(size) * fraction));
 }
 
 // ---------------------------------------------------------- fault model ----
@@ -150,7 +163,7 @@ TEST(FaultModel, RejectsInvalidRate) {
 
 TEST(Resilience, FastPathIsBitIdenticalToPrePolicyRuns) {
   // Faults off, no journal: two tuners with the same seed must agree
-  // exactly, and try_evaluate must equal evaluate.
+  // exactly and record no failures or retries.
   FuncyTuner a(programs::cloverleaf(), machine::broadwell(), fast_options());
   FuncyTuner b(programs::cloverleaf(), machine::broadwell(), fast_options());
   const TuningResult ra = a.run_cfr();
@@ -253,162 +266,267 @@ TEST(Resilience, OutlierSpikeCannotFlipFinalScoring) {
 
 // ----------------------------------------------------- journal encoding ----
 
-TEST(Journal, EncodeDecodeRoundTripsSuccess) {
+/// A successful record whose every field differs from its default.
+JournalRecord success_record(std::uint64_t key) {
   JournalRecord record;
-  record.key = 0x123456789abcdef0ull;
-  record.rep_base = 77;
+  record.key = key;
+  record.rep_base = rep_streams::kCfr + key;
   record.repetitions = 5;
   record.instrumented = true;
   record.outcome.attempts = 2;
-  record.outcome.result.end_to_end = 123.45678901234567;
+  record.outcome.result.end_to_end = 123.45678901234567 + 1e-3 * key;
   record.outcome.result.stddev = 0.001234;
   record.outcome.result.loop_seconds = {1.1, 2.2, 0.3333333333333333};
-  record.outcome.result.derived_nonloop_seconds = 0.0;
-
-  JournalRecord decoded;
-  ASSERT_TRUE(EvalJournal::decode(EvalJournal::encode(record), &decoded));
-  EXPECT_EQ(decoded.key, record.key);
-  EXPECT_EQ(decoded.rep_base, record.rep_base);
-  EXPECT_EQ(decoded.repetitions, record.repetitions);
-  EXPECT_EQ(decoded.instrumented, record.instrumented);
-  EXPECT_EQ(decoded.outcome.attempts, record.outcome.attempts);
-  EXPECT_TRUE(decoded.outcome.ok());
-  // Bit-exact doubles: %.17g round-trips.
-  EXPECT_EQ(decoded.outcome.result.end_to_end,
-            record.outcome.result.end_to_end);
-  EXPECT_EQ(decoded.outcome.result.stddev, record.outcome.result.stddev);
-  EXPECT_EQ(decoded.outcome.result.loop_seconds,
-            record.outcome.result.loop_seconds);
+  record.outcome.result.derived_nonloop_seconds = 119.82345567901234;
+  record.rerun_seconds = 3.25;
+  return record;
 }
 
-TEST(Journal, EncodeDecodeRoundTripsFailure) {
+JournalRecord failure_record(std::uint64_t key) {
   JournalRecord record;
-  record.key = 42;
+  record.key = key;
   record.outcome.error.kind = EvalFault::kRunCrash;
   record.outcome.error.detail = "0x000000000000002a";
   record.outcome.attempts = 3;
+  return record;
+}
 
-  JournalRecord decoded;
-  ASSERT_TRUE(EvalJournal::decode(EvalJournal::encode(record), &decoded));
-  EXPECT_FALSE(decoded.outcome.ok());
-  EXPECT_EQ(decoded.outcome.error.kind, EvalFault::kRunCrash);
-  EXPECT_EQ(decoded.outcome.error.detail, record.outcome.error.detail);
-  EXPECT_EQ(decoded.outcome.attempts, 3);
+/// Journals `records` to a fresh file and returns the byte offset at
+/// which each record ends, preceded by the header's end.
+std::vector<std::size_t> write_journal(
+    const std::string& path, std::uint64_t fingerprint,
+    const std::vector<JournalRecord>& records) {
+  auto journal = EvalJournal::create(path, fingerprint);
+  std::vector<std::size_t> ends = {std::filesystem::file_size(path)};
+  for (const JournalRecord& record : records) {
+    journal->record(record);
+    ends.push_back(std::filesystem::file_size(path));
+  }
+  return ends;
+}
+
+/// True when `journal` replays `record` with every field bit-exact.
+bool replays_exactly(EvalJournal& journal, const JournalRecord& record) {
+  EvalOutcome out;
+  double rerun = -1.0;
+  if (!journal.lookup(record.key, record.rep_base, record.repetitions,
+                      record.instrumented, &out, &rerun)) {
+    return false;
+  }
+  const machine::RunResult& a = out.result;
+  const machine::RunResult& b = record.outcome.result;
+  return out.error.kind == record.outcome.error.kind &&
+         out.error.detail == record.outcome.error.detail &&
+         out.attempts == record.outcome.attempts &&
+         a.end_to_end == b.end_to_end && a.stddev == b.stddev &&
+         a.derived_nonloop_seconds == b.derived_nonloop_seconds &&
+         a.loop_seconds == b.loop_seconds && rerun == record.rerun_seconds;
+}
+
+TEST(Journal, EncodeDecodeRoundTripsSuccess) {
+  const std::string path = testing::TempDir() + "ft_journal_success.ftj";
+  const JournalRecord record = success_record(0x123456789abcdef0ull);
+  (void)write_journal(path, 7, {record});
+  auto journal = EvalJournal::resume(path, 7);
+  EXPECT_EQ(journal->loaded(), 1u);
+  // Bit-exact doubles, derived_nonloop_seconds and rerun cost included.
+  EXPECT_TRUE(replays_exactly(*journal, record));
+}
+
+TEST(Journal, EncodeDecodeRoundTripsFailure) {
+  const std::string path = testing::TempDir() + "ft_journal_failure.ftj";
+  const JournalRecord record = failure_record(42);
+  (void)write_journal(path, 7, {record});
+  auto journal = EvalJournal::resume(path, 7);
+  EvalOutcome out;
+  ASSERT_TRUE(journal->lookup(42, 0, 1, false, &out));
+  EXPECT_FALSE(out.ok());
+  EXPECT_TRUE(replays_exactly(*journal, record));
 }
 
 TEST(Journal, DecodeRejectsTornAndForeignLines) {
-  JournalRecord record;
-  record.key = 7;
-  record.outcome.result.end_to_end = 1.0;
-  const std::string line = EvalJournal::encode(record);
-  JournalRecord out;
-  // Any truncation of a valid line must be rejected, never misparsed.
-  for (std::size_t cut = 1; cut < line.size(); ++cut) {
-    EXPECT_FALSE(EvalJournal::decode(line.substr(0, cut), &out));
+  // Whatever follows the last whole record - a JSONL line, another
+  // config's record, a length running past the end, a record whose
+  // CRC fails - ends the trusted prefix instead of being misparsed.
+  const std::string path = testing::TempDir() + "ft_journal_foreign.ftj";
+  const std::string other = testing::TempDir() + "ft_journal_other.ftj";
+  const std::vector<std::size_t> ends =
+      write_journal(path, 7, {success_record(1), success_record(2)});
+  const std::string journal = read_file(path);
+  const std::string first = journal.substr(0, ends[1]);
+  const std::string second = journal.substr(ends[1]);
+  (void)write_journal(other, 8, {success_record(2)});
+  const std::string foreign_record = read_file(other).substr(ends[0]);
+  std::string bad_crc = second;
+  bad_crc.back() = static_cast<char>(bad_crc.back() ^ 0x01);
+
+  for (const std::string& tail :
+       {std::string("{\"type\":\"eval\",\"key\":\"2\"}\n"), foreign_record,
+        std::string("\xff\xff\xff\x7f", 4) + second.substr(4), bad_crc,
+        second.substr(0, second.size() - 1)}) {
+    write_file(path, first + tail);
+    auto resumed = EvalJournal::resume(path, 7);
+    EXPECT_EQ(resumed->loaded(), 1u);
+    EXPECT_TRUE(replays_exactly(*resumed, success_record(1)));
+    EXPECT_FALSE(replays_exactly(*resumed, success_record(2)));
   }
-  EXPECT_FALSE(EvalJournal::decode("", &out));
-  EXPECT_FALSE(EvalJournal::decode(
-      "{\"type\":\"snapshot\",\"records\":3,\"ok\":3,\"failed\":0}", &out));
-  EXPECT_FALSE(EvalJournal::decode(
-      "{\"type\":\"header\",\"version\":1,\"config\":\"0\"}", &out));
 }
 
 TEST(Journal, DecodeSurvivesByteFlipFuzz) {
-  // Fuzz-style robustness: arbitrary single/multi byte corruption of a
-  // valid record line must never crash or misparse into garbage - the
-  // decoder either rejects the line or yields a record whose fields
-  // were genuinely present in the mutated text.
-  JournalRecord record;
-  record.key = 0xfeedfacecafebeefull;
-  record.rep_base = rep_streams::kCfr + 3;
-  record.repetitions = 5;
-  record.outcome.result.end_to_end = 12.5;
-  record.outcome.result.loop_seconds = {1.0, 2.0, 3.0};
-  const std::string line = EvalJournal::encode(record);
+  // Fuzz-style robustness: arbitrary byte corruption of a valid
+  // journal must never crash or misparse into garbage. Resume either
+  // refuses the file (the header was hit) or loads a prefix of the
+  // records, each one bit-exact.
+  const std::string path = testing::TempDir() + "ft_journal_fuzz.ftj";
+  const std::vector<JournalRecord> records = {
+      success_record(1), failure_record(2), success_record(3)};
+  (void)write_journal(path, 7, records);
+  const std::string journal = read_file(path);
 
   support::Rng rng(2024);
   for (int trial = 0; trial < 2000; ++trial) {
-    std::string mutated = line;
+    std::string mutated = journal;
     const std::size_t flips = 1 + rng.next_below(4);
     for (std::size_t f = 0; f < flips; ++f) {
       const std::size_t pos = rng.next_below(mutated.size());
       mutated[pos] = static_cast<char>(rng.next_below(256));
     }
-    JournalRecord out;
-    (void)EvalJournal::decode(mutated, &out);  // must not crash/throw
+    write_file(path, mutated);
+    try {
+      auto resumed = EvalJournal::resume(path, 7);
+      ASSERT_LE(resumed->loaded(), records.size());
+      for (std::size_t i = 0; i < resumed->loaded(); ++i) {
+        EXPECT_TRUE(replays_exactly(*resumed, records[i]));
+      }
+    } catch (const std::runtime_error&) {
+      // A damaged header is refused; that is the other allowed outcome.
+    }
   }
   // Pure garbage bytes, including NULs and non-UTF8.
   for (int trial = 0; trial < 500; ++trial) {
     std::string garbage(rng.next_below(120), '\0');
     for (char& c : garbage) c = static_cast<char>(rng.next_below(256));
-    JournalRecord out;
-    EXPECT_FALSE(EvalJournal::decode(garbage, &out));
+    write_file(path, garbage);
+    try {
+      EXPECT_EQ(EvalJournal::resume(path, 0)->loaded(), 0u);
+    } catch (const std::runtime_error&) {
+    }
   }
 }
 
 TEST(Journal, ResumeTreatsGarbageLineAsTornTail) {
-  // A corrupt line mid-file ends the trusted prefix: records before it
-  // load, everything after is discarded and re-evaluates. The rewrite
-  // drops the corruption so the NEXT resume sees a clean file.
-  const std::string path = testing::TempDir() + "ft_journal_garbage.jsonl";
-  {
-    auto journal = EvalJournal::create(path, 4242);
-    for (std::uint64_t k = 0; k < 6; ++k) {
-      JournalRecord record;
-      record.key = k;
-      record.outcome.result.end_to_end = 1.0 + static_cast<double>(k);
-      journal->record(record);
-    }
-  }
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    for (std::string line; std::getline(in, line);) lines.push_back(line);
-  }
-  ASSERT_EQ(lines.size(), 7u);  // header + 6 records
-  {
-    std::ofstream out(path, std::ios::trunc);
-    for (std::size_t i = 0; i < 4; ++i) out << lines[i] << '\n';
-    out << "\x01\xff{not json at all\n";  // corruption after 3 records
-    for (std::size_t i = 4; i < lines.size(); ++i) out << lines[i] << '\n';
-  }
+  // Corruption mid-file ends the trusted prefix: records before it
+  // load, everything after is discarded and re-evaluates. Resume cuts
+  // the file there, so the NEXT resume sees a clean file.
+  const std::string path = testing::TempDir() + "ft_journal_garbage.ftj";
+  std::vector<JournalRecord> records;
+  for (std::uint64_t k = 0; k < 6; ++k) records.push_back(success_record(k));
+  const std::vector<std::size_t> ends = write_journal(path, 4242, records);
+  const std::string journal = read_file(path);
+  write_file(path, journal.substr(0, ends[3]) + "\x01\xff{not a record" +
+                       journal.substr(ends[3]));
 
-  auto journal = EvalJournal::resume(path, 4242);
-  EXPECT_EQ(journal->loaded(), 3u);
-  EvalOutcome out;
-  EXPECT_TRUE(journal->lookup(2, 0, 1, false, &out));
-  EXPECT_FALSE(journal->lookup(5, 0, 1, false, &out));  // after the tear
+  auto resumed = EvalJournal::resume(path, 4242);
+  EXPECT_EQ(resumed->loaded(), 3u);
+  EXPECT_TRUE(replays_exactly(*resumed, records[2]));
+  EXPECT_FALSE(replays_exactly(*resumed, records[5]));  // after the tear
 
-  // The rewritten file must now resume fully, with no garbage left.
+  // The cut file now resumes fully, with no garbage left.
   auto again = EvalJournal::resume(path, 4242);
   EXPECT_EQ(again->loaded(), 3u);
-  EXPECT_EQ(read_file(path).find('\x01'), std::string::npos);
+  EXPECT_EQ(read_file(path), journal.substr(0, ends[3]));
 }
 
 TEST(Journal, ResumeDeduplicatesRepeatedRecords) {
-  // Crash-during-append can leave the same evaluation journaled twice
-  // (e.g. a resume-rewrite raced a kill). The keyed map keeps one copy
-  // and the rewrite emits each record exactly once.
-  const std::string path = testing::TempDir() + "ft_journal_dup.jsonl";
+  // Crash-during-append can leave the same evaluation journaled twice.
+  // Every copy is read, and the keyed map keeps one.
+  const std::string path = testing::TempDir() + "ft_journal_dup.ftj";
   JournalRecord record;
   record.key = 11;
   record.rep_base = 22;
   record.repetitions = 3;
   record.outcome.result.end_to_end = 7.5;
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"type\":\"header\",\"version\":1,\"config\":\"0\"}\n";
-    for (int i = 0; i < 4; ++i) out << EvalJournal::encode(record) << '\n';
-  }
+  (void)write_journal(path, 0, {record, record, record, record});
   auto journal = EvalJournal::resume(path, 0);
-  EXPECT_EQ(journal->loaded(), 4u);  // lines read...
+  EXPECT_EQ(journal->loaded(), 4u);  // records read...
   EvalOutcome out;
   ASSERT_TRUE(journal->lookup(11, 22, 3, false, &out));
   EXPECT_DOUBLE_EQ(out.result.end_to_end, 7.5);
+  std::size_t distinct = 0;
+  journal->for_each([&](const JournalRecord&) { ++distinct; });
+  EXPECT_EQ(distinct, 1u);  // ...one kept
+}
 
-  // ...but only one survives the rewrite.
-  auto again = EvalJournal::resume(path, 0);
-  EXPECT_EQ(again->loaded(), 1u);
+TEST(Journal, TruncatedAtEveryByteResumes) {
+  // A kill can stop an append at any byte. For every cut, resume loads
+  // exactly the records that end at or before it, never throws, and
+  // leaves the file ending after the last of them.
+  const std::string path = testing::TempDir() + "ft_journal_cut.ftj";
+  const std::vector<JournalRecord> records = {
+      success_record(1), failure_record(2), success_record(3)};
+  const std::vector<std::size_t> ends = write_journal(path, 7, records);
+  const std::string journal = read_file(path);
+  for (std::size_t cut = 0; cut <= journal.size(); ++cut) {
+    SCOPED_TRACE(cut);
+    write_file(path, journal.substr(0, cut));
+    std::size_t whole = 0;
+    while (whole < records.size() && ends[whole + 1] <= cut) ++whole;
+    std::shared_ptr<EvalJournal> resumed;
+    ASSERT_NO_THROW(resumed = EvalJournal::resume(path, 7));
+    EXPECT_EQ(resumed->loaded(), whole);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(replays_exactly(*resumed, records[i]), i < whole);
+    }
+    resumed.reset();
+    EXPECT_EQ(read_file(path), journal.substr(0, ends[whole]));
+  }
+}
+
+TEST(Journal, ResumeKeepsTheValidPrefixByteForByte) {
+  // Resume cuts the torn tail in place and appends after it: the bytes
+  // before the tear - records in their original, unsorted append
+  // order - are never rewritten, so a kill during resume cannot lose
+  // completed work.
+  const std::string path = testing::TempDir() + "ft_journal_prefix.ftj";
+  std::vector<JournalRecord> records;
+  for (const std::uint64_t key : {9, 3, 7, 1, 5}) {
+    records.push_back(success_record(key));
+  }
+  const std::vector<std::size_t> ends = write_journal(path, 7, records);
+  const std::string journal = read_file(path);
+  const std::string prefix = journal.substr(0, ends[4]);
+  write_file(path, journal.substr(0, ends[4] + (ends[5] - ends[4]) / 2));
+
+  {
+    auto resumed = EvalJournal::resume(path, 7);
+    EXPECT_EQ(resumed->loaded(), 4u);
+    EXPECT_EQ(read_file(path), prefix);
+    resumed->record(records[4]);
+  }
+  EXPECT_EQ(read_file(path), journal);
+  EXPECT_EQ(EvalJournal::resume(path, 7)->loaded(), 5u);
+}
+
+TEST(Journal, RefusesJsonlJournals) {
+  // A journal written by the earlier JSONL codec is refused with an
+  // error naming the file, and left untouched.
+  const std::string path = testing::TempDir() + "ft_journal_legacy.jsonl";
+  const std::string legacy =
+      "{\"type\":\"header\",\"version\":1,\"schema_version\":3,"
+      "\"config\":\"0\"}\n"
+      "{\"type\":\"eval\",\"key\":\"7\",\"rep\":\"0\",\"reps\":1,\"instr\":0,"
+      "\"ok\":1,\"fault\":\"none\",\"attempts\":1,\"end\":1,\"stddev\":0,"
+      "\"loops\":[]}\n";
+  write_file(path, legacy);
+  try {
+    (void)EvalJournal::resume(path, 0);
+    ADD_FAILURE() << "a JSONL journal was resumed";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(path), std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("not a binary journal"),
+              std::string::npos);
+  }
+  EXPECT_EQ(read_file(path), legacy);
 }
 
 TEST(Journal, WarmedCacheFromTornJournalNeverPoisonsResults) {
@@ -418,7 +536,7 @@ TEST(Journal, WarmedCacheFromTornJournalNeverPoisonsResults) {
   // reference bit-for-bit.
   const FuncyTunerOptions options = faulty_options(0.05);
   const std::uint64_t fingerprint = options_fingerprint(options);
-  const std::string path = testing::TempDir() + "ft_journal_poison.jsonl";
+  const std::string path = testing::TempDir() + "ft_journal_poison.ftj";
 
   FuncyTuner reference(programs::cloverleaf(), machine::broadwell(), options);
   const TuningResult expected = reference.run_cfr();
@@ -428,12 +546,9 @@ TEST(Journal, WarmedCacheFromTornJournalNeverPoisonsResults) {
   (void)recorded.run_cfr();
 
   // Tear the file mid-record and append garbage "records".
-  std::string contents = read_file(path);
-  contents.resize(contents.size() * 2 / 3);
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << contents << "\n{\"type\":\"eval\",\"key\":\"zzz\"}\n\xde\xad\n";
-  }
+  cut_file(path, 2.0 / 3.0);
+  std::ofstream(path, std::ios::binary | std::ios::app)
+      << "\n{\"type\":\"eval\",\"key\":\"zzz\"}\n\xde\xad\n";
 
   FuncyTunerOptions cached = options;
   cached.eval_cache = true;
@@ -448,7 +563,7 @@ TEST(Journal, WarmedCacheFromTornJournalNeverPoisonsResults) {
 }
 
 TEST(Journal, ResumeRejectsConfigMismatch) {
-  const std::string path = testing::TempDir() + "ft_journal_config.jsonl";
+  const std::string path = testing::TempDir() + "ft_journal_config.ftj";
   { auto journal = EvalJournal::create(path, 1111); }
   EXPECT_THROW((void)EvalJournal::resume(path, 2222), std::runtime_error);
   EXPECT_NO_THROW((void)EvalJournal::resume(path, 1111));
@@ -457,7 +572,7 @@ TEST(Journal, ResumeRejectsConfigMismatch) {
 
 TEST(Journal, ResumeOfMissingFileThrows) {
   EXPECT_THROW(
-      (void)EvalJournal::resume(testing::TempDir() + "ft_no_such.jsonl", 0),
+      (void)EvalJournal::resume(testing::TempDir() + "ft_no_such.ftj", 0),
       std::runtime_error);
 }
 
@@ -466,7 +581,7 @@ TEST(Journal, ResumeOfMissingFileThrows) {
 TEST(Checkpoint, KilledCampaignResumesBitIdentically) {
   const FuncyTunerOptions options = faulty_options(0.05);
   const std::uint64_t fingerprint = options_fingerprint(options);
-  const std::string path = testing::TempDir() + "ft_journal_resume.jsonl";
+  const std::string path = testing::TempDir() + "ft_journal_resume.ftj";
 
   // Reference: one uninterrupted run, no journal.
   FuncyTuner reference(programs::cloverleaf(), machine::broadwell(), options);
@@ -480,21 +595,9 @@ TEST(Checkpoint, KilledCampaignResumesBitIdentically) {
   EXPECT_EQ(journaled.tuned_seconds, expected.tuned_seconds);
   EXPECT_EQ(journaled.history, expected.history);
 
-  // Simulate a mid-campaign kill: keep the header and ~40% of the
-  // records, then cut the next line in half (a torn write).
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(path);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
-  ASSERT_GT(lines.size(), 10u);
-  const std::size_t keep = 1 + (lines.size() - 1) * 2 / 5;
-  {
-    std::ofstream out(path, std::ios::trunc);
-    for (std::size_t i = 0; i < keep; ++i) out << lines[i] << '\n';
-    out << lines[keep].substr(0, lines[keep].size() / 2);  // torn tail
-  }
+  // Simulate a mid-campaign kill: keep ~40% of the file, cutting the
+  // next record short (a torn write).
+  cut_file(path, 0.4);
 
   // Resume with a fresh tuner: replay + re-evaluation must land on the
   // exact result of the uninterrupted run, down to the serialized JSON.
@@ -529,7 +632,7 @@ TEST(Checkpoint, CampaignGridCheckpointsSharedJournal) {
   CampaignOptions options;
   options.tuner = faulty_options(0.05, 40);
   options.algorithms = {"cfr"};
-  options.checkpoint_path = testing::TempDir() + "ft_campaign.jsonl";
+  options.checkpoint_path = testing::TempDir() + "ft_campaign.ftj";
 
   Campaign first({programs::cloverleaf()},
                  {machine::broadwell(), machine::sandy_bridge()}, options);

@@ -12,7 +12,6 @@
 #include <stdlib.h>
 
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -364,7 +363,7 @@ TEST(SearchRegistryProperty, ResultsDoNotDependOnCaching) {
     EXPECT_EQ(run_json(key, disk), plain) << "pre-filled disk tier";
 
     const ScratchDir journal_dir;
-    EXPECT_EQ(run_json(key, options, journal_dir.path() + "/journal.jsonl"),
+    EXPECT_EQ(run_json(key, options, journal_dir.path() + "/journal.ftj"),
               plain)
         << "checkpoint journal";
   }
@@ -394,22 +393,12 @@ TEST(SearchRegistryProperty, KilledRunResumesBitIdentically) {
   for (const std::string& key : core::SearchRegistry::global().names()) {
     SCOPED_TRACE(key);
     const ScratchDir dir;
-    const std::string path = dir.path() + "/journal.jsonl";
+    const std::string path = dir.path() + "/journal.ftj";
     const std::string expected = run_json(key, options, path);
 
-    // Kill: keep the header and ~40% of the records.
-    std::vector<std::string> lines;
-    {
-      std::ifstream in(path);
-      std::string line;
-      while (std::getline(in, line)) lines.push_back(line);
-    }
-    ASSERT_GT(lines.size(), 5u);
-    const std::size_t keep = 1 + (lines.size() - 1) * 2 / 5;
-    {
-      std::ofstream out(path, std::ios::trunc);
-      for (std::size_t i = 0; i < keep; ++i) out << lines[i] << '\n';
-    }
+    // Kill: keep ~40% of the file, torn tail included.
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) * 2 / 5);
 
     auto journal = core::EvalJournal::resume(path, fingerprint);
     EXPECT_GT(journal->loaded(), 0u);

@@ -486,7 +486,7 @@ int cmd_tune(int argc, char** argv) {
       .text("metrics", "", "metrics snapshot JSON + summary table")
       .flag("pool-stats", false, "print thread-pool counters")
       .text("checkpoint", "",
-            "journal completed evaluations to FILE (JSONL)")
+            "journal completed evaluations to FILE (binary, CRC-checked)")
       .text("resume", "", "continue a killed run from its journal");
   std::map<std::string, std::vector<std::string>> algorithm_options;
   const std::vector<std::string> tokens =
