@@ -122,12 +122,7 @@ int main(int argc, char** argv) {
   } else if (!args.text("checkpoint").empty()) {
     journal = core::EvalJournal::create(args.text("checkpoint"), fingerprint);
   }
-  if (journal) {
-    tuner.evaluator().set_journal(journal);
-    if (!args.text("resume").empty() && tuner.eval_cache()) {
-      tuner.evaluator().warm_cache_from_journal();
-    }
-  }
+  if (journal) tuner.evaluator().set_journal(journal);
 
   const core::TuningResult initial = tuner.run(args.text("algorithm"));
 

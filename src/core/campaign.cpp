@@ -89,9 +89,11 @@ void Campaign::run() {
 
   // One cache for the whole grid: assignment keys fold in a
   // program/input/arch context hash and each cell salts with its own
-  // options fingerprint, so cross-cell entries can never alias.
+  // options fingerprint, so cross-cell entries can never alias. A
+  // resume always builds it: it serves every journaled evaluation.
   std::shared_ptr<EvalCache> cache;
-  if (options_.tuner.eval_cache || !options_.tuner.eval_cache_dir.empty()) {
+  if (options_.tuner.eval_cache || !options_.tuner.eval_cache_dir.empty() ||
+      (journal && options_.resume)) {
     cache = std::make_shared<EvalCache>(
         options_.tuner.eval_cache_entries != 0
             ? options_.tuner.eval_cache_entries
@@ -132,15 +134,12 @@ void Campaign::run() {
       tuner.evaluator().set_backend(options_.backend_factory(
           program, architectures_[a], tuner_options));
     }
+    // Attached before the journal, which on resume loads into it.
+    // Records from other cells load under this cell's salt too - those
+    // entries are simply never looked up (wrong context hash) and age
+    // out of the LRU.
+    if (cache) tuner.set_eval_cache(cache);
     if (journal) tuner.evaluator().set_journal(journal);
-    if (cache) {
-      tuner.set_eval_cache(cache);
-      // On resume, serve journaled evaluations from memory. Records
-      // from other cells warm under this cell's salt too - those
-      // entries are simply never looked up (wrong context hash) and
-      // age out of the LRU.
-      if (options_.resume) tuner.evaluator().warm_cache_from_journal();
-    }
     CampaignCell& cell = cells_[c];
     cell.program = program.name();
     cell.architecture = architectures_[a].name;

@@ -33,10 +33,10 @@ struct CampaignCell {
 };
 
 struct CampaignOptions {
-  /// Per-cell tuner options. When tuner.eval_cache is set the campaign
-  /// builds ONE shared EvalCache for the whole grid instead of one per
-  /// cell (context hashes + per-cell salts keep entries disjoint), and
-  /// warms it from the checkpoint journal on resume.
+  /// Per-cell tuner options. When tuner.eval_cache is set, or on
+  /// resume, the campaign builds ONE shared EvalCache for the whole
+  /// grid instead of one per cell (context hashes + per-cell salts keep
+  /// entries disjoint); a resume loads the checkpoint journal into it.
   FuncyTunerOptions tuner;
   /// Salt added to the seed per architecture index, so different
   /// platforms draw different pre-samples (the paper tunes each

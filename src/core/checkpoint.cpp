@@ -41,6 +41,40 @@ std::string encode_header(std::uint64_t fingerprint) {
   return header;
 }
 
+std::string read_journal(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("cannot read journal: " + path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// Visits the whole records that start at `reader.at`, in append
+/// order, and returns the offset after the last of them. The first
+/// record whose length or CRC fails, or whose salt is not
+/// `fingerprint`, is the torn tail of a killed process and ends the
+/// scan.
+std::size_t scan_records(
+    support::ByteReader reader, std::uint64_t fingerprint,
+    const std::function<void(const JournalRecord&)>& visit) {
+  std::size_t valid_end = reader.at;
+  for (;;) {
+    std::uint32_t length = 0;
+    std::string_view entry;
+    EvalCache::Key key;
+    EvalOutcome outcome;
+    double rerun_seconds = 0.0;
+    if (!reader.u32(&length) || !reader.span(length, &entry) ||
+        !PersistentCache::decode_entry(entry, &key, &outcome,
+                                       &rerun_seconds) ||
+        key.salt != fingerprint) {
+      return valid_end;
+    }
+    visit({key.assignment, key.rep_base, key.repetitions, key.instrumented,
+           std::move(outcome), rerun_seconds});
+    valid_end = reader.at;
+  }
+}
+
 }  // namespace
 
 std::uint64_t options_fingerprint(const FuncyTunerOptions& options) {
@@ -77,15 +111,7 @@ std::shared_ptr<EvalJournal> EvalJournal::create(
 
 std::shared_ptr<EvalJournal> EvalJournal::resume(
     const std::string& path, std::uint64_t config_fingerprint) {
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      throw std::runtime_error("cannot read journal: " + path);
-    }
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::string bytes = read_journal(path);
   auto journal = std::shared_ptr<EvalJournal>(new EvalJournal());
   journal->path_ = path;
   journal->fingerprint_ = config_fingerprint;
@@ -128,26 +154,10 @@ std::shared_ptr<EvalJournal> EvalJournal::resume(
   }
   journal->fingerprint_ = fingerprint;
 
-  // The first record whose length or CRC fails is the torn tail of a
-  // killed process: every whole record before it is kept, the rest
+  // Every whole record before a torn tail is kept; the rest
   // re-evaluates.
-  std::size_t valid_end = reader.at;
-  for (;;) {
-    std::uint32_t length = 0;
-    std::string_view entry;
-    EvalCache::Key key;
-    Stored stored;
-    if (!reader.u32(&length) || !reader.span(length, &entry) ||
-        !PersistentCache::decode_entry(entry, &key, &stored.outcome,
-                                       &stored.rerun_seconds) ||
-        key.salt != fingerprint) {
-      break;
-    }
-    journal->records_[Key{key.assignment, key.rep_base, key.repetitions,
-                          key.instrumented}] = std::move(stored);
-    ++journal->loaded_;
-    valid_end = reader.at;
-  }
+  const std::size_t valid_end = scan_records(
+      reader, fingerprint, [&](const JournalRecord&) { ++journal->loaded_; });
   // Cut the tail off in place; the valid prefix is never rewritten, so
   // a kill during resume cannot lose a completed record.
   if (valid_end < bytes.size()) std::filesystem::resize_file(path, valid_end);
@@ -157,42 +167,23 @@ std::shared_ptr<EvalJournal> EvalJournal::resume(
 
 void EvalJournal::open(std::ios::openmode mode, bool with_header) {
   out_ = std::make_unique<std::ofstream>(path_, std::ios::binary | mode);
-  if (!*out_) {
-    throw std::runtime_error("cannot write journal: " + path_);
-  }
   if (with_header) {
     const std::string header = encode_header(fingerprint_);
     out_->write(header.data(), static_cast<std::streamsize>(header.size()));
     out_->flush();
   }
-}
-
-bool EvalJournal::lookup(std::uint64_t key, std::uint64_t rep_base,
-                         int repetitions, bool instrumented,
-                         EvalOutcome* out, double* rerun_seconds) {
-  std::lock_guard lock(mutex_);
-  const auto it =
-      records_.find(Key{key, rep_base, repetitions, instrumented});
-  if (it == records_.end()) return false;
-  *out = it->second.outcome;
-  if (rerun_seconds != nullptr) *rerun_seconds = it->second.rerun_seconds;
-  ++replayed_;
-  return true;
+  if (!*out_) {
+    throw std::runtime_error("cannot write journal: " + path_);
+  }
 }
 
 void EvalJournal::for_each(
     const std::function<void(const JournalRecord&)>& visit) {
   std::lock_guard lock(mutex_);
-  for (const auto& [key, stored] : records_) {
-    JournalRecord record;
-    record.key = std::get<0>(key);
-    record.rep_base = std::get<1>(key);
-    record.repetitions = std::get<2>(key);
-    record.instrumented = std::get<3>(key);
-    record.outcome = stored.outcome;
-    record.rerun_seconds = stored.rerun_seconds;
-    visit(record);
-  }
+  const std::string bytes = read_journal(path_);
+  if (bytes.size() < kHeaderBytes) return;
+  (void)scan_records(support::ByteReader{bytes, kHeaderBytes}, fingerprint_,
+                     visit);
 }
 
 void EvalJournal::record(const JournalRecord& record) {
@@ -200,18 +191,17 @@ void EvalJournal::record(const JournalRecord& record) {
       {record.key, record.rep_base, fingerprint_, record.repetitions,
        record.instrumented},
       record.outcome, record.rerun_seconds);
-  std::string length;
-  support::put_u32(&length, static_cast<std::uint32_t>(entry.size()));
+  std::string bytes;
+  support::put_u32(&bytes, static_cast<std::uint32_t>(entry.size()));
+  bytes += entry;
   std::lock_guard lock(mutex_);
-  records_[Key{record.key, record.rep_base, record.repetitions,
-               record.instrumented}] =
-      Stored{record.outcome, record.rerun_seconds};
-  ++appended_;
-  if (!out_ || !*out_) return;
-  out_->write(length.data(), static_cast<std::streamsize>(length.size()));
-  out_->write(entry.data(), static_cast<std::streamsize>(entry.size()));
+  out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   // Flush every record: the journal's whole point is surviving a kill.
   out_->flush();
+  if (!*out_) {
+    throw std::runtime_error("cannot write journal: " + path_);
+  }
+  ++appended_;
 }
 
 }  // namespace ft::core

@@ -7,7 +7,9 @@
 // whole stack is deterministic for a fixed seed, replaying the journal
 // instead of re-running reproduces bit-identical search trajectories:
 // `ftune tune --resume <journal>` continues a killed campaign and lands
-// on exactly the result an uninterrupted run would have produced.
+// on exactly the result an uninterrupted run would have produced. The
+// journal is only written and scanned; replays are served by the
+// Evaluator's memory tier (EvalCache), which a resume fills from it.
 //
 // File format (all integers little-endian):
 //   header  "FTJ1", u32 schema version, u64 config fingerprint,
@@ -27,11 +29,9 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <tuple>
 
 #include "core/evaluator.hpp"
 
@@ -54,41 +54,40 @@ struct JournalRecord {
   EvalOutcome outcome;
   /// Modeled seconds a re-run of this exact evaluation would charge
   /// (link + measured run time; compile objects are already pooled).
-  /// Feeds the eval cache's charged/saved overhead split when a resume
-  /// warms the cache from the journal.
+  /// Becomes the saved side of the charged/saved overhead split when a
+  /// resume loads the record into the memory tier.
   double rerun_seconds = 0.0;
 };
 
+/// A write-only log: it keeps no record in memory. A resumed run
+/// replays through the Evaluator's memory tier, which set_journal
+/// fills from for_each().
 class EvalJournal {
  public:
   /// Starts a fresh journal at `path` (truncates). Every record is
   /// flushed as soon as it is appended, so a killed process loses at
-  /// most the in-flight evaluations.
+  /// most the in-flight evaluations. Throws std::runtime_error
+  /// ("cannot write journal: <path>") when the file cannot be opened
+  /// or its header cannot be written and flushed.
   [[nodiscard]] static std::shared_ptr<EvalJournal> create(
       const std::string& path, std::uint64_t config_fingerprint);
 
-  /// Loads completed records from `path`, truncates the file after the
-  /// last whole record (a torn tail, or a header cut short, is
-  /// dropped) and re-opens it for appending. Throws std::runtime_error
-  /// when the file is unreadable, is not a binary journal, or was
-  /// recorded under a different config fingerprint (pass 0 to skip
-  /// the check).
+  /// Validates the header of `path`, counts its whole records,
+  /// truncates the file after the last of them (a torn tail, or a
+  /// header cut short, is dropped) and re-opens it for appending.
+  /// Throws std::runtime_error when the file is unreadable, is not a
+  /// binary journal, or was recorded under a different config
+  /// fingerprint (pass 0 to skip the check).
   [[nodiscard]] static std::shared_ptr<EvalJournal> resume(
       const std::string& path, std::uint64_t config_fingerprint);
 
-  /// Replays a completed evaluation into `out` (and its modeled re-run
-  /// cost into `rerun_seconds` when non-null); false on miss.
-  /// Thread-safe.
-  [[nodiscard]] bool lookup(std::uint64_t key, std::uint64_t rep_base,
-                            int repetitions, bool instrumented,
-                            EvalOutcome* out,
-                            double* rerun_seconds = nullptr);
-
-  /// Visits every loaded/appended record, in key order, under the
-  /// journal lock; used to warm an EvalCache on resume. Thread-safe.
+  /// Decodes the file's whole records in append order, duplicates
+  /// included, with the scan resume() uses. Thread-safe.
   void for_each(const std::function<void(const JournalRecord&)>& visit);
 
-  /// Appends one completed evaluation and flushes. Thread-safe.
+  /// Appends one completed evaluation and flushes. Throws
+  /// std::runtime_error ("cannot write journal: <path>") when the write
+  /// or the flush fails; that record is not counted. Thread-safe.
   void record(const JournalRecord& record);
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
@@ -96,8 +95,6 @@ class EvalJournal {
   [[nodiscard]] std::size_t loaded() const noexcept { return loaded_; }
   /// Records appended by this process.
   [[nodiscard]] std::size_t appended() const noexcept { return appended_; }
-  /// Lookup hits served so far.
-  [[nodiscard]] std::size_t replayed() const noexcept { return replayed_; }
 
  private:
   EvalJournal() = default;
@@ -105,20 +102,12 @@ class EvalJournal {
   /// first when `with_header`.
   void open(std::ios::openmode mode, bool with_header);
 
-  using Key = std::tuple<std::uint64_t, std::uint64_t, int, bool>;
-  struct Stored {
-    EvalOutcome outcome;
-    double rerun_seconds = 0.0;
-  };
-
   std::string path_;
   std::uint64_t fingerprint_ = 0;
   std::mutex mutex_;
-  std::map<Key, Stored> records_;
   std::unique_ptr<std::ofstream> out_;
   std::size_t loaded_ = 0;
   std::size_t appended_ = 0;
-  std::size_t replayed_ = 0;
 };
 
 }  // namespace ft::core

@@ -157,8 +157,8 @@ class OnlineTuner {
  public:
   OnlineTuner(FuncyTuner& tuner, OnlineTunerOptions options);
 
-  /// The journal every per-segment evaluator records into (and replays
-  /// from on resume). Optional.
+  /// The journal every per-segment evaluator records into (and, on
+  /// resume, loads into its cache to replay). Optional.
   void set_journal(std::shared_ptr<EvalJournal> journal);
 
   [[nodiscard]] OnlineReport run(

@@ -119,8 +119,8 @@ bool EvalCache::insert_memory(const Key& key, const EvalOutcome& outcome,
       chain != shard.index.end()) {
     for (const Lru::iterator it : chain->second) {
       if (it->key == key) {
-        // Duplicate insert (two batch workers raced on the same
-        // assignment, or a journal warm overlapped appended records):
+        // Duplicate insert (two workers raced on the same assignment,
+        // or a resumed journal loaded a record twice):
         // the deterministic stack guarantees equal payloads, so just
         // refresh recency.
         shard.lru.splice(shard.lru.begin(), shard.lru, it);

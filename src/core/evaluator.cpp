@@ -1,7 +1,9 @@
 #include "core/evaluator.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <numeric>
 
 #include "core/checkpoint.hpp"
 #include "core/eval_cache.hpp"
@@ -19,6 +21,18 @@ std::string hex64(std::uint64_t value) {
                 static_cast<unsigned long long>(value));
   return buffer;
 }
+
+/// Inverse of hex64; false unless `text` is exactly its format.
+bool parse_hex64(std::string_view text, std::uint64_t* value) {
+  if (text.size() != 18 || !text.starts_with("0x")) return false;
+  const char* end = text.data() + text.size();
+  const auto [at, error] = std::from_chars(text.data() + 2, end, *value, 16);
+  return error == std::errc() && at == end;
+}
+
+/// Detail of a measured run that failed its timeout budget: the only
+/// failure that counts as an evaluation.
+constexpr std::string_view kBudgetExceeded = "budget exceeded";
 
 void count_metric(const char* name, std::uint64_t n = 1) {
   if (!telemetry::enabled()) return;
@@ -214,7 +228,7 @@ bool Evaluator::pre_evaluate(const EvalRequest& request, EvalResponse* out,
     promote_quarantines();
   }
 
-  pending->key = assignment_key(request.assignment);
+  if (!pending->keyed) pending->key = assignment_key(request.assignment);
   // Quarantined assignments bypass the cache: a cache-off run would
   // quarantine-skip them (charging nothing), and replaying the cached
   // pre-quarantine outcome instead would break the charged + saved ==
@@ -228,44 +242,34 @@ bool Evaluator::pre_evaluate(const EvalRequest& request, EvalResponse* out,
                                    options.instrumented};
     double saved = 0.0;
     if (cache_->lookup(cache_key, &out->outcome, &saved)) {
-      if (!out->outcome.ok()) {
-        // Rebuild quarantine state exactly as the re-run would have.
-        note_failure(pending->key);
+      const EvalOutcome& outcome = out->outcome;
+      // Rebuild the bookkeeping computing the outcome left. A measured
+      // run counts its repetitions (a budget overrun measures before
+      // failing), an injected failure counts none.
+      if (outcome.ok() || outcome.error.detail == kBudgetExceeded) {
+        evaluations_.fetch_add(static_cast<std::size_t>(options.repetitions),
+                               std::memory_order_relaxed);
+        if (telemetry::enabled()) {
+          telemetry::metrics()
+              .counter("evaluator.evaluations")
+              .add(static_cast<std::uint64_t>(options.repetitions));
+        }
       }
-      // The hit satisfies the same logical evaluations a re-run would
-      // have performed; only the modeled cost moves to "saved".
-      evaluations_.fetch_add(static_cast<std::size_t>(options.repetitions),
-                             std::memory_order_relaxed);
+      // Every failure counts toward the assignment's quarantine, and an
+      // ICE re-quarantines the CV its detail names.
+      std::uint64_t cv_hash = 0;
+      if (outcome.error.kind == EvalFault::kCompileFailure &&
+          parse_hex64(outcome.error.detail, &cv_hash)) {
+        quarantine_cv(cv_hash);
+      }
+      if (!outcome.ok()) note_failure(pending->key);
+      // Only the modeled cost moves to "saved".
       account_saved(saved);
       cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        telemetry::metrics()
-            .counter("evaluator.evaluations")
-            .add(static_cast<std::uint64_t>(options.repetitions));
-      }
       out->served_by = EvalServedBy::kCacheHit;
       return true;
     }
     cache_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  double rerun_cost = 0.0;
-  if (journal_ &&
-      journal_->lookup(pending->key, options.rep_base, options.repetitions,
-                       options.instrumented, &out->outcome, &rerun_cost)) {
-    if (!out->outcome.ok() &&
-        out->outcome.error.kind != EvalFault::kQuarantined) {
-      // Rebuild quarantine state exactly as the original run did.
-      note_failure(pending->key);
-    }
-    count_metric("journal.replayed");
-    if (cache_ && out->outcome.error.kind != EvalFault::kQuarantined) {
-      cache_->insert({pending->key, options.rep_base, cache_salt_,
-                      options.repetitions, options.instrumented},
-                     out->outcome, rerun_cost);
-    }
-    out->served_by = EvalServedBy::kJournalReplay;
-    return true;
   }
 
   plan_attempts(request.assignment, pending);
@@ -275,18 +279,30 @@ bool Evaluator::pre_evaluate(const EvalRequest& request, EvalResponse* out,
   // failure): record it exactly as the monolithic path did.
   out->outcome = pending->outcome;
   out->served_by = EvalServedBy::kRun;
+  store(*pending, out->outcome);
+  return true;
+}
+
+void Evaluator::store(const PendingRun& pending, const EvalOutcome& outcome) {
+  const machine::RunOptions& options = pending.options;
   if (journal_) {
-    journal_->record({pending->key, options.rep_base, options.repetitions,
-                      options.instrumented, out->outcome,
-                      pending->rerun_cost});
+    journal_->record({pending.key, options.rep_base, options.repetitions,
+                      options.instrumented, outcome, pending.rerun_cost});
     count_metric("journal.appended");
   }
-  if (cache_ && out->outcome.error.kind != EvalFault::kQuarantined) {
-    cache_->insert({pending->key, options.rep_base, cache_salt_,
+  if (cache_ && outcome.error.kind != EvalFault::kQuarantined) {
+    cache_->insert({pending.key, options.rep_base, cache_salt_,
                     options.repetitions, options.instrumented},
-                   out->outcome, pending->rerun_cost);
+                   outcome, pending.rerun_cost);
   }
-  return true;
+}
+
+void Evaluator::quarantine_cv(std::uint64_t cv_hash) {
+  {
+    std::lock_guard lock(resilience_mutex_);
+    quarantined_cvs_.insert(cv_hash);
+  }
+  has_quarantine_.store(true, std::memory_order_release);
 }
 
 void Evaluator::plan_attempts(const compiler::ModuleAssignment& assignment,
@@ -312,11 +328,7 @@ void Evaluator::plan_attempts(const compiler::ModuleAssignment& assignment,
     // assignments touching it are skipped before the compiler runs.
     const auto ice = [&](const flags::CompilationVector& cv) -> bool {
       if (!faults.compile_fails(cv.hash())) return false;
-      {
-        std::lock_guard lock(resilience_mutex_);
-        quarantined_cvs_.insert(cv.hash());
-      }
-      has_quarantine_.store(true, std::memory_order_release);
+      quarantine_cv(cv.hash());
       compile_failures_.fetch_add(1, std::memory_order_relaxed);
       count_metric("fault.compile_failures");
       // The ICE still burned one modeled module compile.
@@ -407,31 +419,20 @@ void Evaluator::post_evaluate(PendingRun* pending,
     run_timeouts_.fetch_add(1, std::memory_order_relaxed);
     count_metric("fault.run_timeouts");
     out->outcome.result = machine::RunResult{};
-    out->outcome.error = {EvalFault::kRunTimeout, "budget exceeded"};
+    out->outcome.error = {EvalFault::kRunTimeout,
+                          std::string(kBudgetExceeded)};
     note_failure(pending->key);
   }
-
-  if (journal_) {
-    journal_->record({pending->key, options.rep_base, options.repetitions,
-                      options.instrumented, out->outcome,
-                      pending->rerun_cost});
-    count_metric("journal.appended");
-  }
-  if (cache_ && out->outcome.error.kind != EvalFault::kQuarantined) {
-    const EvalCache::Key cache_key{pending->key, options.rep_base,
-                                   cache_salt_, options.repetitions,
-                                   options.instrumented};
-    cache_->insert(cache_key, out->outcome, pending->rerun_cost);
-  }
+  store(*pending, out->outcome);
 }
 
-EvalResponse Evaluator::evaluate_one(const EvalRequest& request) {
+EvalResponse Evaluator::evaluate_one(const EvalRequest& request,
+                                     PendingRun* pending) {
   EvalResponse response;
-  PendingRun pending;
-  if (pre_evaluate(request, &response, &pending)) return response;
+  if (pre_evaluate(request, &response, pending)) return response;
   const EvalBackend::RawResult raw =
-      raw_run(request.assignment, pending.options);
-  post_evaluate(&pending, raw, &response);
+      raw_run(request.assignment, pending->options);
+  post_evaluate(pending, raw, &response);
   return response;
 }
 
@@ -447,7 +448,8 @@ EvalResponse Evaluator::evaluate(const EvalRequest& request,
     span.attr("rep_base", request.rep_base)
         .attr("instrumented", std::int64_t{request.instrumented});
   }
-  const EvalResponse response = evaluate_one(request);
+  PendingRun pending;
+  const EvalResponse response = evaluate_one(request, &pending);
   if (span) {
     span.attr("seconds", response.seconds());
     if (!response.ok()) {
@@ -477,56 +479,92 @@ std::vector<EvalResponse> Evaluator::evaluate_batch(
     }
   }
   std::vector<EvalResponse> responses(requests.size());
+  std::vector<PendingRun> pendings(requests.size());
+  std::vector<std::size_t> firsts;
+  std::vector<std::size_t> duplicates;
+  if (cache_) {
+    // A duplicate is a hit only if it starts after its first copy was
+    // inserted, so duplicates wait for a second pass. (A fingerprint
+    // collision only defers a request; results never depend on it.)
+    std::unordered_set<std::uint64_t> seen;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const EvalRequest& request = requests[i];
+      PendingRun& pending = pendings[i];
+      pending.key = assignment_key(request.assignment);
+      pending.keyed = true;
+      const EvalCache::Key key{pending.key, request.rep_base, cache_salt_,
+                               request.repetitions, request.instrumented};
+      (seen.insert(key.fingerprint()).second ? firsts : duplicates)
+          .push_back(i);
+    }
+  } else {
+    firsts.resize(requests.size());
+    std::iota(firsts.begin(), firsts.end(), std::size_t{0});
+  }
   // Quarantines queued by earlier phases take effect at this
   // deterministic boundary; none are applied mid-batch, so whether an
   // evaluation is skipped never depends on worker scheduling.
   begin_parallel_region();
-  if (backend_ && backend_->batches_remotely()) {
-    // Coalesced path: the sequential pre-pass resolves replays and
-    // injected faults locally, then every evaluation that still needs
-    // a real measurement rides a single run_many() wire call.
-    std::vector<PendingRun> pendings(requests.size());
-    std::vector<std::size_t> to_run;
-    std::vector<EvalRequest> raw_requests;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (!pre_evaluate(requests[i], &responses[i], &pendings[i])) {
-        to_run.push_back(i);
-        raw_requests.push_back(requests[i]);
-      }
-    }
-    if (!to_run.empty()) {
-      const std::vector<EvalBackend::RawResult> raws =
-          backend_->run_many(raw_requests);
-      for (std::size_t j = 0; j < to_run.size(); ++j) {
-        const std::size_t i = to_run[j];
-        post_evaluate(&pendings[i], raws[j], &responses[i]);
-      }
-    }
-  } else {
-    support::parallel_for(requests.size(), [&](std::size_t i) {
-      // Every variant usually shares the batch's rep_base: noise keys
-      // mix in the executable fingerprint, so distinct variants stay
-      // decorrelated while duplicate assignments measure identically
-      // (the property the EvalCache's bit-identity contract rests on).
-      responses[i] = evaluate_one(requests[i]);
-    });
-  }
+  dispatch(requests, firsts, &pendings, &responses);
+  dispatch(requests, duplicates, &pendings, &responses);
   end_parallel_region();
   return responses;
 }
 
+void Evaluator::dispatch(const std::vector<EvalRequest>& requests,
+                         std::span<const std::size_t> indices,
+                         std::vector<PendingRun>* pendings,
+                         std::vector<EvalResponse>* responses) {
+  if (backend_ && backend_->batches_remotely()) {
+    // Coalesced path: the sequential pre-pass resolves replays and
+    // injected faults locally, then every evaluation that still needs
+    // a real measurement rides a single run_many() wire call.
+    std::vector<std::size_t> to_run;
+    std::vector<EvalRequest> raw_requests;
+    for (const std::size_t i : indices) {
+      if (!pre_evaluate(requests[i], &(*responses)[i], &(*pendings)[i])) {
+        to_run.push_back(i);
+        raw_requests.push_back(requests[i]);
+      }
+    }
+    if (to_run.empty()) return;
+    const std::vector<EvalBackend::RawResult> raws =
+        backend_->run_many(raw_requests);
+    for (std::size_t j = 0; j < to_run.size(); ++j) {
+      const std::size_t i = to_run[j];
+      post_evaluate(&(*pendings)[i], raws[j], &(*responses)[i]);
+    }
+    return;
+  }
+  support::parallel_for(indices.size(), [&](std::size_t k) {
+    // Every variant usually shares the batch's rep_base: noise keys
+    // mix in the executable fingerprint, so distinct variants stay
+    // decorrelated while duplicate assignments measure identically
+    // (the property the EvalCache's bit-identity contract rests on).
+    const std::size_t i = indices[k];
+    (*responses)[i] = evaluate_one(requests[i], &(*pendings)[i]);
+  });
+}
+
 void Evaluator::set_journal(std::shared_ptr<EvalJournal> journal) {
   journal_ = std::move(journal);
+  load_journal();
 }
 
 void Evaluator::set_eval_cache(std::shared_ptr<EvalCache> cache,
                                std::uint64_t salt) {
   cache_ = std::move(cache);
   cache_salt_ = salt;
+  load_journal();
 }
 
-void Evaluator::warm_cache_from_journal() {
-  if (!cache_ || !journal_) return;
+void Evaluator::load_journal() {
+  if (!journal_ || journal_->loaded() == 0) return;
+  if (!cache_) {
+    // Per-shard LRU bounds leave headroom for an uneven shard spread.
+    cache_ = std::make_shared<EvalCache>(
+        std::max(EvalCache::kDefaultMaxEntries, 2 * journal_->loaded()));
+  }
   journal_->for_each([this](const JournalRecord& record) {
     // Quarantine skips are never cached (see pre_evaluate); everything
     // else replays bit-identically.
@@ -550,10 +588,6 @@ ResilienceStats Evaluator::resilience_stats() const {
   {
     std::lock_guard lock(resilience_mutex_);
     stats.quarantined = quarantined_keys_.size() + quarantined_cvs_.size();
-  }
-  if (journal_) {
-    stats.journal_replayed = journal_->replayed();
-    stats.journal_appended = journal_->appended();
   }
   stats.cache_hits = cache_hits_.load(std::memory_order_relaxed);
   stats.cache_misses = cache_misses_.load(std::memory_order_relaxed);

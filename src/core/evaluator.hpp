@@ -126,7 +126,7 @@ struct RetryPolicy {
 };
 
 /// Cumulative fault/retry/quarantine counters (also mirrored into the
-/// telemetry metrics registry under fault.* / eval.* / journal.*).
+/// telemetry metrics registry under fault.* / eval.* / cache.*).
 struct ResilienceStats {
   std::size_t compile_failures = 0;
   std::size_t run_crashes = 0;
@@ -135,8 +135,6 @@ struct ResilienceStats {
   std::size_t failed_evaluations = 0;
   std::size_t quarantine_hits = 0;     ///< evaluations skipped
   std::size_t quarantined = 0;         ///< entries on the list
-  std::size_t journal_replayed = 0;
-  std::size_t journal_appended = 0;
   std::size_t cache_hits = 0;    ///< evaluations served by the EvalCache
   std::size_t cache_misses = 0;  ///< cache consults that fell through
   /// Modeled testbed seconds cache hits avoided re-charging.
@@ -171,9 +169,8 @@ struct EvalRequest {
 
 /// How an EvalResponse was produced (diagnostic only; not scored).
 enum class EvalServedBy {
-  kRun,            ///< measured now (or failed trying)
-  kCacheHit,       ///< replayed from the EvalCache
-  kJournalReplay,  ///< replayed from the checkpoint journal
+  kRun,       ///< measured now (or failed trying)
+  kCacheHit,  ///< replayed from the EvalCache (journaled resumes too)
 };
 
 /// The answer to one EvalRequest; also the service wire payload.
@@ -255,7 +252,7 @@ class Evaluator {
 
   // --- the unified request/response API ------------------------------------
 
-  /// Evaluates one request: quarantine check, cache/journal replay,
+  /// Evaluates one request: quarantine check, cache replay,
   /// fault injection and retries, then (at most) one raw backend run.
   /// Never throws on evaluation failure - the fault is classified in
   /// the response.
@@ -267,9 +264,11 @@ class Evaluator {
   /// only at the batch boundary, and noise keys are content-addressed,
   /// so results are independent of worker scheduling. With a remote
   /// backend, all raw runs the batch needs coalesce into a single
-  /// run_many() wire call. Emits one batch-level span (from the
-  /// calling thread, so traces stay deterministic under any pool
-  /// schedule).
+  /// run_many() wire call. With an EvalCache attached, the first
+  /// occurrence of every cache key is dispatched before its in-batch
+  /// duplicates, so each duplicate is a hit whatever the schedule.
+  /// Emits one batch-level span (from the calling thread, so traces
+  /// stay deterministic under any pool schedule).
   [[nodiscard]] std::vector<EvalResponse> evaluate_batch(
       const std::vector<EvalRequest>& requests, const EvalTrace& trace = {});
 
@@ -324,8 +323,11 @@ class Evaluator {
   }
 
   /// Attaches a checkpoint journal: completed evaluations are appended
-  /// to it, and evaluations it already holds are replayed instead of
-  /// re-run.
+  /// to it. A resumed journal's records (quarantine skips excepted) are
+  /// loaded into the EvalCache, which then replays them instead of
+  /// re-running; with no cache attached, a memory-only one holding at
+  /// least max(EvalCache::kDefaultMaxEntries, 2 * loaded()) entries is
+  /// created for them.
   void set_journal(std::shared_ptr<EvalJournal> journal);
   [[nodiscard]] const std::shared_ptr<EvalJournal>& journal() const noexcept {
     return journal_;
@@ -336,19 +338,15 @@ class Evaluator {
   /// before any modeled compile/link/run is charged. `salt` must
   /// fingerprint every option that changes measured values (noise,
   /// faults, seed...) so tuners with different configs sharing one
-  /// cache can never alias - pass options_fingerprint(options).
+  /// cache can never alias - pass options_fingerprint(options). A
+  /// resumed journal attached earlier is loaded into the new cache, so
+  /// the order of set_journal and set_eval_cache does not matter.
   void set_eval_cache(std::shared_ptr<EvalCache> cache,
                       std::uint64_t salt = 0);
   [[nodiscard]] const std::shared_ptr<EvalCache>& eval_cache()
       const noexcept {
     return cache_;
   }
-
-  /// Seeds the attached cache with every record the attached journal
-  /// holds, so a --resume run replays journaled evaluations from
-  /// memory without consulting the journal per lookup. No-op unless
-  /// both are attached.
-  void warm_cache_from_journal();
 
   /// Stable fingerprint of (program, input, architecture, assignment):
   /// the identity journal records and quarantine entries are keyed by.
@@ -375,6 +373,7 @@ class Evaluator {
   struct PendingRun {
     machine::RunOptions options;
     std::uint64_t key = 0;
+    bool keyed = false;      ///< `key` already computed by the caller
     bool fast = false;       ///< non-resilient fast path
     bool needs_run = false;
     int prior_attempts = 0;  ///< injected faults burned before the run
@@ -383,16 +382,30 @@ class Evaluator {
   };
 
   /// Everything before the (at most one) raw run: fast-path check,
-  /// quarantine promotion at depth 0, cache and journal replay, fault
-  /// plan. Returns true when `out` is complete and no run is needed.
+  /// quarantine promotion at depth 0, cache replay, fault plan.
+  /// Returns true when `out` is complete and no run is needed.
   [[nodiscard]] bool pre_evaluate(const EvalRequest& request,
                                   EvalResponse* out, PendingRun* pending);
   /// Settles a pending evaluation with its raw measurement: overhead
   /// accounting, budget check, journal record, cache insert.
   void post_evaluate(PendingRun* pending, const EvalBackend::RawResult& raw,
                      EvalResponse* out);
+  /// Journals a completed evaluation and caches it (quarantine skips
+  /// are never cached).
+  void store(const PendingRun& pending, const EvalOutcome& outcome);
   /// pre_evaluate → raw_run → post_evaluate for one request.
-  [[nodiscard]] EvalResponse evaluate_one(const EvalRequest& request);
+  [[nodiscard]] EvalResponse evaluate_one(const EvalRequest& request,
+                                          PendingRun* pending);
+  /// Settles requests[i] for every i in `indices`: local batches fan
+  /// out over the pool, a remote backend gets every raw run in one
+  /// run_many() call.
+  void dispatch(const std::vector<EvalRequest>& requests,
+                std::span<const std::size_t> indices,
+                std::vector<PendingRun>* pendings,
+                std::vector<EvalResponse>* responses);
+  /// Loads a resumed journal's records into the cache (creating a
+  /// memory-only one when none is attached).
+  void load_journal();
 
   void account(std::size_t modules_compiled, double run_seconds,
                int reps);
@@ -407,6 +420,9 @@ class Evaluator {
   /// crash/timeout attempts with deterministic backoff accounting.
   void plan_attempts(const compiler::ModuleAssignment& assignment,
                      PendingRun* pending);
+
+  /// Quarantines a CV whose flag interactions ICE the compiler.
+  void quarantine_cv(std::uint64_t cv_hash);
 
   /// Registers one fully-failed evaluation of `key`; queues the key
   /// for quarantine once it reaches retry_policy_.quarantine_after.

@@ -253,8 +253,7 @@ bool read_response(Cursor* cursor, core::EvalResponse* out,
     *error = "truncated response";
     return false;
   }
-  if (served > static_cast<std::uint8_t>(
-                   core::EvalServedBy::kJournalReplay)) {
+  if (served > static_cast<std::uint8_t>(core::EvalServedBy::kCacheHit)) {
     *error = "response served field is malformed";
     return false;
   }

@@ -4,6 +4,7 @@
 // quarantine decisions) while the modeled overhead splits exactly into
 // charged + saved.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -21,6 +22,7 @@
 #include "core/serialization.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
+#include "support/rng.hpp"
 
 namespace ft::core {
 namespace {
@@ -314,19 +316,19 @@ TEST(EvalCacheProperty, WarmStartResumeSkipsAllJournaledEvaluations) {
   recorded.evaluator().set_journal(EvalJournal::create(path, fingerprint));
   const TuningResult expected = recorded.run_cfr();
 
-  // Resume with the cache warmed from the complete journal: every
+  // Resume with the complete journal loaded into the cache: every
   // evaluation is served from memory - zero re-evaluations, zero
-  // journal replays/appends, zero modeled seconds charged.
+  // journal appends, zero modeled seconds charged.
   FuncyTunerOptions cached = options;
   cached.eval_cache = true;
   FuncyTuner resumed(programs::cloverleaf(), machine::broadwell(), cached);
   auto journal = EvalJournal::resume(path, fingerprint);
   resumed.evaluator().set_journal(journal);
-  resumed.evaluator().warm_cache_from_journal();
   const TuningResult result = resumed.run_cfr();
 
   expect_identical(result, expected);
-  EXPECT_EQ(journal->replayed(), 0u);
+  EXPECT_EQ(resumed.evaluator().evaluations(),
+            recorded.evaluator().evaluations());
   EXPECT_EQ(journal->appended(), 0u);
   EXPECT_DOUBLE_EQ(resumed.evaluator().modeled_overhead_seconds(), 0.0);
   EXPECT_GT(resumed.evaluator().saved_overhead_seconds(), 0.0);
@@ -337,7 +339,7 @@ TEST(EvalCacheProperty, WarmStartResumeSkipsAllJournaledEvaluations) {
 
 TEST(EvalCacheProperty, KilledRunResumesViaCacheBitIdentically) {
   // The kill-and-resume scenario with the cache in the loop: a torn
-  // journal warms a partial cache; the tail re-evaluates and the final
+  // journal fills a partial cache; the tail re-evaluates and the final
   // result still matches the uninterrupted run exactly.
   const FuncyTunerOptions options = collision_options();
   const std::uint64_t fingerprint = options_fingerprint(options);
@@ -359,14 +361,91 @@ TEST(EvalCacheProperty, KilledRunResumesViaCacheBitIdentically) {
   FuncyTuner resumed(programs::cloverleaf(), machine::broadwell(), cached);
   auto journal = EvalJournal::resume(path, fingerprint);
   resumed.evaluator().set_journal(journal);
-  resumed.evaluator().warm_cache_from_journal();
   const TuningResult result = resumed.run_cfr();
 
   expect_identical(result, expected);
   // Journaled prefix came from the cache; only the lost tail re-ran.
-  EXPECT_EQ(journal->replayed(), 0u);
+  EXPECT_EQ(resumed.evaluator().evaluations(),
+            reference.evaluator().evaluations());
   EXPECT_GT(journal->appended(), 0u);
   EXPECT_GT(resumed.evaluator().resilience_stats().cache_hits, 0u);
+}
+
+TEST(EvalCacheProperty, WarmStartRebuildsFaultBookkeeping) {
+  // A replayed failure leaves the bookkeeping its computation left: an
+  // ICE re-quarantines its CV, every failure counts toward its
+  // assignment's quarantine, and only measured runs count as
+  // evaluations. Cold, disk-warm and journal-resumed runs agree.
+  FuncyTunerOptions options = collision_options();
+  options.top_x = 8;
+  options.faults.rate = 0.2;
+  const std::uint64_t fingerprint = options_fingerprint(options);
+  // Per-process names: concurrent copies of this binary must not share
+  // a disk tier.
+  const std::string dir =
+      testing::TempDir() + "ft_cache_faults_" + std::to_string(::getpid());
+  const std::string path = dir + ".ftj";
+  std::filesystem::remove_all(dir);
+
+  FuncyTunerOptions disk = options;
+  disk.eval_cache_dir = dir;
+  FuncyTuner cold(programs::cloverleaf(), machine::broadwell(), disk);
+  cold.evaluator().set_journal(EvalJournal::create(path, fingerprint));
+  const TuningResult expected = cold.run_cfr();
+  FuncyTuner warm(programs::cloverleaf(), machine::broadwell(), disk);
+  const TuningResult from_disk = warm.run_cfr();
+  FuncyTuner resumed(programs::cloverleaf(), machine::broadwell(), options);
+  resumed.evaluator().set_journal(EvalJournal::resume(path, fingerprint));
+  const TuningResult from_journal = resumed.run_cfr();
+
+  expect_identical(from_disk, expected);
+  expect_identical(from_journal, expected);
+  const ResilienceStats reference = cold.evaluator().resilience_stats();
+  EXPECT_GT(reference.quarantined, 0u);
+  EXPECT_GT(reference.failed_evaluations, 0u);
+  for (FuncyTuner* tuner : {&warm, &resumed}) {
+    const ResilienceStats stats = tuner->evaluator().resilience_stats();
+    EXPECT_EQ(stats.quarantined, reference.quarantined);
+    EXPECT_EQ(stats.failed_evaluations, reference.failed_evaluations);
+    EXPECT_EQ(tuner->evaluator().evaluations(),
+              cold.evaluator().evaluations());
+    EXPECT_EQ(stats.cache_misses, 0u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(EvalCacheProperty, InBatchDuplicatesAlwaysHit) {
+  // Each variant appears twice, side by side, so on a parallel pool the
+  // two copies would run at once. The first copy is dispatched before
+  // its duplicate, which is therefore always a hit.
+  FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
+                   collision_options());
+  support::Rng rng(7);
+  const std::vector<flags::CompilationVector> cvs =
+      tuner.space().sample_many(rng, 8);
+  std::vector<EvalRequest> batch;
+  for (const flags::CompilationVector& cv : cvs) {
+    EvalRequest request;
+    request.assignment = compiler::ModuleAssignment::uniform(
+        cv, tuner.program().loops().size());
+    request.rep_base = rep_streams::kCfr;
+    batch.push_back(request);
+    batch.push_back(request);
+  }
+  for (int round = 0; round < 200; ++round) {
+    SCOPED_TRACE(round);
+    const auto cache = std::make_shared<EvalCache>();
+    tuner.set_eval_cache(cache);
+    const std::vector<EvalResponse> responses =
+        tuner.evaluator().evaluate_batch(batch);
+    ASSERT_EQ(cache->stats().hits, cvs.size());
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      ASSERT_EQ(responses[i].served_by, i % 2 == 0
+                                            ? EvalServedBy::kRun
+                                            : EvalServedBy::kCacheHit);
+      ASSERT_EQ(responses[i].seconds(), responses[i - i % 2].seconds());
+    }
+  }
 }
 
 TEST(EvalCacheProperty, CampaignSharedCacheBitIdentical) {

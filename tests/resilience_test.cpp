@@ -2,8 +2,11 @@
 // pipeline: deterministic fault draws, retry/quarantine semantics,
 // graceful degradation of every registry search under faults, robust
 // final-rep aggregation, and checkpoint/resume bit-identity.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +16,7 @@
 
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
+#include "core/eval_cache.hpp"
 #include "core/funcy_tuner.hpp"
 #include "core/search_registry.hpp"
 #include "core/serialization.hpp"
@@ -305,22 +309,32 @@ std::vector<std::size_t> write_journal(
   return ends;
 }
 
-/// True when `journal` replays `record` with every field bit-exact.
+/// Every record `journal` decodes, in append order.
+std::vector<JournalRecord> records_of(EvalJournal& journal) {
+  std::vector<JournalRecord> records;
+  journal.for_each(
+      [&](const JournalRecord& record) { records.push_back(record); });
+  return records;
+}
+
+/// True when `journal` holds `record` with every field bit-exact.
 bool replays_exactly(EvalJournal& journal, const JournalRecord& record) {
-  EvalOutcome out;
-  double rerun = -1.0;
-  if (!journal.lookup(record.key, record.rep_base, record.repetitions,
-                      record.instrumented, &out, &rerun)) {
-    return false;
-  }
-  const machine::RunResult& a = out.result;
-  const machine::RunResult& b = record.outcome.result;
-  return out.error.kind == record.outcome.error.kind &&
-         out.error.detail == record.outcome.error.detail &&
-         out.attempts == record.outcome.attempts &&
-         a.end_to_end == b.end_to_end && a.stddev == b.stddev &&
-         a.derived_nonloop_seconds == b.derived_nonloop_seconds &&
-         a.loop_seconds == b.loop_seconds && rerun == record.rerun_seconds;
+  const auto same = [&](const JournalRecord& got) {
+    const machine::RunResult& a = got.outcome.result;
+    const machine::RunResult& b = record.outcome.result;
+    return got.key == record.key && got.rep_base == record.rep_base &&
+           got.repetitions == record.repetitions &&
+           got.instrumented == record.instrumented &&
+           got.outcome.error.kind == record.outcome.error.kind &&
+           got.outcome.error.detail == record.outcome.error.detail &&
+           got.outcome.attempts == record.outcome.attempts &&
+           a.end_to_end == b.end_to_end && a.stddev == b.stddev &&
+           a.derived_nonloop_seconds == b.derived_nonloop_seconds &&
+           a.loop_seconds == b.loop_seconds &&
+           got.rerun_seconds == record.rerun_seconds;
+  };
+  const std::vector<JournalRecord> records = records_of(journal);
+  return std::any_of(records.begin(), records.end(), same);
 }
 
 TEST(Journal, EncodeDecodeRoundTripsSuccess) {
@@ -338,9 +352,10 @@ TEST(Journal, EncodeDecodeRoundTripsFailure) {
   const JournalRecord record = failure_record(42);
   (void)write_journal(path, 7, {record});
   auto journal = EvalJournal::resume(path, 7);
-  EvalOutcome out;
-  ASSERT_TRUE(journal->lookup(42, 0, 1, false, &out));
-  EXPECT_FALSE(out.ok());
+  const std::vector<JournalRecord> records = records_of(*journal);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].key, 42u);
+  EXPECT_FALSE(records[0].outcome.ok());
   EXPECT_TRUE(replays_exactly(*journal, record));
 }
 
@@ -439,7 +454,7 @@ TEST(Journal, ResumeTreatsGarbageLineAsTornTail) {
 
 TEST(Journal, ResumeDeduplicatesRepeatedRecords) {
   // Crash-during-append can leave the same evaluation journaled twice.
-  // Every copy is read, and the keyed map keeps one.
+  // Every copy is read, and the memory tier keeps one.
   const std::string path = testing::TempDir() + "ft_journal_dup.ftj";
   JournalRecord record;
   record.key = 11;
@@ -449,12 +464,15 @@ TEST(Journal, ResumeDeduplicatesRepeatedRecords) {
   (void)write_journal(path, 0, {record, record, record, record});
   auto journal = EvalJournal::resume(path, 0);
   EXPECT_EQ(journal->loaded(), 4u);  // records read...
+  EXPECT_EQ(records_of(*journal).size(), 4u);
+  FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
+                   fast_options());
+  tuner.evaluator().set_journal(journal);
+  ASSERT_NE(tuner.eval_cache(), nullptr);
+  EXPECT_EQ(tuner.eval_cache()->stats().entries, 1u);  // ...one kept
   EvalOutcome out;
-  ASSERT_TRUE(journal->lookup(11, 22, 3, false, &out));
+  ASSERT_TRUE(tuner.eval_cache()->lookup({11, 22, 0, 3, false}, &out));
   EXPECT_DOUBLE_EQ(out.result.end_to_end, 7.5);
-  std::size_t distinct = 0;
-  journal->for_each([&](const JournalRecord&) { ++distinct; });
-  EXPECT_EQ(distinct, 1u);  // ...one kept
 }
 
 TEST(Journal, TruncatedAtEveryByteResumes) {
@@ -530,10 +548,10 @@ TEST(Journal, RefusesJsonlJournals) {
 }
 
 TEST(Journal, WarmedCacheFromTornJournalNeverPoisonsResults) {
-  // The cache-poisoning scenario the warm-start path must rule out: a
-  // journal torn mid-record (plus trailing garbage) warms only fully
-  // decoded records; the tuned result still matches an uninterrupted
-  // reference bit-for-bit.
+  // The cache-poisoning scenario a resume must rule out: a journal
+  // torn mid-record (plus trailing garbage) loads only fully decoded
+  // records into the cache; the tuned result still matches an
+  // uninterrupted reference bit-for-bit.
   const FuncyTunerOptions options = faulty_options(0.05);
   const std::uint64_t fingerprint = options_fingerprint(options);
   const std::string path = testing::TempDir() + "ft_journal_poison.ftj";
@@ -554,7 +572,6 @@ TEST(Journal, WarmedCacheFromTornJournalNeverPoisonsResults) {
   cached.eval_cache = true;
   FuncyTuner resumed(programs::cloverleaf(), machine::broadwell(), cached);
   resumed.evaluator().set_journal(EvalJournal::resume(path, fingerprint));
-  resumed.evaluator().warm_cache_from_journal();
   const TuningResult result = resumed.run_cfr();
 
   EXPECT_EQ(result.history, expected.history);
@@ -574,6 +591,57 @@ TEST(Journal, ResumeOfMissingFileThrows) {
   EXPECT_THROW(
       (void)EvalJournal::resume(testing::TempDir() + "ft_no_such.ftj", 0),
       std::runtime_error);
+}
+
+/// The descriptor this process has open on `path`, or -1.
+int descriptor_of(const std::string& path) {
+  const std::filesystem::path target = std::filesystem::canonical(path);
+  std::error_code error;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd", error)) {
+    if (std::filesystem::read_symlink(entry.path(), error) == target) {
+      return std::stoi(entry.path().filename().string());
+    }
+  }
+  return -1;
+}
+
+/// Runs `write` and expects it to throw "cannot write journal: <path>".
+template <class Write>
+void expect_write_error(const Write& write, const std::string& path) {
+  try {
+    write();
+    ADD_FAILURE() << "a failed journal write was not reported";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()), "cannot write journal: " + path);
+  }
+}
+
+TEST(Journal, WriteFailureIsReported) {
+  // A full disk is reported, never swallowed: create fails on the
+  // header, and a record that cannot be written throws and is not
+  // counted.
+  if (!std::filesystem::exists("/dev/full") ||
+      !std::filesystem::exists("/proc/self/fd")) {
+    GTEST_SKIP() << "needs /dev/full and /proc/self/fd";
+  }
+  expect_write_error([] { (void)EvalJournal::create("/dev/full", 7); },
+                     "/dev/full");
+
+  const std::string path = testing::TempDir() + "ft_journal_full.ftj";
+  auto journal = EvalJournal::create(path, 7);
+  journal->record(success_record(1));
+  // Point the journal's descriptor at /dev/full: the disk is now full.
+  const int fd = descriptor_of(path);
+  ASSERT_GE(fd, 0);
+  const int full = ::open("/dev/full", O_WRONLY | O_CLOEXEC);
+  ASSERT_GE(full, 0);
+  ASSERT_EQ(::dup2(full, fd), fd);
+  ::close(full);
+  for (int i = 0; i < 2; ++i) {
+    expect_write_error([&] { journal->record(success_record(2)); }, path);
+  }
+  EXPECT_EQ(journal->appended(), 1u);
 }
 
 // --------------------------------------------------- checkpoint/resume ----
@@ -617,7 +685,7 @@ TEST(Checkpoint, KilledCampaignResumesBitIdentically) {
   EXPECT_EQ(
       tuning_result_json(result, resumed.space(), resumed.program()),
       tuning_result_json(expected, reference.space(), reference.program()));
-  EXPECT_GT(journal->replayed(), 0u);
+  EXPECT_GT(resumed.evaluator().resilience_stats().cache_hits, 0u);
   // The journal now holds the full campaign again: resuming the
   // completed journal replays everything and re-runs nothing.
   auto complete = EvalJournal::resume(path, fingerprint);

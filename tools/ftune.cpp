@@ -542,12 +542,8 @@ int cmd_tune(int argc, char** argv) {
     journal = core::EvalJournal::create(args.text("checkpoint"),
                                         core::options_fingerprint(options));
   }
+  // A resumed journal loads into the memory tier, which replays it.
   if (journal) tuner.evaluator().set_journal(journal);
-  // A resumed run with the cache serves every journaled evaluation
-  // from memory instead of per-lookup journal consults.
-  if (journal && !args.text("resume").empty() && tuner.eval_cache()) {
-    tuner.evaluator().warm_cache_from_journal();
-  }
 
   std::vector<core::TuningResult> results;
   {
@@ -578,8 +574,8 @@ int cmd_tune(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  const bool caching =
-      options.eval_cache || !options.eval_cache_dir.empty();
+  // A resume replays through a memory tier even without --eval-cache.
+  const bool caching = tuner.eval_cache() != nullptr;
   if (options.faults.rate > 0 || journal || caching ||
       options.retry.eval_timeout_seconds > 0) {
     const core::ResilienceStats stats = tuner.evaluator().resilience_stats();
@@ -596,9 +592,9 @@ int cmd_tune(int argc, char** argv) {
     resilience.add_row({"quarantined", std::to_string(stats.quarantined)});
     if (journal) {
       resilience.add_row(
-          {"journal replayed", std::to_string(stats.journal_replayed)});
+          {"journal loaded", std::to_string(journal->loaded())});
       resilience.add_row(
-          {"journal appended", std::to_string(stats.journal_appended)});
+          {"journal appended", std::to_string(journal->appended())});
     }
     if (caching) {
       const double total =
