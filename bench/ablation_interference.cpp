@@ -25,8 +25,8 @@ int main(int argc, char** argv) {
     // Default world.
     core::FuncyTuner tuner(programs::by_name(name), machine::broadwell(),
                            config.tuner_options());
-    const auto greedy = tuner.run_greedy();
-    const auto cfr = tuner.run_cfr();
+    const auto greedy = tuner.run("greedy");
+    const auto cfr = tuner.run("cfr");
 
     // Counterfactual world: independent modules.
     core::FuncyTuner independent(programs::by_name(name),
@@ -34,12 +34,13 @@ int main(int argc, char** argv) {
                                  config.tuner_options());
     independent.engine().compiler().set_link_options(
         compiler::LinkOptions::none());
-    const auto greedy_off = independent.run_greedy();
-    const auto cfr_off = independent.run_cfr();
+    const auto greedy_off = independent.run("greedy");
+    const auto cfr_off = independent.run("cfr");
 
-    table.add_row({name, support::Table::num(greedy.realized.speedup),
-                   support::Table::num(greedy_off.realized.speedup),
-                   support::Table::num(greedy.independent_speedup),
+    table.add_row({name, support::Table::num(greedy.speedup),
+                   support::Table::num(greedy_off.speedup),
+                   support::Table::num(greedy.extras.get_or(
+                       core::kExtraIndependentSpeedup, 0)),
                    support::Table::num(cfr.speedup),
                    support::Table::num(cfr_off.speedup)});
   }

@@ -26,12 +26,13 @@ int main(int argc, char** argv) {
     options.attribution_sigma = sigma;
     core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                            options);
-    const auto greedy = tuner.run_greedy();
-    const auto cfr = tuner.run_cfr();
-    const auto random = tuner.run_random();
+    const auto greedy = tuner.run("greedy");
+    const auto cfr = tuner.run("cfr");
+    const auto random = tuner.run("random");
     table.add_row({support::Table::num(sigma * 100, 0) + "%",
-                   support::Table::num(greedy.realized.speedup),
-                   support::Table::num(greedy.independent_speedup),
+                   support::Table::num(greedy.speedup),
+                   support::Table::num(greedy.extras.get_or(
+                       core::kExtraIndependentSpeedup, 0)),
                    support::Table::num(cfr.speedup),
                    support::Table::num(random.speedup)});
   }

@@ -25,10 +25,9 @@ int main(int argc, char** argv) {
     core::FuncyTuner tuner(programs::by_name(name), machine::broadwell(),
                            config.tuner_options());
     const double baseline = tuner.baseline_seconds();
-    cfr_speedups.push_back(tuner.run_cfr().speedup);
+    cfr_speedups.push_back(tuner.run("cfr").speedup);
 
     core::EvolutionOptions evolution;
-    evolution.top_x = tuner.options().top_x;
     evolution.evaluations = config.samples;
     evolution.seed = config.seed;
     evo_speedups.push_back(

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
                                     ot_options, baseline)
             .tuning.speedup);
 
-    cfr.push_back(tuner.run_cfr().speedup);
+    cfr.push_back(tuner.run("cfr").speedup);
   }
 
   bench::add_gm_row(table, "static COBAYN", cobayn_static);

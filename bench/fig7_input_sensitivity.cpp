@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
     const auto large = tuner.program().input("large");
 
     std::vector<compiler::ModuleAssignment> assignments;
-    assignments.push_back(tuner.run_random().best_assignment);
-    assignments.push_back(tuner.run_greedy().realized.best_assignment);
+    assignments.push_back(tuner.run("random").best_assignment);
+    assignments.push_back(tuner.run("greedy").best_assignment);
     assignments.push_back(
         cobayn
             .infer(tuner.evaluator(), baselines::CobaynModel::kStatic,
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
         baselines::opentuner_search(tuner.evaluator(), tuner.space(),
                                     ot_options, baseline)
             .tuning.best_assignment);
-    assignments.push_back(tuner.run_cfr().best_assignment);
+    assignments.push_back(tuner.run("cfr").best_assignment);
 
     auto speedup_on = [&](const ir::InputSpec& input,
                           const compiler::ModuleAssignment& assignment) {

@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
     std::string algorithm;
     const compiler::ModuleAssignment* assignment;
   };
-  const auto random = tuner.run_random();
-  const auto greedy = tuner.run_greedy();
+  const auto random = tuner.run("random");
+  const auto greedy = tuner.run("greedy");
   const auto cobayn_result = cobayn.infer(
       tuner.evaluator(), baselines::CobaynModel::kStatic, baseline);
   const auto pgo_result = baselines::pgo_tune(tuner.evaluator(), baseline);
@@ -42,11 +42,11 @@ int main(int argc, char** argv) {
   ot_options.seed = config.seed;
   const auto opentuner_result = baselines::opentuner_search(
       tuner.evaluator(), tuner.space(), ot_options, baseline);
-  const auto cfr = tuner.run_cfr();
+  const auto cfr = tuner.run("cfr");
 
   const std::vector<Row> rows = {
       {"Random", &random.best_assignment},
-      {"G.realized", &greedy.realized.best_assignment},
+      {"G.realized", &greedy.best_assignment},
       {"COBAYN", &cobayn_result.best_assignment},
       {"PGO", nullptr},  // PGO keeps its own binary
       {"OpenTuner", &opentuner_result.tuning.best_assignment},

@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
     throw std::logic_error("missing kernel " + name);
   };
 
-  const auto random = tuner.run_random();
-  const auto greedy = tuner.run_greedy();
-  const auto cfr = tuner.run_cfr();
+  const auto random = tuner.run("random");
+  const auto greedy = tuner.run("greedy");
+  const auto cfr = tuner.run("cfr");
 
   support::Table table(
       "Fig 9: per-loop speedup over O3, top-5 Cloverleaf kernels "
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     table.add_row(row);
   };
   add_row("Random", random.best_assignment);
-  add_row("G.realized", greedy.realized.best_assignment);
+  add_row("G.realized", greedy.best_assignment);
   add_row("CFR", cfr.best_assignment);
 
   // G.Independent per loop: the best collected per-loop time (never

@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
     throw std::logic_error("missing kernel " + name);
   };
 
-  const auto random = tuner.run_random();
-  const auto greedy = tuner.run_greedy();
-  const auto cfr = tuner.run_cfr();
+  const auto random = tuner.run("random");
+  const auto greedy = tuner.run("greedy");
+  const auto cfr = tuner.run("cfr");
   const auto o3_assignment = compiler::ModuleAssignment::uniform(
       tuner.space().default_cv(), tuner.program().loops().size());
 
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
 
   add_row("O3 baseline", o3_assignment);
   add_row("Random", random.best_assignment);
-  add_row("G.realized", greedy.realized.best_assignment);
+  add_row("G.realized", greedy.best_assignment);
   add_row("CFR", cfr.best_assignment);
   bench::print_table(table, config);
 

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   {
     core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                            config.tuner_options());
-    (void)tuner.run_random();
+    (void)tuner.run("random");
     add_overhead_row(table, "Random/G", tuner.evaluator());
   }
   // OpenTuner: 1000 test iterations.
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   // CFR: collection (1000 uniform) + 1000 assembled variants.
   core::FuncyTuner cfr_tuner(programs::cloverleaf(), machine::broadwell(),
                              config.tuner_options());
-  const auto cfr = cfr_tuner.run_cfr();
+  const auto cfr = cfr_tuner.run("cfr");
   add_overhead_row(table, "CFR", cfr_tuner.evaluator());
   // CFR with the evaluation cache: identical result, smaller charge.
   // (Skipped when --eval-cache already cached the rows above.)
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     cached_config.eval_cache = true;
     core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                            cached_config.tuner_options());
-    (void)tuner.run_cfr();
+    (void)tuner.run("cfr");
     add_overhead_row(table, "CFR + eval cache", tuner.evaluator());
     cached_cfr_hits = tuner.evaluator().resilience_stats().cache_hits;
   }

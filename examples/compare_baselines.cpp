@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   {
     core::FuncyTuner tuner(programs::by_name(program_name),
                            machine::broadwell(), options);
-    const auto result = tuner.run_cfr();
+    const auto result = tuner.run("cfr");
     table.add_row({"FuncyTuner CFR", support::Table::num(result.speedup),
                    std::to_string(tuner.evaluator().evaluations()),
                    cost_days(tuner.evaluator())});

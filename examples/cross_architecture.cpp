@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
     PerArch entry{arch, nullptr, {}};
     entry.tuner = std::make_unique<core::FuncyTuner>(
         programs::by_name(program_name), arch, options);
-    entry.cfr = entry.tuner->run_cfr();
+    entry.cfr = entry.tuner->run("cfr");
     machines.push_back(std::move(entry));
   }
 

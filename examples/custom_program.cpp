@@ -122,8 +122,8 @@ int main(int argc, char** argv) {
   std::cout << "Tuning a custom reaction-diffusion mini-app ("
             << tuner.outline().hot.size() << " hot loops outlined)\n\n";
 
-  const auto cfr = tuner.run_cfr();
-  const auto random = tuner.run_random();
+  const auto cfr = tuner.run("cfr");
+  const auto random = tuner.run("random");
 
   support::Table table("Results");
   table.set_header({"Algorithm", "Speedup vs O3"});

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   ft::core::FuncyTunerOptions options;
   options.samples =
       static_cast<std::size_t>(args.get_int("samples", 300));
-  options.top_x = static_cast<std::size_t>(args.get_int("top-x", 30));
+  const std::string top_x = std::to_string(args.get_int("top-x", 30));
+  options.algorithm_options["cfr"] = {"--top-x=" + top_x};
   options.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
 
   const std::string program_name = args.get("program", "CL");
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
 
   std::cout << "Tuning " << program_name << " on "
             << tuner.engine().arch().name << " (" << options.samples
-            << " samples, top-X=" << options.top_x << ")\n\n";
+            << " samples, top-X=" << top_x << ")\n\n";
 
   // Phase 1: profile & outline.
   const ft::core::Outline& outline = tuner.outline();
@@ -56,11 +57,14 @@ int main(int argc, char** argv) {
             << " s\n";
 
   // Phase 2-3: collection + the four algorithms.
-  const ft::core::FuncyTuner::AllResults results = tuner.run_all();
+  const double baseline_seconds = tuner.baseline_seconds();
+  const ft::core::TuningResult random = tuner.run("random");
+  const ft::core::TuningResult fr = tuner.run("fr");
+  const ft::core::TuningResult greedy = tuner.run("greedy");
+  const ft::core::TuningResult cfr = tuner.run("cfr");
 
   ft::support::Table table("Speedup vs -O3 baseline (" +
-                           ft::support::Table::num(
-                               results.baseline_seconds, 2) +
+                           ft::support::Table::num(baseline_seconds, 2) +
                            " s)");
   table.set_header({"Algorithm", "Speedup", "Runtime [s]", "Evals"});
   auto row = [&](const ft::core::TuningResult& r) {
@@ -68,22 +72,24 @@ int main(int argc, char** argv) {
                    ft::support::Table::num(r.tuned_seconds, 2),
                    std::to_string(r.evaluations)});
   };
-  row(results.random);
-  row(results.greedy.realized);
-  row(results.fr);
-  row(results.cfr);
-  table.add_row({"G.Independent",
-                 ft::support::Table::num(results.greedy.independent_speedup),
-                 ft::support::Table::num(results.greedy.independent_seconds,
-                                         2),
-                 "-"});
+  row(random);
+  row(greedy);
+  row(fr);
+  row(cfr);
+  table.add_row(
+      {"G.Independent",
+       ft::support::Table::num(
+           greedy.extras.get_or(ft::core::kExtraIndependentSpeedup, 0)),
+       ft::support::Table::num(
+           greedy.extras.get_or(ft::core::kExtraIndependentSeconds, 0), 2),
+       "-"});
   table.print(std::cout);
 
   // Per-loop view of the CFR winner (what Table 3 reports).
   const std::vector<double> speedups =
-      tuner.per_loop_speedups(results.cfr.best_assignment);
+      tuner.per_loop_speedups(cfr.best_assignment);
   const std::vector<std::string> decisions =
-      tuner.per_loop_decisions(results.cfr.best_assignment);
+      tuner.per_loop_decisions(cfr.best_assignment);
   const std::vector<std::string> baseline_decisions = tuner.per_loop_decisions(
       ft::compiler::ModuleAssignment::uniform(
           tuner.space().default_cv(), tuner.program().loops().size()));

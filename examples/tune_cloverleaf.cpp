@@ -48,16 +48,19 @@ int main(int argc, char** argv) {
   profile.print(std::cout);
 
   // 2. Tune with all four algorithms.
-  const auto all = tuner.run_all();
+  const core::TuningResult random = tuner.run("random");
+  const core::TuningResult fr = tuner.run("fr");
+  const core::TuningResult greedy = tuner.run("greedy");
+  const core::TuningResult cfr = tuner.run("cfr");
   support::Table summary("End-to-end speedups vs O3");
   summary.set_header({"Algorithm", "Speedup"});
-  summary.add_row({"Random", support::Table::num(all.random.speedup)});
-  summary.add_row(
-      {"G.realized", support::Table::num(all.greedy.realized.speedup)});
-  summary.add_row({"FR", support::Table::num(all.fr.speedup)});
-  summary.add_row({"CFR", support::Table::num(all.cfr.speedup)});
+  summary.add_row({"Random", support::Table::num(random.speedup)});
+  summary.add_row({"G.realized", support::Table::num(greedy.speedup)});
+  summary.add_row({"FR", support::Table::num(fr.speedup)});
+  summary.add_row({"CFR", support::Table::num(cfr.speedup)});
   summary.add_row({"G.Independent",
-                   support::Table::num(all.greedy.independent_speedup)});
+                   support::Table::num(greedy.extras.get_or(
+                       core::kExtraIndependentSpeedup, 0))});
   summary.print(std::cout);
 
   // 3. The five case-study kernels, per algorithm.
@@ -85,16 +88,16 @@ int main(int argc, char** argv) {
                compiler::ModuleAssignment::uniform(
                    tuner.space().default_cv(),
                    tuner.program().loops().size()));
-  decision_row("Random", all.random.best_assignment);
-  decision_row("G.realized", all.greedy.realized.best_assignment);
-  decision_row("CFR", all.cfr.best_assignment);
+  decision_row("Random", random.best_assignment);
+  decision_row("G.realized", greedy.best_assignment);
+  decision_row("CFR", cfr.best_assignment);
   decisions.print(std::cout);
 
   // 4. Which flags actually matter? Greedy elimination per kernel.
   std::cout << "\nPerformance-critical flags of the CFR winner:\n";
   for (const auto& kernel : kernels) {
     const auto critical = baselines::eliminate_noncritical_flags(
-        tuner.evaluator(), tuner.space(), all.cfr.best_assignment,
+        tuner.evaluator(), tuner.space(), cfr.best_assignment,
         index_of(kernel));
     std::cout << "  " << kernel << ": "
               << (critical.critical.empty()

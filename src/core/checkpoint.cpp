@@ -79,20 +79,17 @@ std::size_t scan_records(
 
 std::uint64_t options_fingerprint(const FuncyTunerOptions& options) {
   std::ostringstream oss;
-  oss << options.samples << '|' << options.top_x << '|' << options.seed
-      << '|' << fmt_double(options.hot_threshold) << '|'
-      << options.final_reps << '|' << fmt_double(options.noise_sigma_rel)
-      << '|' << fmt_double(options.attribution_sigma) << '|'
-      << options.patience << '|' << fmt_double(options.faults.rate) << '|'
-      << options.faults.seed << '|'
-      << fmt_double(options.faults.outlier_rate) << '|'
+  oss << options.samples << '|' << options.seed << '|'
+      << fmt_double(options.hot_threshold) << '|' << options.final_reps
+      << '|' << fmt_double(options.noise_sigma_rel) << '|'
+      << fmt_double(options.attribution_sigma) << '|'
+      << fmt_double(options.faults.rate) << '|' << options.faults.seed
+      << '|' << fmt_double(options.faults.outlier_rate) << '|'
       << options.retry.max_retries << '|'
       << fmt_double(options.retry.eval_timeout_seconds) << '|'
       << options.retry.quarantine_after;
-  // Namespaced per-algorithm knobs change evaluation schedules, so
-  // they must split journals/caches - but ONLY when actually given:
-  // the default (empty) map keeps the fingerprint byte-identical to
-  // pre-namespacing builds, so existing journals stay resumable.
+  // Namespaced per-algorithm knobs (top-x, patience, budgets) change
+  // evaluation schedules, so they must split journals/caches.
   for (const auto& [algorithm, tokens] : options.algorithm_options) {
     oss << '|' << algorithm << ':';
     for (const std::string& token : tokens) oss << token << ',';

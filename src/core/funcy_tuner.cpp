@@ -106,34 +106,6 @@ TuningResult FuncyTuner::run(const std::string& algorithm) {
   return search->run(context);
 }
 
-TuningResult FuncyTuner::run_random() { return run("random"); }
-
-TuningResult FuncyTuner::run_fr() { return run("fr"); }
-
-GreedyResult FuncyTuner::run_greedy() {
-  GreedyResult result;
-  result.realized = run("greedy");
-  // The registry carries the §3.4 numbers in TuningResult::extras;
-  // rebuild the typed pair for legacy callers.
-  result.independent_seconds =
-      result.realized.extras.get_or(kExtraIndependentSeconds, 0);
-  result.independent_speedup =
-      result.realized.extras.get_or(kExtraIndependentSpeedup, 0);
-  return result;
-}
-
-TuningResult FuncyTuner::run_cfr() { return run("cfr"); }
-
-FuncyTuner::AllResults FuncyTuner::run_all() {
-  AllResults results;
-  results.baseline_seconds = baseline_seconds();
-  results.random = run_random();
-  results.fr = run_fr();
-  results.greedy = run_greedy();
-  results.cfr = run_cfr();
-  return results;
-}
-
 std::vector<double> FuncyTuner::per_loop_speedups(
     const compiler::ModuleAssignment& assignment) {
   const compiler::Executable tuned = compiler_.build(program_, assignment);

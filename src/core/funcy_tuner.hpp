@@ -1,6 +1,6 @@
 // FuncyTuner façade: owns the whole per-loop compilation stack for one
 // (program, architecture) pair - flag space, compiler, execution
-// engine, profiler, collection phase and the four search algorithms -
+// engine, profiler, collection phase and the registry's searches -
 // and exposes the introspection the paper's figures need (per-loop
 // speedups for Fig 9, codegen decision summaries for Table 3, and
 // cross-input evaluation for Figs 7 and 8).
@@ -23,8 +23,9 @@
 namespace ft::core {
 
 struct FuncyTunerOptions {
-  std::size_t samples = 1000;   ///< pre-sampled CVs (paper: 1000)
-  std::size_t top_x = 10;       ///< CFR pruned-space size
+  /// K of Algorithm 1: the pre-sampled CVs (paper: 1000), and the
+  /// budget of fr, cfr and retune unless their namespaced knob is set.
+  std::size_t samples = 1000;
   std::uint64_t seed = 42;
   double hot_threshold = 0.01;  ///< outline loops >= 1% of runtime
   int final_reps = 10;          ///< reporting protocol (§4.1)
@@ -32,9 +33,6 @@ struct FuncyTunerOptions {
   /// Extra error on per-region Caliper readings (§3.3 noise-tolerance
   /// claim; see ExecutionEngine). The noise ablation sweeps this.
   double attribution_sigma = 0.03;
-  /// CFR convergence-based early stop (CfrOptions::patience); 0 runs
-  /// the paper's fixed-budget protocol.
-  std::size_t patience = 0;
   /// Fault injection (off by default: rate 0 leaves every existing
   /// result bit-identical).
   machine::FaultConfig faults;
@@ -58,9 +56,8 @@ struct FuncyTunerOptions {
   /// Per-algorithm namespaced knobs: registry key → option tokens in
   /// `--knob=value` form, exactly as the user's `--<algo>:<knob>`
   /// flags were given (SearchAlgorithm::options() declares the
-  /// schema). Mixed into options_fingerprint only when non-empty, so
-  /// existing journals/caches recorded without namespaced knobs stay
-  /// resumable.
+  /// schema), and the only place those knobs are set. Mixed into
+  /// options_fingerprint.
   std::map<std::string, std::vector<std::string>> algorithm_options;
 };
 
@@ -113,22 +110,6 @@ class FuncyTuner {
   /// anything registered with SearchRegistry::global()). Throws
   /// std::invalid_argument for unknown names.
   [[nodiscard]] TuningResult run(const std::string& algorithm);
-
-  /// The four algorithms of §2.2 (registry wrappers, kept for callers
-  /// that want the typed GreedyResult).
-  [[nodiscard]] TuningResult run_random();
-  [[nodiscard]] TuningResult run_fr();
-  [[nodiscard]] GreedyResult run_greedy();
-  [[nodiscard]] TuningResult run_cfr();
-
-  struct AllResults {
-    TuningResult random;
-    TuningResult fr;
-    GreedyResult greedy;
-    TuningResult cfr;
-    double baseline_seconds = 0.0;
-  };
-  [[nodiscard]] AllResults run_all();
 
   // --- introspection ------------------------------------------------------
 

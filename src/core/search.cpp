@@ -159,11 +159,11 @@ TuningResult function_random_search(
   return result;
 }
 
-GreedyResult greedy_combination(Evaluator& evaluator, const Outline& outline,
+TuningResult greedy_combination(Evaluator& evaluator, const Outline& outline,
                                 const Collection& collection,
                                 double baseline_seconds) {
-  GreedyResult result;
-  result.realized.algorithm = "G.realized";
+  TuningResult result;
+  result.algorithm = "G.realized";
   telemetry::Span span = telemetry::tracer().begin("search:Greedy");
 
   // Per-module winners: i = argmin_k T[j][k] (paper §2.2.3). Failed
@@ -184,25 +184,23 @@ GreedyResult greedy_combination(Evaluator& evaluator, const Outline& outline,
   const std::size_t rest_winner = support::argmin(collection.rest_times);
   independent_sum += collection.rest_times[rest_winner];
 
-  result.realized.best_assignment = outline.make_assignment(
+  result.best_assignment = outline.make_assignment(
       hot_cvs, std::isfinite(collection.rest_times[rest_winner])
                    ? collection.cvs[rest_winner]
                    : default_cv);
-  result.realized.evaluations = 1;
-  measure_final(result.realized, evaluator, baseline_seconds);
-  result.realized.search_best_seconds = result.realized.tuned_seconds;
-  result.realized.history = {result.realized.tuned_seconds};
+  result.evaluations = 1;
+  measure_final(result, evaluator, baseline_seconds);
+  result.search_best_seconds = result.tuned_seconds;
+  result.history = {result.tuned_seconds};
 
   // G.Independent: the pairwise-independence hypothetical (§3.4) -
   // sums the best per-module times without assembling an executable.
-  result.independent_seconds = independent_sum;
-  result.independent_speedup = baseline_seconds / independent_sum;
-  result.realized.extras.set(kExtraIndependentSeconds, independent_sum);
-  result.realized.extras.set(kExtraIndependentSpeedup,
-                             result.independent_speedup);
+  const double independent_speedup = baseline_seconds / independent_sum;
+  result.extras.set(kExtraIndependentSeconds, independent_sum);
+  result.extras.set(kExtraIndependentSpeedup, independent_speedup);
   if (span) {
-    span.attr("independent_speedup", result.independent_speedup)
-        .attr("realized_speedup", result.realized.speedup);
+    span.attr("independent_speedup", independent_speedup)
+        .attr("realized_speedup", result.speedup);
   }
   return result;
 }

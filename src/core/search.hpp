@@ -73,13 +73,6 @@ struct TuningResult {
   ResultExtras extras;
 };
 
-/// Greedy combination reports two numbers (paper §3.4).
-struct GreedyResult {
-  TuningResult realized;       ///< actually assembled and measured
-  double independent_seconds = 0.0;  ///< sum of per-module best times
-  double independent_speedup = 0.0;  ///< the no-interference upper bound
-};
-
 /// Per-program random search over `cvs` (uniform compilation).
 [[nodiscard]] TuningResult random_search(
     Evaluator& evaluator, std::span<const flags::CompilationVector> cvs,
@@ -92,8 +85,10 @@ struct GreedyResult {
     std::span<const flags::CompilationVector> presampled,
     std::size_t iterations, std::uint64_t seed, double baseline_seconds);
 
-/// Greedy combination from collected per-loop runtimes.
-[[nodiscard]] GreedyResult greedy_combination(Evaluator& evaluator,
+/// Greedy combination from collected per-loop runtimes: the realized
+/// result, with the §3.4 no-interference bound (G.Independent) in
+/// extras under kExtraIndependentSeconds / kExtraIndependentSpeedup.
+[[nodiscard]] TuningResult greedy_combination(Evaluator& evaluator,
                                               const Outline& outline,
                                               const Collection& collection,
                                               double baseline_seconds);

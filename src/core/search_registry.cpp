@@ -73,12 +73,15 @@ std::vector<std::string> SearchContext::algorithm_tokens(
 
 namespace {
 
-/// Deprecated-alias resolution: the namespaced knob wins when the user
-/// gave it; otherwise the old flat FuncyTunerOptions field applies.
-std::size_t knob_or(const support::OptionSet::Parsed& parsed,
-                    const std::string& knob, std::size_t flat) {
+/// Evaluation budgets (`fr:samples`, `cfr:samples`,
+/// `retune:iterations`) default to FuncyTunerOptions::samples: K of
+/// Algorithm 1 is both the presample size and the search budget unless
+/// the namespaced knob overrides it.
+std::size_t budget(const support::OptionSet::Parsed& parsed,
+                   const std::string& knob,
+                   const FuncyTunerOptions& options) {
   return parsed.given(knob) ? static_cast<std::size_t>(parsed.integer(knob))
-                            : flat;
+                            : options.samples;
 }
 
 class RandomAlgorithm final : public SearchAlgorithm {
@@ -98,7 +101,7 @@ class FrAlgorithm final : public SearchAlgorithm {
   support::OptionSet options() const override {
     support::OptionSet set;
     set.integer("samples", 1000,
-                "evaluation budget (deprecated alias: flat --samples)");
+                "evaluation budget (default: --samples)");
     return set;
   }
   TuningResult run(SearchContext& context) const override {
@@ -106,7 +109,7 @@ class FrAlgorithm final : public SearchAlgorithm {
     const FuncyTunerOptions& options = context.options();
     return function_random_search(
         context.evaluator(), context.outline(), context.presampled(),
-        knob_or(parsed, "samples", options.samples),
+        budget(parsed, "samples", options),
         support::Rng(options.seed).fork("fr").next(),
         context.baseline_seconds());
   }
@@ -117,12 +120,9 @@ class GreedyAlgorithm final : public SearchAlgorithm {
   std::string name() const override { return "greedy"; }
   std::string display_name() const override { return "G.realized"; }
   TuningResult run(SearchContext& context) const override {
-    // The §3.4 independence bound rides along in TuningResult::extras
-    // (kExtraIndependentSeconds / kExtraIndependentSpeedup).
     return greedy_combination(context.evaluator(), context.outline(),
                               context.collection(),
-                              context.baseline_seconds())
-        .realized;
+                              context.baseline_seconds());
   }
 };
 
@@ -132,25 +132,21 @@ class CfrAlgorithm final : public SearchAlgorithm {
   std::string display_name() const override { return "CFR"; }
   support::OptionSet options() const override {
     support::OptionSet set;
-    set.integer("top-x", 10,
-                "pruned space size per module (deprecated alias: flat "
-                "--top-x)")
+    set.integer("top-x", 10, "pruned space size X per module")
         .integer("samples", 1000,
-                 "evaluation budget K of Algorithm 1 (deprecated alias: "
-                 "flat --samples)")
-        .integer("patience", 0,
-                 "early-stop patience; 0 = fixed budget (deprecated "
-                 "alias: flat --patience)");
+                 "evaluation budget K of Algorithm 1 (default: --samples)")
+        .integer("patience", 0, "early-stop patience; 0 = fixed budget");
     return set;
   }
   TuningResult run(SearchContext& context) const override {
     const support::OptionSet::Parsed parsed = parsed_options(context);
     const FuncyTunerOptions& options = context.options();
     CfrOptions cfr_options;
-    cfr_options.top_x = knob_or(parsed, "top-x", options.top_x);
-    cfr_options.iterations = knob_or(parsed, "samples", options.samples);
+    cfr_options.top_x = static_cast<std::size_t>(parsed.integer("top-x"));
+    cfr_options.iterations = budget(parsed, "samples", options);
     cfr_options.seed = support::Rng(options.seed).fork("cfr").next();
-    cfr_options.patience = knob_or(parsed, "patience", options.patience);
+    cfr_options.patience =
+        static_cast<std::size_t>(parsed.integer("patience"));
     return cfr_search(context.evaluator(), context.outline(),
                       context.collection(), cfr_options,
                       context.baseline_seconds());
@@ -164,25 +160,22 @@ class RetuneAlgorithm final : public SearchAlgorithm {
   support::OptionSet options() const override {
     support::OptionSet set;
     set.integer("iterations", 60,
-                "evaluation budget, the seed costs one (deprecated "
-                "alias: flat --samples)")
-        .integer("top-x", 10,
-                 "pruned candidate space per module (deprecated alias: "
-                 "flat --top-x)")
-        .integer("patience", 0,
-                 "early-stop patience; 0 = fixed budget (deprecated "
-                 "alias: flat --patience)");
+                "evaluation budget, the seed costs one (default: "
+                "--samples)")
+        .integer("top-x", 10, "pruned candidate space per module")
+        .integer("patience", 0, "early-stop patience; 0 = fixed budget");
     return set;
   }
   TuningResult run(SearchContext& context) const override {
     const support::OptionSet::Parsed parsed = parsed_options(context);
     const FuncyTunerOptions& options = context.options();
     RetuneOptions retune_options;
-    retune_options.top_x = knob_or(parsed, "top-x", options.top_x);
-    retune_options.iterations =
-        knob_or(parsed, "iterations", options.samples);
+    retune_options.top_x =
+        static_cast<std::size_t>(parsed.integer("top-x"));
+    retune_options.iterations = budget(parsed, "iterations", options);
     retune_options.seed = support::Rng(options.seed).fork("retune").next();
-    retune_options.patience = knob_or(parsed, "patience", options.patience);
+    retune_options.patience =
+        static_cast<std::size_t>(parsed.integer("patience"));
     // Without an incumbent the retune degenerates to hill-climbing
     // from the O3 default - still valid, just slower to converge.
     const compiler::ModuleAssignment seed =

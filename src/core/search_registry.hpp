@@ -1,17 +1,16 @@
 // SearchAlgorithm registry: a uniform name → factory API over the
 // paper's four search algorithms and any experimental ones a caller
-// registers. Replaces the run_random / run_fr / run_greedy / run_cfr
-// fan-out: ftune, Campaign and the figure benches resolve algorithms
-// by key and iterate `names()` instead of hard-coding a string switch.
+// registers. ftune, Campaign, the figure benches and the tests resolve
+// algorithms by key (FuncyTuner::run) and iterate `names()` instead of
+// hard-coding a string switch.
 //
 // A SearchAlgorithm consumes a SearchContext - lazy accessors over one
 // FuncyTuner's phases - so cheap algorithms (Random) never force the
 // expensive collection sweep just by being constructed. Each
 // algorithm additionally owns a declarative options() schema
 // (support/options OptionSet) of its private knobs, surfaced by ftune
-// as namespaced flags (`--cfr:top-x`, `--fr:samples`, ...); the
-// old flat FuncyTunerOptions fields stay honored as deprecated
-// aliases when the namespaced knob was not given.
+// as namespaced flags (`--cfr:top-x`, `--fr:samples`, ...), the only
+// place those knobs can be set.
 #pragma once
 
 #include <functional>

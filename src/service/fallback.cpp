@@ -1,5 +1,6 @@
 #include "service/fallback.hpp"
 
+#include <iostream>
 #include <utility>
 
 #include "machine/architecture.hpp"
@@ -8,20 +9,23 @@
 
 namespace ft::service {
 
+namespace {
+
+/// "The primary cannot serve right now but the work itself is fine" -
+/// the degradation trigger set. Anything else (bad_request,
+/// unknown_program, remote_fault...) would fail locally too, or
+/// signals a real bug that must surface, not be papered over.
+bool degradable(const std::string& code) noexcept {
+  return is_transport_code(code) || is_bounce_code(code);
+}
+
+}  // namespace
+
 LocalFallbackBackend::LocalFallbackBackend(
     std::shared_ptr<core::EvalBackend> primary, WorkspaceSpec workspace)
     : primary_(std::move(primary)), workspace_(std::move(workspace)) {}
 
 LocalFallbackBackend::~LocalFallbackBackend() = default;
-
-bool LocalFallbackBackend::degradable(const std::string& code) noexcept {
-  // Transport-class and availability-class codes only. Anything else
-  // (bad_request, unknown_program, remote_fault...) would fail locally
-  // too, or signals a real bug that must surface, not be papered over.
-  return code == "io" || code == "timeout" || code == "connect" ||
-         code == "fleet" || code == "draining" || code == "overloaded" ||
-         code == "deadline";
-}
 
 core::Evaluator& LocalFallbackBackend::local_locked() {
   if (!local_) {
@@ -105,6 +109,22 @@ LocalFallbackBackend::run_many(
 LocalFallbackBackend::Stats LocalFallbackBackend::stats() const {
   std::lock_guard lock(mutex_);
   return stats_;
+}
+
+std::shared_ptr<LocalFallbackBackend> connect_with_fallback(
+    const std::function<std::shared_ptr<core::EvalBackend>()>& connect,
+    const WorkspaceSpec& workspace) {
+  std::shared_ptr<core::EvalBackend> primary;
+  try {
+    primary = connect();
+  } catch (const ServiceError& error) {
+    if (!degradable(error.code())) throw;
+    std::cerr << "ftune: remote unavailable for " << workspace.program
+              << "/" << workspace.arch << " (" << error.what()
+              << "); degrading to local evaluation\n";
+  }
+  return std::make_shared<LocalFallbackBackend>(std::move(primary),
+                                                workspace);
 }
 
 }  // namespace ft::service

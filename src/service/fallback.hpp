@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 
@@ -57,9 +58,6 @@ class LocalFallbackBackend : public core::EvalBackend {
   /// Lazily builds the local engine (first fallback pays the
   /// construction cost; healthy runs never do).
   core::Evaluator& local_locked();
-  /// True when `code` means "the primary cannot serve right now but
-  /// the work itself is fine" - the degradation trigger set.
-  [[nodiscard]] static bool degradable(const std::string& code) noexcept;
 
   std::shared_ptr<core::EvalBackend> primary_;
   WorkspaceSpec workspace_;
@@ -68,5 +66,14 @@ class LocalFallbackBackend : public core::EvalBackend {
   bool degraded_last_call_ = false;
   Stats stats_;
 };
+
+/// Connects the primary through `connect` and wraps it for
+/// `workspace`. A connect-time failure the fallback would absorb at
+/// run time (every endpoint down, a daemon draining, ...) leaves the
+/// primary null, so the run is served in-process from the start; any
+/// other refusal (bad options, version skew) propagates.
+[[nodiscard]] std::shared_ptr<LocalFallbackBackend> connect_with_fallback(
+    const std::function<std::shared_ptr<core::EvalBackend>()>& connect,
+    const WorkspaceSpec& workspace);
 
 }  // namespace ft::service

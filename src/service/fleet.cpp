@@ -21,22 +21,6 @@ namespace {
 /// only shifts WHERE work lands, never what it computes.
 constexpr int kRingReplicas = 17;
 
-/// Transport-level failures: the endpoint (or the path to it) is sick,
-/// as opposed to the request being bad. These drain the endpoint and
-/// send its work elsewhere. "draining" belongs here: the daemon
-/// announced it is going away, which for ROUTING purposes is the same
-/// as already being gone.
-bool is_transport_code(const std::string& code) {
-  return code == "io" || code == "timeout" || code == "connect" ||
-         code == "draining";
-}
-
-/// Refusals that bounce the chunk elsewhere while the endpoint itself
-/// stays healthy: backpressure and server-side queue-age expiry.
-bool is_bounce_code(const std::string& code) {
-  return code == "overloaded" || code == "deadline";
-}
-
 double monotonic_seconds() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point start = clock::now();
@@ -189,20 +173,7 @@ void FleetBackend::note_transport_failure(std::size_t index) {
     ++endpoint.consecutive_failures;
     if (endpoint.consecutive_failures >=
         options_.breaker_failure_threshold) {
-      // Open spell: exponential backoff with deterministic
-      // per-endpoint jitter, so N clients that watched the same
-      // daemon die do not re-dial it in lockstep.
-      double backoff =
-          std::min(options_.breaker_reopen_base_seconds *
-                       std::ldexp(1.0, endpoint.open_spells),
-                   options_.breaker_reopen_max_seconds);
-      const double u =
-          static_cast<double>(
-              support::splitmix64(endpoint.jitter_state) >> 11) *
-          0x1.0p-53;
-      backoff += backoff * 0.25 * u;
-      endpoint.reopen_at = monotonic_seconds() + backoff;
-      ++endpoint.open_spells;
+      open_spell_locked(endpoint);
       opened = true;
     } else {
       endpoint.reopen_at = 0.0;  // below threshold: retry immediately
@@ -213,6 +184,22 @@ void FleetBackend::note_transport_failure(std::size_t index) {
     std::lock_guard lock(stats_mutex_);
     ++stats_.breaker_opens;
   }
+}
+
+void FleetBackend::open_spell_locked(Endpoint& endpoint) {
+  // Exponential backoff with deterministic per-endpoint jitter, so N
+  // clients that watched the same daemon die do not re-dial it in
+  // lockstep.
+  double backoff = std::min(options_.breaker_reopen_base_seconds *
+                                std::ldexp(1.0, endpoint.open_spells),
+                            options_.breaker_reopen_max_seconds);
+  const double u =
+      static_cast<double>(support::splitmix64(endpoint.jitter_state) >>
+                          11) *
+      0x1.0p-53;
+  backoff += backoff * 0.25 * u;
+  endpoint.reopen_at = monotonic_seconds() + backoff;
+  ++endpoint.open_spells;
 }
 
 void FleetBackend::note_success(std::size_t index) {
@@ -269,17 +256,7 @@ void FleetBackend::probe_pass() {
       ++stats_.breaker_recoveries;
     } catch (const std::exception&) {
       std::lock_guard lock(endpoint.breaker_mutex);
-      double backoff =
-          std::min(options_.breaker_reopen_base_seconds *
-                       std::ldexp(1.0, endpoint.open_spells),
-                   options_.breaker_reopen_max_seconds);
-      const double u =
-          static_cast<double>(
-              support::splitmix64(endpoint.jitter_state) >> 11) *
-          0x1.0p-53;
-      backoff += backoff * 0.25 * u;
-      endpoint.reopen_at = monotonic_seconds() + backoff;
-      ++endpoint.open_spells;
+      open_spell_locked(endpoint);
     }
   }
 }

@@ -146,6 +146,9 @@ class FleetBackend final : public core::EvalBackend {
   /// endpoint and, at the failure threshold, opens the breaker
   /// (exponential reopen backoff with deterministic jitter).
   void note_transport_failure(std::size_t index);
+  /// Starts the next open spell: sets reopen_at after an exponential,
+  /// jittered backoff. Caller holds endpoint.breaker_mutex.
+  void open_spell_locked(Endpoint& endpoint);
   /// Resets the consecutive-failure count after served traffic.
   void note_success(std::size_t index);
   /// One probe pass: ping alive+idle endpoints, half-open reconnect

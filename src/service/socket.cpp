@@ -22,6 +22,15 @@
 
 namespace ft::service {
 
+bool is_transport_code(const std::string& code) noexcept {
+  return code == "io" || code == "timeout" || code == "connect" ||
+         code == "draining" || code == "fleet";
+}
+
+bool is_bounce_code(const std::string& code) noexcept {
+  return code == "overloaded" || code == "deadline";
+}
+
 namespace {
 
 sockaddr_un unix_sockaddr(const std::string& path) {

@@ -27,6 +27,16 @@ class ServiceError : public std::runtime_error {
   std::string code_;
 };
 
+/// The one classification of ServiceError codes that callers act on.
+/// Transport: the endpoint, the path to it, or the whole fleet cannot
+/// serve right now ("io", "timeout", "connect", "draining", "fleet").
+/// "draining" belongs here: the daemon announced it is going away,
+/// which for routing is the same as already being gone.
+[[nodiscard]] bool is_transport_code(const std::string& code) noexcept;
+/// Bounce: a healthy endpoint refused this one request - backpressure
+/// ("overloaded") or server-side queue-age expiry ("deadline").
+[[nodiscard]] bool is_bounce_code(const std::string& code) noexcept;
+
 struct Address {
   bool is_unix = true;
   std::string path;  ///< unix socket path

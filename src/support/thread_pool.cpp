@@ -37,10 +37,6 @@ void ThreadPool::submit(TaskGroup& group, std::function<void()> task) {
   work_available_.notify_one();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  submit(default_group_, std::move(task));
-}
-
 void ThreadPool::run_task(PendingTask& task, bool stolen) {
   const auto start = std::chrono::steady_clock::now();
   std::exception_ptr error;
@@ -87,8 +83,6 @@ void ThreadPool::wait(TaskGroup& group) {
   lock.unlock();
   if (error) std::rethrow_exception(error);
 }
-
-void ThreadPool::wait_idle() { wait(default_group_); }
 
 ThreadPool::Stats ThreadPool::stats() const {
   std::lock_guard lock(mutex_);

@@ -112,13 +112,6 @@ class ThreadPool {
   /// clears it, leaving the group reusable.
   void wait(TaskGroup& group);
 
-  /// Enqueue a task on the pool-internal default group. Legacy
-  /// single-caller API; prefer submit(group, task).
-  void submit(std::function<void()> task);
-
-  /// wait() on the pool-internal default group.
-  void wait_idle();
-
   [[nodiscard]] Stats stats() const;
 
  private:
@@ -137,7 +130,6 @@ class ThreadPool {
   mutable std::mutex mutex_;
   std::condition_variable work_available_;
   bool shutting_down_ = false;
-  TaskGroup default_group_;
 
   // Pool-wide counters, guarded by mutex_.
   std::size_t tasks_submitted_ = 0;

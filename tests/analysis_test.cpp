@@ -197,13 +197,14 @@ TEST(LinkAblation, DisablingEffectsLiftsGreedy) {
                               machine::broadwell(), fast_options(300));
   without_fx.engine().compiler().set_link_options(
       compiler::LinkOptions::none());
-  const auto greedy_on = with_fx.run_greedy();
-  const auto greedy_off = without_fx.run_greedy();
-  EXPECT_GT(greedy_off.realized.speedup, greedy_on.realized.speedup);
+  const auto greedy_on = with_fx.run("greedy");
+  const auto greedy_off = without_fx.run("greedy");
+  EXPECT_GT(greedy_off.speedup, greedy_on.speedup);
   // Without link effects the realized assembly approaches the
   // independence hypothetical.
-  EXPECT_GT(greedy_off.realized.speedup,
-            0.9 * greedy_off.independent_speedup);
+  EXPECT_GT(greedy_off.speedup,
+            0.9 * greedy_off.extras.get_or(core::kExtraIndependentSpeedup,
+                                           0));
 }
 
 TEST(LinkAblation, NoneDisablesEverything) {
@@ -395,7 +396,7 @@ TEST(Evolution, CompetitiveWithCfr) {
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          fast_options(400));
   const double baseline = tuner.baseline_seconds();
-  const auto cfr = tuner.run_cfr();
+  const auto cfr = tuner.run("cfr");
   core::EvolutionOptions options;
   options.evaluations = 400;
   const auto evo = core::evolutionary_search(

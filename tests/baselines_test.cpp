@@ -18,7 +18,6 @@ namespace {
 core::FuncyTunerOptions fast_options() {
   core::FuncyTunerOptions options;
   options.samples = 100;
-  options.top_x = 10;
   options.final_reps = 5;
   return options;
 }

@@ -16,10 +16,12 @@
 namespace ft::core {
 namespace {
 
+constexpr std::size_t kCfrTopX = 12;
+
 FuncyTunerOptions fast_options(std::size_t samples = 120) {
   FuncyTunerOptions options;
   options.samples = samples;
-  options.top_x = 12;
+  options.algorithm_options["cfr"] = {"--top-x=" + std::to_string(kCfrTopX)};
   options.seed = 42;
   options.final_reps = 5;
   return options;
@@ -161,7 +163,7 @@ TEST_F(CoreTest, PruneOrderedAscending) {
 // ------------------------------------------------------------ algorithms ----
 
 TEST_F(CoreTest, RandomSearchInvariants) {
-  const TuningResult result = tuner_.run_random();
+  const TuningResult result = tuner_.run("random");
   EXPECT_EQ(result.algorithm, "Random");
   EXPECT_EQ(result.evaluations, tuner_.options().samples);
   EXPECT_EQ(result.history.size(), result.evaluations);
@@ -177,7 +179,7 @@ TEST_F(CoreTest, RandomSearchInvariants) {
 }
 
 TEST_F(CoreTest, FrUsesPresampledCvsOnly) {
-  const TuningResult result = tuner_.run_fr();
+  const TuningResult result = tuner_.run("fr");
   EXPECT_EQ(result.algorithm, "FR");
   const auto& presampled = tuner_.presampled();
   auto contains = [&](const flags::CompilationVector& cv) {
@@ -193,20 +195,20 @@ TEST_F(CoreTest, FrUsesPresampledCvsOnly) {
 }
 
 TEST_F(CoreTest, GreedyPicksPerLoopWinners) {
-  const GreedyResult greedy = tuner_.run_greedy();
+  const TuningResult greedy = tuner_.run("greedy");
   const Collection& collection = tuner_.collection();
   const Outline& outline = tuner_.outline();
   for (std::size_t i = 0; i < outline.hot.size(); ++i) {
     const auto& times = collection.loop_times[i];
     const std::size_t winner =
         support::argmin(std::span<const double>(times));
-    EXPECT_EQ(greedy.realized.best_assignment.loop_cvs[outline.hot[i]],
+    EXPECT_EQ(greedy.best_assignment.loop_cvs[outline.hot[i]],
               collection.cvs[winner]);
   }
 }
 
 TEST_F(CoreTest, GreedyIndependentIsSumOfMinima) {
-  const GreedyResult greedy = tuner_.run_greedy();
+  const TuningResult greedy = tuner_.run("greedy");
   const Collection& collection = tuner_.collection();
   double expected = 0.0;
   for (const auto& times : collection.loop_times) {
@@ -214,24 +216,25 @@ TEST_F(CoreTest, GreedyIndependentIsSumOfMinima) {
   }
   expected += *std::min_element(collection.rest_times.begin(),
                                 collection.rest_times.end());
-  EXPECT_NEAR(greedy.independent_seconds, expected, 1e-9);
-  EXPECT_NEAR(greedy.independent_speedup,
-              greedy.realized.baseline_seconds / expected, 1e-9);
+  EXPECT_NEAR(greedy.extras.get_or(kExtraIndependentSeconds, 0), expected,
+              1e-9);
+  EXPECT_NEAR(greedy.extras.get_or(kExtraIndependentSpeedup, 0),
+              greedy.baseline_seconds / expected, 1e-9);
 }
 
 TEST_F(CoreTest, IndependentBeatsRealized) {
   // §3.4/§4.1: G.Independent is the (unrealizable) upper bound; with
   // interference and the winner's curse the realized assembly is
   // always worse on these workloads.
-  const GreedyResult greedy = tuner_.run_greedy();
-  EXPECT_GT(greedy.independent_speedup, greedy.realized.speedup);
+  const TuningResult greedy = tuner_.run("greedy");
+  EXPECT_GT(greedy.extras.get_or(kExtraIndependentSpeedup, 0),
+            greedy.speedup);
 }
 
 TEST_F(CoreTest, CfrSamplesWithinPrunedSpaces) {
-  const TuningResult result = tuner_.run_cfr();
+  const TuningResult result = tuner_.run("cfr");
   EXPECT_EQ(result.algorithm, "CFR");
-  const auto pruned =
-      prune_top_x(tuner_.collection(), tuner_.options().top_x);
+  const auto pruned = prune_top_x(tuner_.collection(), kCfrTopX);
   const Outline& outline = tuner_.outline();
   const Collection& collection = tuner_.collection();
   for (std::size_t i = 0; i < outline.hot.size(); ++i) {
@@ -249,17 +252,17 @@ TEST_F(CoreTest, CfrSamplesWithinPrunedSpaces) {
 
 TEST_F(CoreTest, CfrBeatsFrOnFixedSeed) {
   // The paper's central claim, on this seed and workload.
-  const TuningResult cfr = tuner_.run_cfr();
-  const TuningResult fr = tuner_.run_fr();
+  const TuningResult cfr = tuner_.run("cfr");
+  const TuningResult fr = tuner_.run("fr");
   EXPECT_GT(cfr.speedup, fr.speedup);
 }
 
 TEST_F(CoreTest, ResultsAreReproducible) {
   FuncyTuner other(programs::cloverleaf(), machine::broadwell(),
                    fast_options());
-  EXPECT_DOUBLE_EQ(tuner_.run_cfr().speedup, other.run_cfr().speedup);
-  EXPECT_DOUBLE_EQ(tuner_.run_random().speedup,
-                   other.run_random().speedup);
+  EXPECT_DOUBLE_EQ(tuner_.run("cfr").speedup, other.run("cfr").speedup);
+  EXPECT_DOUBLE_EQ(tuner_.run("random").speedup,
+                   other.run("random").speedup);
 }
 
 // ------------------------------------------------------------ evaluator ----

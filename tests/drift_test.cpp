@@ -22,7 +22,8 @@ namespace {
 FuncyTunerOptions tiny_options() {
   FuncyTunerOptions options;
   options.samples = 40;
-  options.top_x = 2;
+  options.algorithm_options["cfr"] = {"--top-x=2"};
+  options.algorithm_options["retune"] = {"--top-x=2"};
   options.final_reps = 5;
   return options;
 }

@@ -33,7 +33,7 @@ FuncyTunerOptions collision_options(std::uint64_t seed = 42,
                                     std::size_t samples = 60) {
   FuncyTunerOptions options;
   options.samples = samples;
-  options.top_x = 2;
+  options.algorithm_options["cfr"] = {"--top-x=2"};
   options.seed = seed;
   options.final_reps = 5;
   return options;
@@ -203,8 +203,8 @@ TEST(EvalCacheProperty, CacheOnBitIdenticalToCacheOffAcrossSeeds) {
 
     FuncyTuner a(programs::cloverleaf(), machine::broadwell(), off);
     FuncyTuner b(programs::cloverleaf(), machine::broadwell(), on);
-    const TuningResult ra = a.run_cfr();
-    const TuningResult rb = b.run_cfr();
+    const TuningResult ra = a.run("cfr");
+    const TuningResult rb = b.run("cfr");
     expect_identical(ra, rb);
     EXPECT_EQ(tuning_result_json(ra, a.space(), a.program()),
               tuning_result_json(rb, b.space(), b.program()));
@@ -244,12 +244,13 @@ TEST(EvalCacheProperty, SequentialAndBatchPathsAgreeWithCache) {
   FuncyTunerOptions batch = collision_options();
   batch.eval_cache = true;
   FuncyTunerOptions sequential = batch;
-  sequential.patience = sequential.samples;
+  sequential.algorithm_options["cfr"].push_back(
+      "--patience=" + std::to_string(sequential.samples));
 
   FuncyTuner a(programs::cloverleaf(), machine::broadwell(), batch);
   FuncyTuner b(programs::cloverleaf(), machine::broadwell(), sequential);
-  const TuningResult ra = a.run_cfr();
-  const TuningResult rb = b.run_cfr();
+  const TuningResult ra = a.run("cfr");
+  const TuningResult rb = b.run("cfr");
   expect_identical(ra, rb);
 }
 
@@ -271,8 +272,8 @@ TEST(EvalCacheProperty, JournalsAndQuarantineSetsIdenticalCacheOnVsOff) {
   b.evaluator().set_journal(
       EvalJournal::create(path_on, options_fingerprint(off)));
 
-  const TuningResult ra = a.run_cfr();
-  const TuningResult rb = b.run_cfr();
+  const TuningResult ra = a.run("cfr");
+  const TuningResult rb = b.run("cfr");
   expect_identical(ra, rb);
 
   const ResilienceStats sa = a.evaluator().resilience_stats();
@@ -291,8 +292,8 @@ TEST(EvalCacheProperty, ChargedPlusSavedEqualsCacheOffTotal) {
   on.eval_cache = true;
   FuncyTuner a(programs::cloverleaf(), machine::broadwell(), off);
   FuncyTuner b(programs::cloverleaf(), machine::broadwell(), on);
-  (void)a.run_cfr();
-  (void)b.run_cfr();
+  (void)a.run("cfr");
+  (void)b.run("cfr");
 
   const double charged_off = a.evaluator().modeled_overhead_seconds();
   const double charged_on = b.evaluator().modeled_overhead_seconds();
@@ -314,7 +315,7 @@ TEST(EvalCacheProperty, WarmStartResumeSkipsAllJournaledEvaluations) {
 
   FuncyTuner recorded(programs::cloverleaf(), machine::broadwell(), options);
   recorded.evaluator().set_journal(EvalJournal::create(path, fingerprint));
-  const TuningResult expected = recorded.run_cfr();
+  const TuningResult expected = recorded.run("cfr");
 
   // Resume with the complete journal loaded into the cache: every
   // evaluation is served from memory - zero re-evaluations, zero
@@ -324,7 +325,7 @@ TEST(EvalCacheProperty, WarmStartResumeSkipsAllJournaledEvaluations) {
   FuncyTuner resumed(programs::cloverleaf(), machine::broadwell(), cached);
   auto journal = EvalJournal::resume(path, fingerprint);
   resumed.evaluator().set_journal(journal);
-  const TuningResult result = resumed.run_cfr();
+  const TuningResult result = resumed.run("cfr");
 
   expect_identical(result, expected);
   EXPECT_EQ(resumed.evaluator().evaluations(),
@@ -346,11 +347,11 @@ TEST(EvalCacheProperty, KilledRunResumesViaCacheBitIdentically) {
   const std::string path = testing::TempDir() + "ft_cache_kill.ftj";
 
   FuncyTuner reference(programs::cloverleaf(), machine::broadwell(), options);
-  const TuningResult expected = reference.run_cfr();
+  const TuningResult expected = reference.run("cfr");
 
   FuncyTuner recorded(programs::cloverleaf(), machine::broadwell(), options);
   recorded.evaluator().set_journal(EvalJournal::create(path, fingerprint));
-  (void)recorded.run_cfr();
+  (void)recorded.run("cfr");
 
   // Kill mid-append: keep the first half of the file, torn tail
   // included.
@@ -361,7 +362,7 @@ TEST(EvalCacheProperty, KilledRunResumesViaCacheBitIdentically) {
   FuncyTuner resumed(programs::cloverleaf(), machine::broadwell(), cached);
   auto journal = EvalJournal::resume(path, fingerprint);
   resumed.evaluator().set_journal(journal);
-  const TuningResult result = resumed.run_cfr();
+  const TuningResult result = resumed.run("cfr");
 
   expect_identical(result, expected);
   // Journaled prefix came from the cache; only the lost tail re-ran.
@@ -377,7 +378,7 @@ TEST(EvalCacheProperty, WarmStartRebuildsFaultBookkeeping) {
   // assignment's quarantine, and only measured runs count as
   // evaluations. Cold, disk-warm and journal-resumed runs agree.
   FuncyTunerOptions options = collision_options();
-  options.top_x = 8;
+  options.algorithm_options["cfr"] = {"--top-x=8"};
   options.faults.rate = 0.2;
   const std::uint64_t fingerprint = options_fingerprint(options);
   // Per-process names: concurrent copies of this binary must not share
@@ -391,12 +392,12 @@ TEST(EvalCacheProperty, WarmStartRebuildsFaultBookkeeping) {
   disk.eval_cache_dir = dir;
   FuncyTuner cold(programs::cloverleaf(), machine::broadwell(), disk);
   cold.evaluator().set_journal(EvalJournal::create(path, fingerprint));
-  const TuningResult expected = cold.run_cfr();
+  const TuningResult expected = cold.run("cfr");
   FuncyTuner warm(programs::cloverleaf(), machine::broadwell(), disk);
-  const TuningResult from_disk = warm.run_cfr();
+  const TuningResult from_disk = warm.run("cfr");
   FuncyTuner resumed(programs::cloverleaf(), machine::broadwell(), options);
   resumed.evaluator().set_journal(EvalJournal::resume(path, fingerprint));
-  const TuningResult from_journal = resumed.run_cfr();
+  const TuningResult from_journal = resumed.run("cfr");
 
   expect_identical(from_disk, expected);
   expect_identical(from_journal, expected);

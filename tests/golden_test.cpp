@@ -150,7 +150,7 @@ void check_golden(const std::string& name, const std::string& actual) {
 FuncyTunerOptions golden_options() {
   FuncyTunerOptions options;
   options.samples = 120;
-  options.top_x = 6;
+  options.algorithm_options["cfr"] = {"--top-x=6"};
   options.seed = 42;
   options.final_reps = 5;
   return options;
@@ -175,7 +175,7 @@ TEST(GoldenComparator, StringsCompareExactlyEvenWithDigits) {
 TEST(Golden, CfrCloverleafBroadwellJson) {
   FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                    golden_options());
-  const TuningResult result = tuner.run_cfr();
+  const TuningResult result = tuner.run("cfr");
   check_golden("cfr_cloverleaf_broadwell.json",
                tuning_result_json(result, tuner.space(), tuner.program()));
 }
@@ -183,7 +183,7 @@ TEST(Golden, CfrCloverleafBroadwellJson) {
 TEST(Golden, RandomCloverleafBroadwellJson) {
   FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                    golden_options());
-  const TuningResult result = tuner.run_random();
+  const TuningResult result = tuner.run("random");
   check_golden("random_cloverleaf_broadwell.json",
                tuning_result_json(result, tuner.space(), tuner.program()));
 }
@@ -194,7 +194,7 @@ TEST(Golden, CfrJsonUnchangedByEvalCache) {
   FuncyTunerOptions options = golden_options();
   options.eval_cache = true;
   FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(), options);
-  const TuningResult result = tuner.run_cfr();
+  const TuningResult result = tuner.run("cfr");
   check_golden("cfr_cloverleaf_broadwell.json",
                tuning_result_json(result, tuner.space(), tuner.program()));
 }

@@ -15,7 +15,7 @@ namespace {
 core::FuncyTunerOptions budget(std::size_t samples) {
   core::FuncyTunerOptions options;
   options.samples = samples;
-  options.top_x = 20;
+  options.algorithm_options["cfr"] = {"--top-x=20"};
   options.final_reps = 5;
   return options;
 }
@@ -26,7 +26,7 @@ TEST(Integration, CfrBeatsO3AcrossSuiteOnBroadwell) {
   for (const auto& name : {"LULESH", "CL", "AMG"}) {
     core::FuncyTuner tuner(programs::by_name(name), machine::broadwell(),
                            budget(300));
-    speedups.push_back(tuner.run_cfr().speedup);
+    speedups.push_back(tuner.run("cfr").speedup);
   }
   for (const double s : speedups) EXPECT_GT(s, 1.0);
   EXPECT_GT(support::geomean(speedups), 1.05);
@@ -36,7 +36,7 @@ TEST(Integration, CfrWorksOnAllThreeArchitectures) {
   // Fig 5a/b/c: gains on Opteron, Sandy Bridge and Broadwell.
   for (const auto& arch : machine::all_architectures()) {
     core::FuncyTuner tuner(programs::cloverleaf(), arch, budget(300));
-    EXPECT_GT(tuner.run_cfr().speedup, 1.0) << arch.name;
+    EXPECT_GT(tuner.run("cfr").speedup, 1.0) << arch.name;
   }
 }
 
@@ -45,11 +45,16 @@ TEST(Integration, AlgorithmOrderingOnCloverleaf) {
   // CFR > Random and CFR > FR; G.Independent dominates G.realized.
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          budget(600));
-  const auto all = tuner.run_all();
-  EXPECT_GT(all.cfr.speedup, all.random.speedup);
-  EXPECT_GT(all.cfr.speedup, all.fr.speedup);
-  EXPECT_GT(all.greedy.independent_speedup, all.greedy.realized.speedup);
-  EXPECT_GT(all.greedy.independent_speedup, all.cfr.speedup);
+  const auto random = tuner.run("random");
+  const auto fr = tuner.run("fr");
+  const auto greedy = tuner.run("greedy");
+  const auto cfr = tuner.run("cfr");
+  const double independent =
+      greedy.extras.get_or(core::kExtraIndependentSpeedup, 0);
+  EXPECT_GT(cfr.speedup, random.speedup);
+  EXPECT_GT(cfr.speedup, fr.speedup);
+  EXPECT_GT(independent, greedy.speedup);
+  EXPECT_GT(independent, cfr.speedup);
 }
 
 TEST(Integration, TunedCvGeneralizesToLargeInput) {
@@ -57,7 +62,7 @@ TEST(Integration, TunedCvGeneralizesToLargeInput) {
   // different working-set size.
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          budget(300));
-  const auto cfr = tuner.run_cfr();
+  const auto cfr = tuner.run("cfr");
   const auto large = tuner.program().input("large");
   ASSERT_TRUE(large.has_value());
   const double tuned = tuner.seconds_on(*large, cfr.best_assignment);
@@ -71,7 +76,7 @@ TEST(Integration, SwimTestInputIsTheException) {
   // sets make streaming-store style choices backfire).
   core::FuncyTuner tuner(programs::swim(), machine::broadwell(),
                          budget(300));
-  const auto cfr = tuner.run_cfr();
+  const auto cfr = tuner.run("cfr");
   const auto small = tuner.program().input("small");
   const auto large = tuner.program().input("large");
   ASSERT_TRUE(small.has_value() && large.has_value());
@@ -89,7 +94,7 @@ TEST(Integration, GccPersonalityEndToEnd) {
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          budget(200), compiler::Personality::kGcc);
   EXPECT_EQ(tuner.space().compiler_name(), "gcc");
-  const auto random = tuner.run_random();
+  const auto random = tuner.run("random");
   EXPECT_GT(random.speedup, 0.95);
 }
 
@@ -113,13 +118,9 @@ TEST(Integration, FixedSeedFullPipelineSnapshot) {
                      budget(200));
   core::FuncyTuner b(programs::cloverleaf(), machine::broadwell(),
                      budget(200));
-  const auto ra = a.run_all();
-  const auto rb = b.run_all();
-  EXPECT_DOUBLE_EQ(ra.cfr.speedup, rb.cfr.speedup);
-  EXPECT_DOUBLE_EQ(ra.random.speedup, rb.random.speedup);
-  EXPECT_DOUBLE_EQ(ra.fr.speedup, rb.fr.speedup);
-  EXPECT_DOUBLE_EQ(ra.greedy.realized.speedup,
-                   rb.greedy.realized.speedup);
+  for (const char* key : {"random", "fr", "greedy", "cfr"}) {
+    EXPECT_DOUBLE_EQ(a.run(key).speedup, b.run(key).speedup) << key;
+  }
 }
 
 TEST(Integration, TuningOverheadAccumulates) {
@@ -128,7 +129,7 @@ TEST(Integration, TuningOverheadAccumulates) {
   // pipeline.
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          budget(200));
-  (void)tuner.run_cfr();
+  (void)tuner.run("cfr");
   const double after_cfr = tuner.evaluator().modeled_overhead_seconds();
   EXPECT_GT(after_cfr, 1000.0);  // hours of testbed time, modeled
 }

@@ -108,7 +108,8 @@ void expect_identical(const TuningResult& a, const TuningResult& b) {
 FuncyTunerOptions tiny_options(const std::string& dir = "") {
   FuncyTunerOptions options;
   options.samples = 40;
-  options.top_x = 2;  // tiny pruned space -> guaranteed duplicate draws
+  // Tiny pruned space -> guaranteed duplicate draws.
+  options.algorithm_options["cfr"] = {"--top-x=2"};
   options.final_reps = 5;
   options.eval_cache_dir = dir;
   return options;

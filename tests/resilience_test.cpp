@@ -31,7 +31,7 @@ namespace {
 FuncyTunerOptions fast_options(std::size_t samples = 60) {
   FuncyTunerOptions options;
   options.samples = samples;
-  options.top_x = 8;
+  options.algorithm_options["cfr"] = {"--top-x=8"};
   options.seed = 42;
   options.final_reps = 5;
   return options;
@@ -170,8 +170,8 @@ TEST(Resilience, FastPathIsBitIdenticalToPrePolicyRuns) {
   // exactly and record no failures or retries.
   FuncyTuner a(programs::cloverleaf(), machine::broadwell(), fast_options());
   FuncyTuner b(programs::cloverleaf(), machine::broadwell(), fast_options());
-  const TuningResult ra = a.run_cfr();
-  const TuningResult rb = b.run_cfr();
+  const TuningResult ra = a.run("cfr");
+  const TuningResult rb = b.run("cfr");
   EXPECT_EQ(ra.tuned_seconds, rb.tuned_seconds);
   EXPECT_EQ(ra.history, rb.history);
   const ResilienceStats stats = a.evaluator().resilience_stats();
@@ -206,7 +206,7 @@ TEST(Resilience, TransientCrashesAreRetried) {
   options.faults.outlier_rate = 0.0;
   options.retry.max_retries = 6;
   FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(), options);
-  const TuningResult result = tuner.run_random();
+  const TuningResult result = tuner.run("random");
   EXPECT_TRUE(std::isfinite(result.tuned_seconds));
   const ResilienceStats stats = tuner.evaluator().resilience_stats();
   EXPECT_GT(stats.retries, 0u);
@@ -224,7 +224,7 @@ TEST(Resilience, CompileFailuresQuarantineTheVector) {
   options.faults.timeout_share = 0.0;
   options.faults.outlier_rate = 0.0;
   FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(), options);
-  const TuningResult result = tuner.run_random();
+  const TuningResult result = tuner.run("random");
   EXPECT_TRUE(std::isfinite(result.tuned_seconds));
   const ResilienceStats stats = tuner.evaluator().resilience_stats();
   EXPECT_GT(stats.compile_failures, 0u);
@@ -236,7 +236,7 @@ TEST(Resilience, EvalTimeoutBudgetFailsSlowRuns) {
   FuncyTunerOptions options = fast_options();
   options.retry.eval_timeout_seconds = 1e-9;  // everything exceeds this
   FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(), options);
-  const TuningResult result = tuner.run_random();
+  const TuningResult result = tuner.run("random");
   // Every evaluation times out; the search degrades to the default-CV
   // fallback instead of crashing, and the JSON stays parseable.
   EXPECT_FALSE(std::isfinite(result.tuned_seconds));
@@ -557,11 +557,11 @@ TEST(Journal, WarmedCacheFromTornJournalNeverPoisonsResults) {
   const std::string path = testing::TempDir() + "ft_journal_poison.ftj";
 
   FuncyTuner reference(programs::cloverleaf(), machine::broadwell(), options);
-  const TuningResult expected = reference.run_cfr();
+  const TuningResult expected = reference.run("cfr");
 
   FuncyTuner recorded(programs::cloverleaf(), machine::broadwell(), options);
   recorded.evaluator().set_journal(EvalJournal::create(path, fingerprint));
-  (void)recorded.run_cfr();
+  (void)recorded.run("cfr");
 
   // Tear the file mid-record and append garbage "records".
   cut_file(path, 2.0 / 3.0);
@@ -572,7 +572,7 @@ TEST(Journal, WarmedCacheFromTornJournalNeverPoisonsResults) {
   cached.eval_cache = true;
   FuncyTuner resumed(programs::cloverleaf(), machine::broadwell(), cached);
   resumed.evaluator().set_journal(EvalJournal::resume(path, fingerprint));
-  const TuningResult result = resumed.run_cfr();
+  const TuningResult result = resumed.run("cfr");
 
   EXPECT_EQ(result.history, expected.history);
   EXPECT_EQ(result.tuned_seconds, expected.tuned_seconds);
@@ -653,13 +653,13 @@ TEST(Checkpoint, KilledCampaignResumesBitIdentically) {
 
   // Reference: one uninterrupted run, no journal.
   FuncyTuner reference(programs::cloverleaf(), machine::broadwell(), options);
-  const TuningResult expected = reference.run_cfr();
+  const TuningResult expected = reference.run("cfr");
 
   // Journaled run: must match the reference exactly (the journal only
   // records, never perturbs).
   FuncyTuner recorded(programs::cloverleaf(), machine::broadwell(), options);
   recorded.evaluator().set_journal(EvalJournal::create(path, fingerprint));
-  const TuningResult journaled = recorded.run_cfr();
+  const TuningResult journaled = recorded.run("cfr");
   EXPECT_EQ(journaled.tuned_seconds, expected.tuned_seconds);
   EXPECT_EQ(journaled.history, expected.history);
 
@@ -674,7 +674,7 @@ TEST(Checkpoint, KilledCampaignResumesBitIdentically) {
   EXPECT_LT(journal->loaded(), recorded.evaluator().evaluations());
   FuncyTuner resumed(programs::cloverleaf(), machine::broadwell(), options);
   resumed.evaluator().set_journal(journal);
-  const TuningResult result = resumed.run_cfr();
+  const TuningResult result = resumed.run("cfr");
 
   EXPECT_EQ(result.tuned_seconds, expected.tuned_seconds);
   EXPECT_EQ(result.search_best_seconds, expected.search_best_seconds);
@@ -691,7 +691,7 @@ TEST(Checkpoint, KilledCampaignResumesBitIdentically) {
   auto complete = EvalJournal::resume(path, fingerprint);
   FuncyTuner replay(programs::cloverleaf(), machine::broadwell(), options);
   replay.evaluator().set_journal(complete);
-  const TuningResult replayed = replay.run_cfr();
+  const TuningResult replayed = replay.run("cfr");
   EXPECT_EQ(replayed.tuned_seconds, expected.tuned_seconds);
   EXPECT_EQ(replayed.history, expected.history);
 }

@@ -32,10 +32,12 @@
 namespace ft {
 namespace {
 
+constexpr std::size_t kCfrTopX = 5;
+
 core::FuncyTunerOptions fast_options() {
   core::FuncyTunerOptions options;
   options.samples = 30;
-  options.top_x = 5;
+  options.algorithm_options["cfr"] = {"--top-x=" + std::to_string(kCfrTopX)};
   return options;
 }
 
@@ -195,24 +197,12 @@ TEST(SearchRegistry, CfrOptionSchemaRejectsUnknownAndMalformedKnobs) {
 
 TEST(SearchRegistry, NamespacedKnobsReachTheAlgorithm) {
   core::FuncyTunerOptions options = fast_options();
-  options.algorithm_options["cfr"] = {"--samples=9"};
+  options.algorithm_options["cfr"].push_back("--samples=9");
   options.algorithm_options["fr"] = {"--samples=7"};
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          options);
   EXPECT_EQ(tuner.run("cfr").evaluations, 9u);
   EXPECT_EQ(tuner.run("fr").evaluations, 7u);
-}
-
-TEST(SearchRegistry, FlatTopXMatchesTheNamespacedCfrKnob) {
-  // Flat --top-x path...
-  core::FuncyTunerOptions flat = fast_options();
-  flat.top_x = 3;
-  // ...equals the namespaced --cfr:top-x path. The flat field keeps
-  // its default so only the namespaced knob can explain a match.
-  core::FuncyTunerOptions spaced = fast_options();
-  spaced.algorithm_options["cfr"] = {"--top-x=3"};
-  ASSERT_NE(spaced.top_x, 3u);
-  EXPECT_EQ(run_json("cfr", flat), run_json("cfr", spaced));
 }
 
 TEST(SearchRegistry, CustomAlgorithmsCanRegisterAndReplace) {
@@ -251,7 +241,7 @@ TEST(SearchRegistry, CustomAlgorithmsCanRegisterAndReplace) {
 TEST(SearchRegistry, RoundTripMatchesDirectCallsBitForBit) {
   const core::FuncyTunerOptions options = fast_options();
 
-  // Direct path: call the search functions the way run_* used to.
+  // Direct path: call the search functions themselves.
   core::FuncyTuner direct(programs::cloverleaf(), machine::broadwell(),
                           options);
   const core::TuningResult direct_random = core::random_search(
@@ -260,11 +250,11 @@ TEST(SearchRegistry, RoundTripMatchesDirectCallsBitForBit) {
       direct.evaluator(), direct.outline(), direct.presampled(),
       options.samples, support::Rng(options.seed).fork("fr").next(),
       direct.baseline_seconds());
-  const core::GreedyResult direct_greedy = core::greedy_combination(
+  const core::TuningResult direct_greedy = core::greedy_combination(
       direct.evaluator(), direct.outline(), direct.collection(),
       direct.baseline_seconds());
   core::CfrOptions cfr_options;
-  cfr_options.top_x = options.top_x;
+  cfr_options.top_x = kCfrTopX;
   cfr_options.iterations = options.samples;
   cfr_options.seed = support::Rng(options.seed).fork("cfr").next();
   const core::TuningResult direct_cfr = core::cfr_search(
@@ -287,20 +277,15 @@ TEST(SearchRegistry, RoundTripMatchesDirectCallsBitForBit) {
   expect_same(registry.run("random"), direct_random);
   expect_same(registry.run("fr"), direct_fr);
   const core::TuningResult greedy = registry.run("greedy");
-  expect_same(greedy, direct_greedy.realized);
+  expect_same(greedy, direct_greedy);
   ASSERT_TRUE(greedy.extras.contains(core::kExtraIndependentSpeedup));
-  EXPECT_DOUBLE_EQ(
-      greedy.extras.get_or(core::kExtraIndependentSeconds, -1.0),
-      direct_greedy.independent_seconds);
-  EXPECT_DOUBLE_EQ(
-      greedy.extras.get_or(core::kExtraIndependentSpeedup, -1.0),
-      direct_greedy.independent_speedup);
+  EXPECT_EQ(greedy.extras.items(), direct_greedy.extras.items());
   expect_same(registry.run("cfr"), direct_cfr);
 }
 
 TEST(SearchRegistry, PatienceFoldsIntoCfrOptions) {
   core::FuncyTunerOptions options = fast_options();
-  options.patience = 3;
+  options.algorithm_options["cfr"].push_back("--patience=3");
   core::FuncyTuner tuner(programs::swim(), machine::broadwell(), options);
   const core::TuningResult early = tuner.run("cfr");
   EXPECT_LE(early.evaluations, options.samples);
@@ -308,7 +293,7 @@ TEST(SearchRegistry, PatienceFoldsIntoCfrOptions) {
 
   // With patience off, the fixed budget is spent in full, and the
   // early-stopped run's measurements are a prefix of the full run's.
-  options.patience = 0;
+  options = fast_options();
   core::FuncyTuner full(programs::swim(), machine::broadwell(), options);
   const core::TuningResult complete = full.run("cfr");
   EXPECT_EQ(complete.evaluations, options.samples);

@@ -25,6 +25,7 @@
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
 #include "service/client.hpp"
+#include "service/fallback.hpp"
 #include "service/fleet.hpp"
 #include "service/framing.hpp"
 #include "service/protocol.hpp"
@@ -708,6 +709,49 @@ TEST(Service, RemoteTuningIsBitIdenticalToLocal) {
   EXPECT_GT(stats.evaluations, 0u);
   EXPECT_GT(stats.batch_frames, 0u);  // coalescing actually happened
   server.stop();
+}
+
+TEST(Fallback, DrainingHelloDegradesToLocalBitIdentically) {
+  // Fake daemon mid-drain: it refuses the hello with retryable
+  // "draining". Like a fleet that skips draining endpoints, a single
+  // remote with fallback must degrade to in-process evaluation instead
+  // of failing the run.
+  Listener listener = Listener::bind(Address::parse("tcp:127.0.0.1:0"));
+  std::thread fake_daemon([&] {
+    Socket session = listener.accept_within(5000);
+    ASSERT_TRUE(session.valid());
+    std::string payload;
+    ASSERT_EQ(read_frame(session.fd(), &payload), FrameStatus::kOk);
+    encode_error_frame(Framing::kBinary,
+                       ErrorFrame{"draining", "shutting down", 0, true},
+                       &payload);
+    ASSERT_TRUE(write_frame(session.fd(), payload));
+  });
+  core::FuncyTunerOptions options;
+  options.samples = 15;
+  options.seed = 21;
+  const WorkspaceSpec workspace{"CL", "broadwell",
+                                compiler::Personality::kIcc, options};
+  const auto connect = [&] {
+    ConnectOptions connect_options;
+    connect_options.workspace = workspace;
+    return std::make_shared<RemoteBackend>(Client::connect(
+        Endpoint::parse(listener.address().display()), connect_options));
+  };
+  std::shared_ptr<LocalFallbackBackend> backend;
+  EXPECT_NO_THROW(backend = connect_with_fallback(connect, workspace));
+  fake_daemon.join();
+  ASSERT_NE(backend, nullptr);
+
+  core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
+                         options);
+  tuner.evaluator().set_backend(backend);
+  const core::TuningResult result = tuner.run("cfr");
+  EXPECT_EQ(tune_json("cfr", options, nullptr),
+            core::tuning_result_json(result, tuner.space(), tuner.program()));
+  EXPECT_GT(backend->stats().fallback_batches +
+                backend->stats().fallback_runs,
+            0u);
 }
 
 TEST(Service, RemoteTuningIsBitIdenticalUnderFaultInjection) {

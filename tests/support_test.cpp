@@ -383,20 +383,22 @@ TEST(Strings, StartsWith) {
 
 TEST(ThreadPool, RunsAllTasks) {
   ThreadPool pool(4);
+  TaskGroup group;
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++counter; });
-  pool.wait_idle();
+  for (int i = 0; i < 100; ++i) pool.submit(group, [&] { ++counter; });
+  pool.wait(group);
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPool, PropagatesFirstException) {
   ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // Pool remains usable afterwards.
+  TaskGroup group;
+  pool.submit(group, [] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(pool.wait(group), std::runtime_error);
+  // Pool and group remain usable afterwards.
   std::atomic<int> counter{0};
-  pool.submit([&] { ++counter; });
-  pool.wait_idle();
+  pool.submit(group, [&] { ++counter; });
+  pool.wait(group);
   EXPECT_EQ(counter.load(), 1);
 }
 
@@ -469,7 +471,7 @@ TEST(TaskGroup, ErrorIsRoutedOnlyToItsOwnGroup) {
   EXPECT_NO_THROW(pool.wait(bad));
 }
 
-// Regression for the flat-counter pool: wait_idle() waited on a global
+// Regression for the flat-counter pool: its wait waited on a global
 // in-flight count and rethrew a global first_error_, so one caller
 // could receive another caller's exception (or return early while
 // foreign work was still in flight). With task groups, two concurrent

@@ -249,7 +249,7 @@ TEST(Telemetry, GoldenTraceIsDeterministicForFixedSeed) {
     telemetry::tracer().reset_ids();
     core::FuncyTunerOptions options;
     options.samples = 12;
-    options.top_x = 3;
+    options.algorithm_options["cfr"] = {"--top-x=3"};
     core::FuncyTuner tuner(programs::swim(), machine::broadwell(),
                            options);
     (void)tuner.run("cfr");

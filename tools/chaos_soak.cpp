@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
     cell.arch = archs[(i / suite.size()) % archs.size()].name;
     cell.options.samples =
         static_cast<std::size_t>(args.integer("samples"));
-    cell.options.top_x = 2;
+    cell.options.algorithm_options["cfr"] = {"--top-x=2"};
     cell.options.final_reps = 3;
     cell.options.seed = config.seed + i;
     core::FuncyTuner tuner(programs::by_name(cell.program),

@@ -63,14 +63,12 @@ support::OptionSet common_options() {
   set.text("program", "CL", "benchmark name (see `ftune list`)")
       .text("arch", "broadwell", "opteron|sandybridge|broadwell")
       .integer("samples", 1000,
-               "pre-sampled CVs / search iterations",
+               "K: pre-sampled CVs, and the fr/cfr budget unless "
+               "--fr:samples / --cfr:samples is given",
                [](const std::string& raw) {
                  return raw.empty() || raw[0] == '-' ? "must be positive"
                                                     : "";
                })
-      .integer("top-x", 10,
-               "CFR pruned-space size per module (deprecated alias for "
-               "--cfr:top-x)")
       .integer("seed", 42, "master seed")
       .real("hot-threshold", defaults.hot_threshold,
             "outline loops >= this runtime share")
@@ -80,9 +78,6 @@ support::OptionSet common_options() {
             "relative run-to-run noise sigma")
       .real("attribution-sigma", defaults.attribution_sigma,
             "extra per-region Caliper error")
-      .integer("patience", 0,
-               "CFR early stop after N non-improving evals (0 = off; "
-               "deprecated alias for --cfr:patience)")
       .integer("threads", 0,
                "evaluation pool size (sets FT_THREADS; 0 = auto)")
       .real("fault-rate", 0.0,
@@ -133,13 +128,11 @@ core::FuncyTunerOptions parse_options(
     const support::OptionSet::Parsed& args) {
   core::FuncyTunerOptions options;
   options.samples = static_cast<std::size_t>(args.integer("samples"));
-  options.top_x = static_cast<std::size_t>(args.integer("top-x"));
   options.seed = static_cast<std::uint64_t>(args.integer("seed"));
   options.hot_threshold = args.real("hot-threshold");
   options.final_reps = static_cast<int>(args.integer("final-reps"));
   options.noise_sigma_rel = args.real("noise-sigma");
   options.attribution_sigma = args.real("attribution-sigma");
-  options.patience = static_cast<std::size_t>(args.integer("patience"));
   options.faults.rate = args.real("fault-rate");
   options.faults.seed =
       static_cast<std::uint64_t>(args.integer("fault-seed"));
@@ -326,49 +319,37 @@ void attach_remote(core::FuncyTuner& tuner,
                    const core::FuncyTunerOptions& options) {
   const std::vector<std::string> endpoints = remote_endpoints(args);
   if (endpoints.empty()) return;
-  const bool fallback_local = args.flag("fallback-local");
   const service::WorkspaceSpec workspace{
       tuner.program().name(), tuner.engine().arch().name,
       compiler::Personality::kIcc, options};
   const service::ClientOptions client_options = client_options_from(args);
   const std::vector<service::Framing> framings = framings_from(args);
-  std::shared_ptr<core::EvalBackend> backend;
-  try {
+  const auto connect = [&]() -> std::shared_ptr<core::EvalBackend> {
     if (endpoints.size() == 1) {
       service::ConnectOptions connect_options;
       connect_options.workspace = workspace;
       connect_options.framings = framings;
       connect_options.transport = client_options;
-      backend = std::make_shared<service::RemoteBackend>(
+      return std::make_shared<service::RemoteBackend>(
           service::Client::connect(
               service::Endpoint::parse(endpoints.front()),
               connect_options));
-    } else {
-      service::FleetOptions fleet_options;
-      fleet_options.client = client_options;
-      fleet_options.framings = framings;
-      backend = service::FleetBackend::connect(
-          endpoints, tuner.program().name(), tuner.engine().arch().name,
-          options, compiler::Personality::kIcc, fleet_options);
     }
-  } catch (const service::ServiceError& error) {
-    // With --fallback-local even a fleet that is entirely unreachable
-    // at connect time degrades to in-process evaluation (null primary)
-    // instead of failing the run. Workspace refusals (bad options,
-    // version skew) still surface: those would be real bugs.
-    if (!fallback_local ||
-        (error.code() != "connect" && error.code() != "io" &&
-         error.code() != "timeout" && error.code() != "fleet")) {
-      throw;
-    }
-    std::cerr << "ftune: remote unavailable (" << error.what()
-              << "); degrading to local evaluation\n";
+    service::FleetOptions fleet_options;
+    fleet_options.client = client_options;
+    fleet_options.framings = framings;
+    return service::FleetBackend::connect(
+        endpoints, tuner.program().name(), tuner.engine().arch().name,
+        options, compiler::Personality::kIcc, fleet_options);
+  };
+  // With --fallback-local even a remote that is entirely unreachable
+  // at connect time degrades to in-process evaluation.
+  if (args.flag("fallback-local")) {
+    tuner.evaluator().set_backend(
+        service::connect_with_fallback(connect, workspace));
+  } else {
+    tuner.evaluator().set_backend(connect());
   }
-  if (fallback_local) {
-    backend = std::make_shared<service::LocalFallbackBackend>(
-        std::move(backend), workspace);
-  }
-  tuner.evaluator().set_backend(std::move(backend));
 }
 
 /// "out.csv" + "cfr" -> "out.cfr.csv" (suffix appended when the path
@@ -778,26 +759,14 @@ int cmd_campaign(int argc, char** argv) {
       // Per-cell degradation: a cell whose daemons are all down (or
       // none of which serve its architecture) runs in-process instead
       // of failing the grid - same bytes either way.
-      auto fleet_factory = options.backend_factory;
       options.backend_factory =
-          [fleet_factory](const ir::Program& program,
-                          const machine::Architecture& arch,
-                          const core::FuncyTunerOptions& cell_options)
+          [fleet_factory = options.backend_factory](
+              const ir::Program& program,
+              const machine::Architecture& arch,
+              const core::FuncyTunerOptions& cell_options)
           -> std::shared_ptr<core::EvalBackend> {
-        std::shared_ptr<core::EvalBackend> primary;
-        try {
-          primary = fleet_factory(program, arch, cell_options);
-        } catch (const service::ServiceError& error) {
-          if (error.code() != "connect" && error.code() != "io" &&
-              error.code() != "timeout" && error.code() != "fleet") {
-            throw;
-          }
-          std::cerr << "ftune: fleet unavailable for " << program.name()
-                    << "/" << arch.name
-                    << "; degrading to local evaluation\n";
-        }
-        return std::make_shared<service::LocalFallbackBackend>(
-            std::move(primary),
+        return service::connect_with_fallback(
+            [&] { return fleet_factory(program, arch, cell_options); },
             service::WorkspaceSpec{program.name(), arch.name,
                                    compiler::Personality::kIcc,
                                    cell_options});
