@@ -9,12 +9,11 @@
 //                  stolen tasks, queue high-water, busy seconds)
 //   --eval-cache   memoize completed evaluations (bit-identical
 //                  results; redundant modeled cost reported as saved)
-// Binaries with extra flags chain them onto BenchConfig::option_set()
-// and feed the Parsed result to BenchConfig::from (see
-// fig5_overall.cpp for the pattern).
+// Binaries with extra flags chain them onto BenchConfig::option_set(),
+// parse with OptionSet::parse_or_exit and feed the Parsed result to
+// BenchConfig::from (see fig5_overall.cpp for the pattern).
 #pragma once
 
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -71,27 +70,7 @@ struct BenchConfig {
   /// Strict parse of the common table: exits 1 on any unknown flag or
   /// malformed value, 0 on --help.
   [[nodiscard]] static BenchConfig parse(int argc, char** argv) {
-    return from(parse_or_exit(option_set(), argc, argv));
-  }
-
-  /// Strict parse of an (optionally extended) option set, with the
-  /// uniform --help / usage-error behavior.
-  [[nodiscard]] static support::OptionSet::Parsed parse_or_exit(
-      const support::OptionSet& set, int argc, char** argv) {
-    try {
-      support::OptionSet::Parsed parsed = set.parse(argc - 1, argv + 1);
-      if (parsed.flag("help")) {
-        std::cout << set.help(std::string("usage: ") + argv[0] +
-                              " [options]");
-        std::exit(0);
-      }
-      return parsed;
-    } catch (const support::CliError& error) {
-      std::cerr << argv[0] << ": " << error.what() << '\n'
-                << set.help(std::string("usage: ") + argv[0] +
-                            " [options]");
-      std::exit(1);
-    }
+    return from(option_set().parse_or_exit(argc - 1, argv + 1, argv[0]));
   }
 
   [[nodiscard]] core::FuncyTunerOptions tuner_options(

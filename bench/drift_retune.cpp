@@ -12,9 +12,10 @@
 // hot-swapped segment's recovered speedup must be at least the
 // degraded incumbent's - re-tuning never ships a regression.
 //
-// Machine-readable results go to BENCH_drift_retune.json (--json ""
-// disables). --checkpoint/--resume journal every evaluation - initial
-// tune, monitor probes and re-tunes alike - so a SIGKILLed run resumed
+// Machine-readable results are written only with --json FILE (the
+// committed record is `--json BENCH_drift_retune.json`).
+// --checkpoint/--resume journal every evaluation - initial tune,
+// monitor probes and re-tunes alike - so a SIGKILLed run resumed
 // against the same journal replays bit-identically (the crash soak in
 // tests/persistent_cache_test drives this through the library).
 
@@ -68,8 +69,7 @@ int main(int argc, char** argv) {
       .integer("retune-samples", 60, "evaluation budget per re-tune")
       .integer("reps", 5, "repetitions per monitor observation")
       .flag("smoke", false, "reduced budget for CI smoke runs")
-      .text("json", "BENCH_drift_retune.json",
-            "write machine-readable results to FILE (empty disables)")
+      .text("json", "", "write machine-readable results to FILE")
       .text("checkpoint", "",
             "journal completed evaluations to FILE (binary, CRC-checked)")
       .text("resume", "", "continue a killed run from its journal")
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
       .text("eval-cache-disk-size", "",
             "size budget for the disk tier (e.g. 64M)");
   const support::OptionSet::Parsed args =
-      bench::BenchConfig::parse_or_exit(set, argc, argv);
+      set.parse_or_exit(argc - 1, argv + 1, argv[0]);
   bench::BenchConfig config = bench::BenchConfig::from(args);
 
   core::OnlineTunerOptions online_options;

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
                "evaluate via a running ftuned daemon at "
                "unix:PATH or tcp:host:port");
   const support::OptionSet::Parsed parsed =
-      bench::BenchConfig::parse_or_exit(options, argc, argv);
+      options.parse_or_exit(argc - 1, argv + 1, argv[0]);
   const bench::BenchConfig config = bench::BenchConfig::from(parsed);
   const std::string remote = parsed.text("remote");
   const std::vector<std::string> algorithms =

@@ -247,7 +247,7 @@ int run(int argc, char** argv) {
             "ping round-trip")
       .flag("help", false, "print this help");
   const support::OptionSet::Parsed parsed =
-      BenchConfig::parse_or_exit(set, argc, argv);
+      set.parse_or_exit(argc - 1, argv + 1, argv[0]);
 
   BenchSetup setup;
   setup.clients = static_cast<std::size_t>(parsed.integer("clients"));

@@ -11,17 +11,23 @@
 #include "core/funcy_tuner.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
-#include "support/cli.hpp"
+#include "support/options.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace ft;
-  const support::CliArgs args(argc, argv);
+  support::OptionSet set;
+  set.text("program", "CL", "benchmark to tune")
+      .integer("samples", 600, "pre-sampled CV count")
+      .integer("seed", 42, "top-level seed")
+      .flag("help", false, "print this help");
+  const support::OptionSet::Parsed args =
+      set.parse_or_exit(argc - 1, argv + 1, argv[0]);
 
   core::FuncyTunerOptions options;
-  options.samples = static_cast<std::size_t>(args.get_int("samples", 600));
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const std::string program_name = args.get("program", "CL");
+  options.samples = static_cast<std::size_t>(args.integer("samples"));
+  options.seed = static_cast<std::uint64_t>(args.integer("seed"));
+  const std::string program_name = args.text("program");
 
   // Tune natively on every architecture first.
   struct PerArch {

@@ -16,7 +16,7 @@
 
 #include "core/funcy_tuner.hpp"
 #include "machine/architecture.hpp"
-#include "support/cli.hpp"
+#include "support/options.hpp"
 #include "support/table.hpp"
 
 namespace {
@@ -111,11 +111,16 @@ ft::ir::Program reaction_diffusion() {
 
 int main(int argc, char** argv) {
   using namespace ft;
-  const support::CliArgs args(argc, argv);
+  support::OptionSet set;
+  set.integer("samples", 500, "pre-sampled CV count")
+      .integer("seed", 7, "top-level seed")
+      .flag("help", false, "print this help");
+  const support::OptionSet::Parsed args =
+      set.parse_or_exit(argc - 1, argv + 1, argv[0]);
 
   core::FuncyTunerOptions options;
-  options.samples = static_cast<std::size_t>(args.get_int("samples", 500));
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+  options.samples = static_cast<std::size_t>(args.integer("samples"));
+  options.seed = static_cast<std::uint64_t>(args.integer("seed"));
 
   core::FuncyTuner tuner(reaction_diffusion(), machine::broadwell(),
                          options);

@@ -14,34 +14,31 @@
 #include "core/funcy_tuner.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
-#include "support/cli.hpp"
+#include "support/options.hpp"
 #include "support/table.hpp"
 
-namespace {
-
-ft::machine::Architecture arch_by_name(const std::string& name) {
-  if (name == "opteron") return ft::machine::opteron();
-  if (name == "sandybridge") return ft::machine::sandy_bridge();
-  return ft::machine::broadwell();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const ft::support::CliArgs args(argc, argv);
+  ft::support::OptionSet set;
+  set.text("program", "CL", "benchmark to tune")
+      .text("arch", "broadwell", "opteron|sandybridge|broadwell")
+      .integer("samples", 300, "pre-sampled CV count")
+      .integer("top-x", 30, "CFR's pruned space per loop")
+      .integer("seed", 42, "top-level seed")
+      .flag("help", false, "print this help");
+  const ft::support::OptionSet::Parsed args =
+      set.parse_or_exit(argc - 1, argv + 1, argv[0]);
 
   ft::core::FuncyTunerOptions options;
-  options.samples =
-      static_cast<std::size_t>(args.get_int("samples", 300));
-  const std::string top_x = std::to_string(args.get_int("top-x", 30));
+  options.samples = static_cast<std::size_t>(args.integer("samples"));
+  const std::string top_x = std::to_string(args.integer("top-x"));
   options.algorithm_options["cfr"] = {"--top-x=" + top_x};
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  options.seed = static_cast<std::uint64_t>(args.integer("seed"));
 
-  const std::string program_name = args.get("program", "CL");
-  const std::string arch_name = args.get("arch", "broadwell");
+  const std::string program_name = args.text("program");
 
-  ft::core::FuncyTuner tuner(ft::programs::by_name(program_name),
-                             arch_by_name(arch_name), options);
+  ft::core::FuncyTuner tuner(
+      ft::programs::by_name(program_name),
+      ft::machine::architecture_by_name(args.text("arch")), options);
 
   std::cout << "Tuning " << program_name << " on "
             << tuner.engine().arch().name << " (" << options.samples

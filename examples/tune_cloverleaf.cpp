@@ -12,22 +12,25 @@
 #include "core/funcy_tuner.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
-#include "support/cli.hpp"
+#include "support/options.hpp"
 #include "support/string_utils.hpp"
 #include "support/table.hpp"
 
 int main(int argc, char** argv) {
   using namespace ft;
-  const support::CliArgs args(argc, argv);
+  support::OptionSet set;
+  set.integer("samples", 1000, "pre-sampled CV count")
+      .integer("seed", 42, "top-level seed")
+      .text("arch", "broadwell", "opteron|sandybridge|broadwell")
+      .flag("help", false, "print this help");
+  const support::OptionSet::Parsed args =
+      set.parse_or_exit(argc - 1, argv + 1, argv[0]);
 
   core::FuncyTunerOptions options;
-  options.samples = static_cast<std::size_t>(args.get_int("samples", 1000));
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const std::string arch_name = args.get("arch", "broadwell");
+  options.samples = static_cast<std::size_t>(args.integer("samples"));
+  options.seed = static_cast<std::uint64_t>(args.integer("seed"));
   const machine::Architecture arch =
-      arch_name == "opteron"       ? machine::opteron()
-      : arch_name == "sandybridge" ? machine::sandy_bridge()
-                                   : machine::broadwell();
+      machine::architecture_by_name(args.text("arch"));
 
   core::FuncyTuner tuner(programs::cloverleaf(), arch, options);
   std::cout << "=== CloverLeaf deep dive on " << arch.name << " ===\n\n";

@@ -13,6 +13,9 @@ namespace ft::baselines {
 
 namespace {
 
+/// k of the k-means clustering over program features.
+constexpr std::size_t kClusters = 5;
+
 double euclidean(const std::vector<double>& a, const std::vector<double>& b) {
   double sum = 0.0;
   for (std::size_t i = 0; i < a.size() && i < b.size(); ++i) {
@@ -165,7 +168,7 @@ void Cobayn::learn_model(CobaynModel model,
                          const std::vector<std::vector<double>>& features,
                          const std::vector<std::vector<double>>& probs) {
   support::Rng rng(options_.seed ^ static_cast<std::uint64_t>(model));
-  auto [centroids, assignment] = kmeans(features, options_.clusters, rng);
+  auto [centroids, assignment] = kmeans(features, kClusters, rng);
 
   const std::size_t flag_count = binary_space_.flag_count();
   std::vector<std::vector<double>> cluster_probs(

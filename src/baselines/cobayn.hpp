@@ -43,7 +43,6 @@ struct CobaynOptions {
   std::size_t corpus_size = 24;
   std::size_t corpus_samples = 300;  ///< random CVs per corpus program
   std::size_t top_k = 100;           ///< evidence per program (paper: 100)
-  std::size_t clusters = 5;
   std::size_t inference_samples = 1000;
   std::uint64_t seed = 42;
 };

@@ -13,6 +13,8 @@ OpenTunerResult opentuner_search(core::Evaluator& evaluator,
                                  const flags::FlagSpace& space,
                                  const OpenTunerOptions& options,
                                  double baseline_seconds) {
+  constexpr std::size_t kBanditWindow = 50;  // sliding window for AUC credit
+  constexpr double kExploration = 1.4;       // UCB exploration constant
   support::Rng rng(options.seed);
   const std::size_t loop_count =
       evaluator.engine().program().loops().size();
@@ -53,7 +55,7 @@ OpenTunerResult opentuner_search(core::Evaluator& evaluator,
       }
       const double exploitation = denom > 0.0 ? auc / denom : 0.0;
       const double exploration =
-          options.exploration *
+          kExploration *
           std::sqrt(2.0 * std::log(static_cast<double>(iteration + 1)) /
                     static_cast<double>(uses[t] + 1));
       const double score = exploitation + exploration;
@@ -78,7 +80,7 @@ OpenTunerResult opentuner_search(core::Evaluator& evaluator,
 
     ++uses[chosen];
     window[chosen].push_back(improved ? 1 : 0);
-    if (window[chosen].size() > options.bandit_window) {
+    if (window[chosen].size() > kBanditWindow) {
       window[chosen].pop_front();
     }
     result.tuning.history.push_back(best_seconds);

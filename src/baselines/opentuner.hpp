@@ -36,8 +36,6 @@ class SearchTechnique {
 struct OpenTunerOptions {
   std::size_t iterations = 1000;
   std::uint64_t seed = 42;
-  std::size_t bandit_window = 50;  ///< sliding window for AUC credit
-  double exploration = 1.4;        ///< UCB exploration constant
 };
 
 struct OpenTunerResult {

@@ -9,6 +9,7 @@
 #include "support/log.hpp"
 #include "support/stats.hpp"
 #include "support/thread_pool.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace ft::core {
 
@@ -64,9 +65,6 @@ void Campaign::run() {
       options_.algorithms.empty() ? SearchRegistry::global().names()
                                   : options_.algorithms;
 
-  telemetry::SinkScope sink_scope(options_.trace_sink
-                                      ? options_.trace_sink
-                                      : telemetry::sink());
   bool parallel_cells = options_.parallel_cells;
   if (parallel_cells && telemetry::enabled()) {
     support::log_warn()
@@ -114,7 +112,7 @@ void Campaign::run() {
     const std::size_t a = c / programs_.size();
     const std::size_t p = c % programs_.size();
     FuncyTunerOptions tuner_options = options_.tuner;
-    if (options_.salt_seed_per_arch) tuner_options.seed += a;
+    tuner_options.seed += a;
     // The shared cache (and its shared disk tier) replaces the
     // per-tuner one the flags would build.
     tuner_options.eval_cache = false;

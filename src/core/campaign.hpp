@@ -13,7 +13,6 @@
 #include "core/funcy_tuner.hpp"
 #include "ir/program.hpp"
 #include "machine/architecture.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace ft::core {
 
@@ -37,11 +36,10 @@ struct CampaignOptions {
   /// resume, the campaign builds ONE shared EvalCache for the whole
   /// grid instead of one per cell (context hashes + per-cell salts keep
   /// entries disjoint); a resume loads the checkpoint journal into it.
+  /// A cell on the architecture at index a runs with seed
+  /// tuner.seed + a, so different platforms draw different
+  /// pre-samples (the paper tunes each machine independently).
   FuncyTunerOptions tuner;
-  /// Salt added to the seed per architecture index, so different
-  /// platforms draw different pre-samples (the paper tunes each
-  /// machine independently).
-  bool salt_seed_per_arch = true;
   /// Run the grid cells concurrently on the shared pool. Each cell is
   /// a self-contained tuner (own engine, seed-derived noise), so the
   /// result grid is bit-identical to a sequential run; only the
@@ -55,10 +53,6 @@ struct CampaignOptions {
   /// Algorithms to run per cell (registry keys); empty = every
   /// algorithm registered with SearchRegistry::global().
   std::vector<std::string> algorithms;
-  /// Telemetry sink installed (via SinkScope) for the duration of
-  /// run(). Forces sequential cells: concurrent cells would interleave
-  /// span ids and break trace determinism.
-  std::shared_ptr<telemetry::Sink> trace_sink;
   /// Binary evaluation journal shared by every cell (records are keyed
   /// by a program/input/arch context hash, so one file serves the whole
   /// grid). Empty disables checkpointing.

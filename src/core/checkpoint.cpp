@@ -77,17 +77,36 @@ std::size_t scan_records(
 
 }  // namespace
 
+FuncyTunerOptions measurement_options(const FuncyTunerOptions& options) {
+  FuncyTunerOptions measurement;
+  measurement.seed = options.seed;
+  measurement.noise_sigma_rel = options.noise_sigma_rel;
+  measurement.attribution_sigma = options.attribution_sigma;
+  measurement.faults = options.faults;
+  return measurement;
+}
+
+std::uint64_t measurement_fingerprint(const FuncyTunerOptions& options) {
+  const machine::FaultConfig& faults = options.faults;
+  std::ostringstream oss;
+  oss << options.seed << '|' << fmt_double(options.noise_sigma_rel) << '|'
+      << fmt_double(options.attribution_sigma) << '|'
+      << fmt_double(faults.rate) << '|' << faults.seed << '|'
+      << fmt_double(faults.compile_share) << '|'
+      << fmt_double(faults.crash_share) << '|'
+      << fmt_double(faults.timeout_share) << '|'
+      << fmt_double(faults.outlier_rate) << '|'
+      << fmt_double(faults.outlier_min_scale) << '|'
+      << fmt_double(faults.outlier_max_scale);
+  return support::fnv1a64(oss.str());
+}
+
 std::uint64_t options_fingerprint(const FuncyTunerOptions& options) {
   std::ostringstream oss;
-  oss << options.samples << '|' << options.seed << '|'
+  oss << measurement_fingerprint(options) << '|' << options.samples << '|'
       << fmt_double(options.hot_threshold) << '|' << options.final_reps
-      << '|' << fmt_double(options.noise_sigma_rel) << '|'
-      << fmt_double(options.attribution_sigma) << '|'
-      << fmt_double(options.faults.rate) << '|' << options.faults.seed
-      << '|' << fmt_double(options.faults.outlier_rate) << '|'
-      << options.retry.max_retries << '|'
-      << fmt_double(options.retry.eval_timeout_seconds) << '|'
-      << options.retry.quarantine_after;
+      << '|' << options.retry.max_retries << '|'
+      << fmt_double(options.retry.eval_timeout_seconds);
   // Namespaced per-algorithm knobs (top-x, patience, budgets) change
   // evaluation schedules, so they must split journals/caches.
   for (const auto& [algorithm, tokens] : options.algorithm_options) {

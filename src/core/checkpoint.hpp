@@ -39,9 +39,20 @@ namespace ft::core {
 
 struct FuncyTunerOptions;
 
-/// Stable fingerprint of every option that changes measured values or
-/// the evaluation schedule (seed, samples, noise, faults, retry...).
-/// Journals refuse to resume under a different fingerprint.
+/// The measurement subset: a default FuncyTunerOptions with only seed,
+/// noise_sigma_rel, attribution_sigma and faults copied - the options
+/// that change what a raw compile + link + run measures.
+[[nodiscard]] FuncyTunerOptions measurement_options(
+    const FuncyTunerOptions& options);
+
+/// Stable fingerprint of exactly the measurement subset.
+[[nodiscard]] std::uint64_t measurement_fingerprint(
+    const FuncyTunerOptions& options);
+
+/// measurement_fingerprint plus the schedule options (samples,
+/// hot_threshold, final_reps, retry, per-algorithm knobs). Journals
+/// refuse to resume under a different fingerprint; evaluation caches
+/// salt their entries with it.
 [[nodiscard]] std::uint64_t options_fingerprint(
     const FuncyTunerOptions& options);
 

@@ -15,6 +15,15 @@ namespace ft::core {
 
 namespace {
 
+/// Modeled real-world cost of tuning actions, for the §4.3
+/// tuning-overhead comparison (seconds of testbed time).
+constexpr double kSecondsPerModuleCompile = 8.0;  ///< ICC object compile
+constexpr double kLinkSeconds = 40.0;             ///< xild whole-program link
+/// Each retry charges kRetryBackoffSeconds * 2^attempt.
+constexpr double kRetryBackoffSeconds = 1.0;
+/// Failed evaluations of one assignment before it is quarantined.
+constexpr int kQuarantineAfter = 2;
+
 std::string hex64(std::uint64_t value) {
   char buffer[19];
   std::snprintf(buffer, sizeof(buffer), "0x%016llx",
@@ -93,9 +102,8 @@ void Evaluator::account(std::size_t modules_compiled, double run_seconds,
   // around, so CFR's 1000 assembled variants reuse the ~top-X * J
   // object pool after the first few iterations.
   const double cost =
-      static_cast<double>(modules_compiled) *
-          overhead_model_.seconds_per_module_compile +
-      overhead_model_.link_seconds + run_seconds * reps;
+      static_cast<double>(modules_compiled) * kSecondsPerModuleCompile +
+      kLinkSeconds + run_seconds * reps;
   account_overhead(cost);
   if (telemetry::enabled()) {
     static telemetry::Counter& evals =
@@ -170,9 +178,8 @@ bool Evaluator::is_quarantined(
 void Evaluator::note_failure(std::uint64_t key) {
   failed_evaluations_.fetch_add(1, std::memory_order_relaxed);
   count_metric("eval.failures");
-  if (retry_policy_.quarantine_after <= 0) return;
   std::lock_guard lock(resilience_mutex_);
-  if (++failure_counts_[key] == retry_policy_.quarantine_after) {
+  if (++failure_counts_[key] == kQuarantineAfter) {
     pending_quarantine_.push_back(key);
   }
 }
@@ -332,7 +339,7 @@ void Evaluator::plan_attempts(const compiler::ModuleAssignment& assignment,
       compile_failures_.fetch_add(1, std::memory_order_relaxed);
       count_metric("fault.compile_failures");
       // The ICE still burned one modeled module compile.
-      account_overhead(overhead_model_.seconds_per_module_compile);
+      account_overhead(kSecondsPerModuleCompile);
       pending->outcome.error = {EvalFault::kCompileFailure, hex64(cv.hash())};
       return true;
     };
@@ -364,13 +371,12 @@ void Evaluator::plan_attempts(const compiler::ModuleAssignment& assignment,
     if (fault == machine::FaultModel::RunFault::kCrash) {
       run_crashes_.fetch_add(1, std::memory_order_relaxed);
       count_metric("fault.run_crashes");
-      account_overhead(overhead_model_.link_seconds);
-      pending->rerun_cost += overhead_model_.link_seconds;
+      account_overhead(kLinkSeconds);
+      pending->rerun_cost += kLinkSeconds;
     } else {
       run_timeouts_.fetch_add(1, std::memory_order_relaxed);
       count_metric("fault.run_timeouts");
-      const double burned =
-          budget > 0.0 ? budget : overhead_model_.link_seconds;
+      const double burned = budget > 0.0 ? budget : kLinkSeconds;
       account_overhead(burned);
       pending->rerun_cost += burned;
     }
@@ -386,7 +392,7 @@ void Evaluator::plan_attempts(const compiler::ModuleAssignment& assignment,
     }
     retries_.fetch_add(1, std::memory_order_relaxed);
     count_metric("eval.retries");
-    const double backoff = retry_policy_.backoff_seconds *
+    const double backoff = kRetryBackoffSeconds *
                            static_cast<double>(1 << std::min(attempt, 16));
     account_overhead(backoff);
     pending->rerun_cost += backoff;
@@ -410,8 +416,8 @@ void Evaluator::post_evaluate(PendingRun* pending,
   // A re-run charges no compile time (objects pooled) but still pays
   // the link and the measured runtime - even on a budget overrun,
   // which re-measures before failing.
-  pending->rerun_cost += overhead_model_.link_seconds +
-                         raw.result.end_to_end * options.repetitions;
+  pending->rerun_cost +=
+      kLinkSeconds + raw.result.end_to_end * options.repetitions;
   const double budget = retry_policy_.eval_timeout_seconds;
   if (budget > 0.0 && raw.result.end_to_end > budget) {
     // Genuine budget overrun. Measurements are deterministic per rep
@@ -442,9 +448,7 @@ EvalResponse Evaluator::evaluate(const EvalRequest& request,
   if (trace.leaf_spans && telemetry::enabled()) {
     const std::string_view name =
         trace.label.empty() ? std::string_view("eval") : trace.label;
-    span = trace.parent_span != 0
-               ? telemetry::tracer().begin_under(trace.parent_span, name)
-               : telemetry::tracer().begin(name);
+    span = telemetry::tracer().begin(name);
     span.attr("rep_base", request.rep_base)
         .attr("instrumented", std::int64_t{request.instrumented});
   }
@@ -468,9 +472,7 @@ std::vector<EvalResponse> Evaluator::evaluate_batch(
     const std::string_view name = trace.label.empty()
                                       ? std::string_view("evaluate_batch")
                                       : trace.label;
-    span = trace.parent_span != 0
-               ? telemetry::tracer().begin_under(trace.parent_span, name)
-               : telemetry::tracer().begin(name);
+    span = telemetry::tracer().begin(name);
     span.attr("count", static_cast<std::uint64_t>(requests.size()));
     if (!requests.empty()) {
       span.attr("rep_base", requests.front().rep_base)

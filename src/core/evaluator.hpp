@@ -63,13 +63,6 @@ inline constexpr std::uint64_t kFinal = 1ull << 20;         ///< final_seconds
 inline constexpr std::uint64_t kCrossInput = 1ull << 21;    ///< other inputs
 }  // namespace rep_streams
 
-/// Modeled real-world cost of tuning actions, for the §4.3
-/// tuning-overhead comparison (seconds of testbed time).
-struct OverheadModel {
-  double seconds_per_module_compile = 8.0;  ///< ICC object compile (parallel make)
-  double link_seconds = 40.0;                ///< xild whole-program link
-};
-
 /// Classified evaluation failure. Compile ICEs are permanent (a
 /// property of the CV's flag interactions); crashes and timeouts are
 /// transient and retryable; quarantined evaluations were skipped
@@ -112,17 +105,14 @@ inline constexpr double kInvalidSeconds =
 
 /// Bounded-retry policy for transient evaluation faults, with
 /// deterministic wall-clock accounting (each retry charges
-/// backoff_seconds * 2^attempt of modeled testbed time).
+/// 1 s * 2^attempt of modeled testbed time). An assignment that fails
+/// twice is quarantined (skipped without compiling).
 struct RetryPolicy {
   int max_retries = 2;        ///< extra attempts after the first
-  double backoff_seconds = 1.0;
   /// Modeled per-evaluation runtime budget in seconds; a run exceeding
   /// it fails as kRunTimeout. 0 = unlimited. Injected timeouts burn
   /// the full budget (or one link time when unlimited).
   double eval_timeout_seconds = 0.0;
-  /// Failed evaluations of the same assignment before it is
-  /// quarantined (skipped without compiling); <= 0 disables.
-  int quarantine_after = 2;
 };
 
 /// Cumulative fault/retry/quarantine counters (also mirrored into the
@@ -188,11 +178,9 @@ struct EvalResponse {
 
 /// Presentation-only evaluation context: telemetry attachment and
 /// labeling. Deliberately separate from EvalRequest so the wire
-/// payload never carries trace state.
+/// payload never carries trace state. Spans parent under the calling
+/// thread's innermost open span.
 struct EvalTrace {
-  /// Span to parent telemetry under; 0 = the calling thread's
-  /// innermost open span.
-  telemetry::SpanId parent_span = 0;
   /// Emit per-evaluation eval→compile/run leaf spans. Only enable for
   /// sequential callers: spans begun from batch workers would get
   /// scheduling-dependent ids and break trace diffability.
@@ -309,10 +297,6 @@ class Evaluator {
     return saved_overhead_.load(std::memory_order_relaxed);
   }
 
-  void set_overhead_model(const OverheadModel& model) noexcept {
-    overhead_model_ = model;
-  }
-
   // --- resilience ---------------------------------------------------------
 
   void set_retry_policy(const RetryPolicy& policy) noexcept {
@@ -425,7 +409,7 @@ class Evaluator {
   void quarantine_cv(std::uint64_t cv_hash);
 
   /// Registers one fully-failed evaluation of `key`; queues the key
-  /// for quarantine once it reaches retry_policy_.quarantine_after.
+  /// for quarantine once it reaches kQuarantineAfter failures.
   void note_failure(std::uint64_t key);
   /// Applies queued quarantines. Called only at deterministic points
   /// (outside batches / between batches) so that whether an evaluation
@@ -434,7 +418,6 @@ class Evaluator {
 
   machine::ExecutionEngine* engine_;
   const ir::InputSpec* input_;
-  OverheadModel overhead_model_;
   std::shared_ptr<EvalBackend> backend_;
   std::atomic<std::size_t> evaluations_{0};
   std::atomic<double> modeled_overhead_{0.0};

@@ -10,6 +10,12 @@ namespace ft::core {
 
 namespace {
 
+/// Probability a child is bred by crossover (else cloned from one
+/// tournament winner).
+constexpr double kCrossoverRate = 0.7;
+/// Expected module choices re-drawn per child.
+constexpr double kMutationRate = 0.25;
+
 /// Genome: for each module, an index into collection.cvs (drawn from
 /// that module's pruned candidate list).
 struct Individual {
@@ -99,7 +105,7 @@ TuningResult evolutionary_search(Evaluator& evaluator,
   // --- steady-state evolution ------------------------------------------------
   while (result.history.size() < options.evaluations) {
     Individual child;
-    if (rng.bernoulli(options.crossover_rate)) {
+    if (rng.bernoulli(kCrossoverRate)) {
       const Individual& mother = tournament();
       const Individual& father = tournament();
       child.genome.resize(module_count);
@@ -111,7 +117,7 @@ TuningResult evolutionary_search(Evaluator& evaluator,
       child.genome = tournament().genome;
     }
     for (std::size_t m = 0; m < module_count; ++m) {
-      if (rng.bernoulli(options.mutation_rate /
+      if (rng.bernoulli(kMutationRate /
                         static_cast<double>(module_count))) {
         child.genome[m] = pruned[m][rng.next_below(pruned[m].size())];
       }

@@ -26,8 +26,6 @@ struct EvolutionOptions {
   std::size_t top_x = 10;        ///< pruned space per module (as CFR)
   std::size_t evaluations = 1000;  ///< total measurement budget
   std::size_t population = 32;
-  double crossover_rate = 0.7;
-  double mutation_rate = 0.25;
   std::uint64_t seed = 42;
 };
 

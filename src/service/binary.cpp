@@ -307,14 +307,17 @@ bool read_response(Cursor* cursor, core::EvalResponse* out,
 void encode_hello_frame(Framing framing, const HelloFrame& hello,
                         std::string* out) {
   begin_frame(out, FrameKind::kHello, 0);
+  const WorkspaceSpec& workspace = hello.workspace;
   put_caps(out, hello.caps);  // leads with the protocol version
-  put_string(out, hello.program);
-  put_string(out, hello.arch);
-  put_string(out, hello.personality);
-  put_u64(out, hello.options.seed);
-  put_f64(out, hello.options.noise_sigma_rel);
-  put_f64(out, hello.options.attribution_sigma);
-  const machine::FaultConfig& faults = hello.options.faults;
+  put_string(out, workspace.program);
+  put_string(out, workspace.arch);
+  put_string(out, workspace.personality == compiler::Personality::kGcc
+                      ? "gcc"
+                      : "icc");
+  put_u64(out, workspace.options.seed);
+  put_f64(out, workspace.options.noise_sigma_rel);
+  put_f64(out, workspace.options.attribution_sigma);
+  const machine::FaultConfig& faults = workspace.options.faults;
   put_f64(out, faults.rate);
   put_u64(out, faults.seed);
   put_f64(out, faults.compile_share);
@@ -446,35 +449,41 @@ DecodeStatus decode_frame(Framing framing, std::string_view payload,
   switch (out->kind) {
     case FrameKind::kHello: {
       HelloFrame& hello = out->hello;
+      WorkspaceSpec& workspace = hello.workspace;
+      core::FuncyTunerOptions& options = workspace.options;
       // The version comes first: a skewed peer's hello is refused as
       // unsupported_version even when the rest of it does not parse.
       if (!read_caps(&cursor, &hello.caps, error)) {
         return DecodeStatus::kMalformed;
       }
-      if (!cursor.string(&hello.program) || !cursor.string(&hello.arch) ||
-          !cursor.string(&hello.personality) ||
-          !cursor.u64(&hello.options.seed) ||
-          !cursor.f64(&hello.options.noise_sigma_rel) ||
-          !cursor.f64(&hello.options.attribution_sigma) ||
-          !cursor.f64(&hello.options.faults.rate) ||
-          !cursor.u64(&hello.options.faults.seed) ||
-          !cursor.f64(&hello.options.faults.compile_share) ||
-          !cursor.f64(&hello.options.faults.crash_share) ||
-          !cursor.f64(&hello.options.faults.timeout_share) ||
-          !cursor.f64(&hello.options.faults.outlier_rate) ||
-          !cursor.f64(&hello.options.faults.outlier_min_scale) ||
-          !cursor.f64(&hello.options.faults.outlier_max_scale)) {
+      std::string personality;
+      if (!cursor.string(&workspace.program) ||
+          !cursor.string(&workspace.arch) || !cursor.string(&personality) ||
+          !cursor.u64(&options.seed) ||
+          !cursor.f64(&options.noise_sigma_rel) ||
+          !cursor.f64(&options.attribution_sigma) ||
+          !cursor.f64(&options.faults.rate) ||
+          !cursor.u64(&options.faults.seed) ||
+          !cursor.f64(&options.faults.compile_share) ||
+          !cursor.f64(&options.faults.crash_share) ||
+          !cursor.f64(&options.faults.timeout_share) ||
+          !cursor.f64(&options.faults.outlier_rate) ||
+          !cursor.f64(&options.faults.outlier_min_scale) ||
+          !cursor.f64(&options.faults.outlier_max_scale)) {
         return malformed("truncated hello");
       }
-      if (hello.program.empty()) {
+      if (workspace.program.empty()) {
         return malformed("hello lacks a program name");
       }
-      if (hello.arch.empty()) {
+      if (workspace.arch.empty()) {
         return malformed("hello lacks an architecture name");
       }
-      if (hello.personality != "icc" && hello.personality != "gcc") {
+      if (personality != "icc" && personality != "gcc") {
         return malformed("hello personality must be icc or gcc");
       }
+      workspace.personality = personality == "gcc"
+                                  ? compiler::Personality::kGcc
+                                  : compiler::Personality::kIcc;
       return DecodeStatus::kOk;
     }
     case FrameKind::kWelcome: {

@@ -8,21 +8,10 @@
 
 namespace ft::service {
 
-namespace {
-
-[[noreturn]] void throw_error_frame(const ErrorFrame& error) {
-  throw ServiceError(error.code.empty() ? "error" : error.code,
-                     "ftuned refused: " + error.code +
-                         (error.detail.empty() ? "" : ": " + error.detail));
-}
-
-}  // namespace
-
 std::unique_ptr<Client> Client::connect(const Endpoint& endpoint,
                                         const ConnectOptions& options) {
   auto client = std::unique_ptr<Client>(new Client());
-  client->jitter_state_ =
-      options.transport.jitter_seed ^ support::fnv1a64(endpoint.spec);
+  client->jitter_state_ = support::fnv1a64(endpoint.spec);
   client->session_ = service::connect(endpoint, options);
   return client;
 }

@@ -6,15 +6,11 @@
 
 namespace ft::service {
 
-namespace {
-
-[[noreturn]] void throw_error_frame(const ErrorFrame& error) {
+void throw_error_frame(const ErrorFrame& error) {
   throw ServiceError(error.code.empty() ? "error" : error.code,
                      "ftuned refused: " + error.code +
                          (error.detail.empty() ? "" : ": " + error.detail));
 }
-
-}  // namespace
 
 Session connect(const Endpoint& endpoint, const ConnectOptions& options) {
   // Even with MSG_NOSIGNAL on every framed send, a raced close can
@@ -29,13 +25,7 @@ Session connect(const Endpoint& endpoint, const ConnectOptions& options) {
   const int timeout_ms = options.transport.io_timeout_ms();
 
   HelloFrame hello;
-  hello.program = options.workspace.program;
-  hello.arch = options.workspace.arch;
-  hello.personality =
-      options.workspace.personality == compiler::Personality::kGcc
-          ? "gcc"
-          : "icc";
-  hello.options = options.workspace.options;
+  hello.workspace = options.workspace;
   hello.caps.framings = options.framings;
   // binary is the mandatory fallback: offering it last means "the CRC
   // trailer if you can, plain binary otherwise", and guarantees the

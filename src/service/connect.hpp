@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "core/funcy_tuner.hpp"
 #include "service/chaos.hpp"
 #include "service/protocol.hpp"
 #include "service/socket.hpp"
@@ -33,17 +32,6 @@ struct Endpoint {
   }
 };
 
-/// The evaluation context a session greets for. The
-/// measurement-relevant option subset is what selects the daemon
-/// workspace, so this must match the local tuner's configuration for
-/// bit-identity to hold.
-struct WorkspaceSpec {
-  std::string program;  ///< benchmark name (programs::by_name)
-  std::string arch;     ///< machine::architecture_by_name key
-  compiler::Personality personality = compiler::Personality::kIcc;
-  core::FuncyTunerOptions options;
-};
-
 /// Transport knobs for one session. All are plumbed from the ftune
 /// CLI (`--io-timeout`); the defaults match it.
 struct ClientOptions {
@@ -55,12 +43,9 @@ struct ClientOptions {
   /// this many resends of the same frame before giving up loudly.
   int overload_max_attempts = 8;
   /// First retry sleeps this long; each further retry doubles it
-  /// (plus deterministic jitter), so 8 attempts ~= 2.5 s total.
+  /// (plus jitter seeded from the endpoint address, so two runs of the
+  /// same command back off identically), so 8 attempts ~= 2.5 s total.
   double overload_base_sleep_ms = 10.0;
-  /// Seed for the jitter stream. Deterministic so two runs of the same
-  /// command back off identically (bit-identity covers timing-free
-  /// outputs only, but reproducible schedules make hangs debuggable).
-  std::uint64_t jitter_seed = 0;
   /// Client-side fault injection (--chaos-seed / FT_CHAOS_SEED; the
   /// env default means ANY existing run can be replayed under chaos).
   /// Disabled unless the seed is nonzero.
@@ -127,6 +112,10 @@ class Session {
   ClientOptions transport_;
   std::shared_ptr<chaos::ChaosEngine> chaos_;
 };
+
+/// Throws the ServiceError a daemon's error frame names ("error" when
+/// it names no code).
+[[noreturn]] void throw_error_frame(const ErrorFrame& error);
 
 /// Dials, sends hello (always plain binary - it carries the negotiation),
 /// reads welcome | error, and adopts the framing the server picked.

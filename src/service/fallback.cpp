@@ -3,8 +3,6 @@
 #include <iostream>
 #include <utility>
 
-#include "machine/architecture.hpp"
-#include "programs/benchmarks.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace ft::service {
@@ -29,19 +27,7 @@ LocalFallbackBackend::~LocalFallbackBackend() = default;
 
 core::Evaluator& LocalFallbackBackend::local_locked() {
   if (!local_) {
-    // Mirror Server::workspace_for: only the measurement-relevant
-    // option subset, Evaluator cache off (caching belongs to the
-    // CALLING Evaluator's bookkeeping, exactly as with a daemon).
-    core::FuncyTunerOptions options;
-    options.seed = workspace_.options.seed;
-    options.noise_sigma_rel = workspace_.options.noise_sigma_rel;
-    options.attribution_sigma = workspace_.options.attribution_sigma;
-    options.faults = workspace_.options.faults;
-    options.eval_cache = false;
-    local_ = std::make_unique<core::FuncyTuner>(
-        programs::by_name(workspace_.program),
-        machine::architecture_by_name(workspace_.arch), options,
-        workspace_.personality);
+    local_ = make_workspace_tuner(workspace_);
     telemetry::metrics().counter("fleet.fallback.engines").add();
   }
   return local_->evaluator();

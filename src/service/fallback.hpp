@@ -4,10 +4,10 @@
 // breaker open, daemon draining - routes the evaluation to a lazily
 // constructed in-process engine instead of failing the campaign.
 //
-// The fallback engine is built EXACTLY the way ftuned builds a
-// workspace for the same hello (measurement-relevant option subset,
-// Evaluator-level cache off), so locally served results are
-// byte-identical to what the fleet would have returned: raw
+// The fallback engine is built by make_workspace_tuner, the one
+// function ftuned builds its workspaces with (measurement subset of
+// the options, Evaluator-level cache off), so locally served results
+// are byte-identical to what the fleet would have returned: raw
 // compile+link+run is deterministic, and all resilience bookkeeping
 // lives in the Evaluator ABOVE this backend either way - which also
 // means fallback-served evaluations are journaled like any others.

@@ -6,39 +6,22 @@
 #include <condition_variable>
 #include <deque>
 #include <iostream>
-#include <limits>
 #include <mutex>
 
-#include "core/checkpoint.hpp"
 #include "support/rng.hpp"
 
 namespace ft::service {
 
 namespace {
 
-/// Virtual nodes per endpoint on the hash ring. Enough to spread
-/// workspace homes evenly over a handful of daemons; the exact count
-/// only shifts WHERE work lands, never what it computes.
-constexpr int kRingReplicas = 17;
+/// A chunk bounced by `overloaded` give-ups or endpoint deaths is
+/// re-dispatched at most this many times before the batch fails.
+constexpr int kMaxChunkRedispatch = 8;
 
 double monotonic_seconds() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point start = clock::now();
   return std::chrono::duration<double>(clock::now() - start).count();
-}
-
-std::uint64_t workspace_hash(const std::string& program,
-                             const std::string& arch,
-                             const core::FuncyTunerOptions& options,
-                             compiler::Personality personality) {
-  std::string key = program;
-  key += '|';
-  key += arch;
-  key += '|';
-  key += personality == compiler::Personality::kGcc ? "gcc" : "icc";
-  key += '|';
-  key += std::to_string(core::options_fingerprint(options));
-  return support::fnv1a64(key);
 }
 
 }  // namespace
@@ -60,8 +43,7 @@ std::unique_ptr<FleetBackend> FleetBackend::connect(
       endpoint->address = address;
       // FleetBackend::Endpoint shadows the transport-level Endpoint.
       endpoint->dial = ::ft::service::Endpoint::parse(address);
-      endpoint->jitter_state = fleet_options.client.jitter_seed ^
-                               support::fnv1a64(address);
+      endpoint->jitter_state = support::fnv1a64(address);
       endpoint->client =
           Client::connect(endpoint->dial, fleet->connect_options_);
       fleet->endpoints_.push_back(std::move(endpoint));
@@ -88,16 +70,21 @@ std::unique_ptr<FleetBackend> FleetBackend::connect(
                                     " on " + arch);
   }
 
+  // Rendezvous (highest-random-weight) home: the endpoint with the
+  // highest hash of (address, workspace fingerprint). Adding or
+  // removing an endpoint moves only the workspaces homed on it.
+  const std::string suffix =
+      '|' + std::to_string(
+                workspace_fingerprint(fleet->connect_options_.workspace));
+  std::uint64_t best = 0;
   for (std::size_t i = 0; i < fleet->endpoints_.size(); ++i) {
-    for (int replica = 0; replica < kRingReplicas; ++replica) {
-      const std::string node = fleet->endpoints_[i]->address + '#' +
-                               std::to_string(replica);
-      fleet->ring_.emplace_back(support::fnv1a64(node), i);
+    const std::uint64_t weight =
+        support::fnv1a64(fleet->endpoints_[i]->address + suffix);
+    if (i == 0 || weight > best) {
+      best = weight;
+      fleet->home_ = i;
     }
   }
-  std::sort(fleet->ring_.begin(), fleet->ring_.end());
-  fleet->home_ = fleet->ring_successor(
-      workspace_hash(program, arch, options, personality));
 
   // The probe thread runs even for a single endpoint: it is also the
   // breaker's half-open reconnect path, and a lone daemon that
@@ -113,13 +100,6 @@ std::unique_ptr<FleetBackend> FleetBackend::connect(
 FleetBackend::~FleetBackend() {
   stopping_.store(true, std::memory_order_release);
   if (probe_thread_.joinable()) probe_thread_.join();
-}
-
-std::size_t FleetBackend::ring_successor(std::uint64_t key_hash) const {
-  const auto it = std::upper_bound(
-      ring_.begin(), ring_.end(),
-      std::make_pair(key_hash, std::numeric_limits<std::size_t>::max()));
-  return it == ring_.end() ? ring_.front().second : it->second;
 }
 
 int FleetBackend::next_alive(std::size_t start) const {
@@ -403,7 +383,7 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many(
         if (transport) note_transport_failure(self);
         std::unique_lock lock(mutex);
         // The failed chunk plus (when dying) everything still queued
-        // here moves to the next alive endpoint in ring order.
+        // here moves to the next alive endpoint in index order.
         std::deque<std::size_t> orphans;
         orphans.push_back(chunk_index);
         if (transport) {
@@ -414,8 +394,7 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many(
         const int target = next_alive(self + 1);
         bool exhausted = target < 0;
         for (const std::size_t orphan : orphans) {
-          if (++chunks[orphan].dispatches >
-              options_.max_chunk_redispatch) {
+          if (++chunks[orphan].dispatches > kMaxChunkRedispatch) {
             exhausted = true;
           }
         }
@@ -489,8 +468,8 @@ core::EvalBackend::RawResult FleetBackend::run(
   request.noise = options.noise;
   request.aggregate = options.aggregate;
 
-  // Home-first failover: walk the endpoints in ring order until one
-  // answers. Any of them produces the identical bits.
+  // Home-first failover: walk the endpoints in index order (wrapping
+  // after the last) until one answers. Any of them produces the identical bits.
   int index = next_alive(home_);
   for (std::size_t attempt = 0;
        index >= 0 && attempt < endpoints_.size(); ++attempt) {
@@ -529,15 +508,15 @@ std::function<std::shared_ptr<core::EvalBackend>(
     const ir::Program&, const machine::Architecture&,
     const core::FuncyTunerOptions&)>
 make_fleet_backend_factory(std::vector<std::string> addresses,
-                           FleetOptions options,
-                           compiler::Personality personality) {
-  return [addresses = std::move(addresses), options, personality](
+                           FleetOptions options) {
+  return [addresses = std::move(addresses), options](
              const ir::Program& program,
              const machine::Architecture& arch,
              const core::FuncyTunerOptions& cell_options)
              -> std::shared_ptr<core::EvalBackend> {
     return FleetBackend::connect(addresses, program.name(), arch.name,
-                                 cell_options, personality, options);
+                                 cell_options, compiler::Personality::kIcc,
+                                 options);
   };
 }
 

@@ -1,7 +1,7 @@
 // Client-side fleet of ftuned daemons behind one EvalBackend. `ftune
-// --remote addr1,addr2,...` shards evaluation batches across N daemons
-// by consistent hash of the workspace key, rebalances queued chunks by
-// work stealing, health-probes every endpoint with ping/pong, and on a
+// --remote addr1,addr2,...` sends evaluation batches first to the
+// workspace's home daemon (rendezvous hash of the workspace
+// fingerprint), rebalances queued chunks by work stealing, health-probes every endpoint with ping/pong, and on a
 // probe failure or transport error drains the dead daemon and
 // re-dispatches its inflight chunks through the survivors. Because
 // every daemon computes the same deterministic raw measurements,
@@ -45,9 +45,6 @@ struct FleetOptions {
   /// ping; a failed probe drains the endpoint. <= 0 disables probing
   /// (transport errors during dispatch still drain).
   double probe_interval_seconds = 2.0;
-  /// A chunk bounced by `overloaded` give-ups or endpoint deaths is
-  /// re-dispatched at most this many times before the batch fails.
-  int max_chunk_redispatch = 8;
   /// Circuit breaker: this many CONSECUTIVE transport failures open
   /// the breaker; below it, a dead endpoint is retried on the next
   /// probe tick (a single torn connection is not an outage).
@@ -106,8 +103,9 @@ class FleetBackend final : public core::EvalBackend {
   }
   /// Endpoints not yet drained.
   [[nodiscard]] std::size_t alive_count() const noexcept;
-  /// The consistent-hash home for this workspace: where all chunks go
-  /// first while the fleet is healthy. Stable across runs.
+  /// The rendezvous-hash home for this workspace: where all chunks go
+  /// first while the fleet is healthy. Stable across runs, and the
+  /// same for every option set with the same workspace_fingerprint.
   [[nodiscard]] const std::string& home_address() const noexcept;
   [[nodiscard]] Stats stats() const;
 
@@ -134,10 +132,8 @@ class FleetBackend final : public core::EvalBackend {
 
   FleetBackend() = default;
 
-  /// Successor of the workspace-key hash on the endpoint ring.
-  [[nodiscard]] std::size_t ring_successor(std::uint64_t key_hash) const;
-  /// First alive endpoint at or after `start` in ring order; -1 when
-  /// the whole fleet is dead.
+  /// First alive endpoint at or after `start` in index order
+  /// (wrapping); -1 when the whole fleet is dead.
   [[nodiscard]] int next_alive(std::size_t start) const;
   /// Snapshot of the endpoint's current wire (see Endpoint::client).
   [[nodiscard]] std::shared_ptr<Client> client_for(std::size_t index);
@@ -158,10 +154,7 @@ class FleetBackend final : public core::EvalBackend {
 
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
   ConnectOptions connect_options_;  ///< for half-open reconnects
-  /// Ring positions: (hash, endpoint index), sorted by hash. Virtual
-  /// replica nodes smooth the shard distribution.
-  std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
-  std::size_t home_ = 0;  ///< ring_successor(workspace hash)
+  std::size_t home_ = 0;  ///< rendezvous home of the workspace
   FleetOptions options_;
 
   std::thread probe_thread_;
@@ -173,13 +166,13 @@ class FleetBackend final : public core::EvalBackend {
 
 /// Adapts a fleet to Campaign: returns a CampaignOptions::backend_factory
 /// that connects a FleetBackend per cell (per program x architecture,
-/// with that cell's effective options), so heterogeneous fleets route
-/// each architecture's cells to the daemons advertising it.
+/// with that cell's effective options and the icc personality Campaign
+/// tunes with), so heterogeneous fleets route each architecture's
+/// cells to the daemons advertising it.
 [[nodiscard]] std::function<std::shared_ptr<core::EvalBackend>(
     const ir::Program&, const machine::Architecture&,
     const core::FuncyTunerOptions&)>
-make_fleet_backend_factory(
-    std::vector<std::string> addresses, FleetOptions options = {},
-    compiler::Personality personality = compiler::Personality::kIcc);
+make_fleet_backend_factory(std::vector<std::string> addresses,
+                           FleetOptions options = {});
 
 }  // namespace ft::service

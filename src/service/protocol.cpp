@@ -1,6 +1,12 @@
 #include "service/protocol.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "core/checkpoint.hpp"
+#include "machine/architecture.hpp"
+#include "programs/benchmarks.hpp"
+#include "support/rng.hpp"
 
 namespace ft::service {
 
@@ -38,6 +44,27 @@ Framing negotiate_framing(const std::vector<Framing>& client_order,
   return Framing::kBinary;
 }
 
+std::uint64_t workspace_fingerprint(const WorkspaceSpec& spec) {
+  std::string key = spec.program;
+  key += '|';
+  // Canonical display name: "broadwell" and "Intel Broadwell" name one
+  // testbed, so they must name one workspace.
+  key += machine::architecture_by_name(spec.arch).name;
+  key += '|';
+  key += spec.personality == compiler::Personality::kGcc ? "gcc" : "icc";
+  key += '|';
+  key += std::to_string(core::measurement_fingerprint(spec.options));
+  return support::fnv1a64(key);
+}
+
+std::unique_ptr<core::FuncyTuner> make_workspace_tuner(
+    const WorkspaceSpec& spec) {
+  return std::make_unique<core::FuncyTuner>(
+      programs::by_name(spec.program),
+      machine::architecture_by_name(spec.arch),
+      core::measurement_options(spec.options), spec.personality);
+}
+
 namespace {
 
 /// Restores default-constructed Capabilities without the temporary a
@@ -60,10 +87,10 @@ void AnyFrame::reset() {
   // decode path must not allocate.
   kind = FrameKind::kBye;
   seq = 0;
-  hello.program.clear();
-  hello.arch.clear();
-  hello.personality = "icc";
-  hello.options = core::FuncyTunerOptions{};  // scalars only
+  hello.workspace.program.clear();
+  hello.workspace.arch.clear();
+  hello.workspace.personality = compiler::Personality::kIcc;
+  hello.workspace.options = core::FuncyTunerOptions{};
   reset_caps(&hello.caps);
   welcome.server = "ftuned";
   welcome.session = 0;

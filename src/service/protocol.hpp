@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -96,16 +97,34 @@ struct Capabilities {
     const std::vector<Framing>& client_order,
     const std::vector<Framing>& server_supported);
 
-/// Session opener: names the workspace the client wants to evaluate
-/// in. `options` carries only the measurement-relevant fields (seed,
-/// noise, attribution, faults) - retries/cache/journal policy stays
-/// client-side and is never transmitted.
-struct HelloFrame {
-  std::string program;      ///< benchmark name (programs::by_name)
-  std::string arch;         ///< machine::architecture_by_name key
-  std::string personality = "icc";  ///< "icc" | "gcc"
+/// The evaluation context a session greets for. Only the measurement
+/// subset of `options` (core::measurement_options) travels in the
+/// hello; retry, cache and journal policy stay client-side.
+struct WorkspaceSpec {
+  std::string program;  ///< benchmark name (programs::by_name)
+  std::string arch;     ///< machine::architecture_by_name key
+  compiler::Personality personality = compiler::Personality::kIcc;
   core::FuncyTunerOptions options;
-  Capabilities caps;        ///< caps.protocol doubles as the version
+};
+
+/// The one identity of a workspace: hash of program, canonical arch
+/// name, personality and core::measurement_fingerprint(options). It
+/// keys ftuned's workspaces, salts their raw-result caches and picks a
+/// fleet's home. Throws for unknown arch names.
+[[nodiscard]] std::uint64_t workspace_fingerprint(const WorkspaceSpec& spec);
+
+/// The raw-measurement engine for `spec` (measurement options only,
+/// Evaluator cache off). ftuned's workspaces and the local fallback
+/// are both built here, so their answers are byte-identical. Throws
+/// for unknown program or arch names.
+[[nodiscard]] std::unique_ptr<core::FuncyTuner> make_workspace_tuner(
+    const WorkspaceSpec& spec);
+
+/// Session opener: names the workspace the client wants to evaluate
+/// in. The wire carries the personality as "icc" | "gcc".
+struct HelloFrame {
+  WorkspaceSpec workspace;
+  Capabilities caps;  ///< caps.protocol doubles as the version
 };
 
 struct WelcomeFrame {

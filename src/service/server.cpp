@@ -8,16 +8,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "core/persistent_cache.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
-#include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
 namespace ft::service {
@@ -28,32 +25,6 @@ double now_seconds() {
   using clock = std::chrono::steady_clock;
   static const clock::time_point start = clock::now();
   return std::chrono::duration<double>(clock::now() - start).count();
-}
-
-std::string fmt_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
-/// Stable identity of an evaluation context: everything that changes
-/// what a raw run measures. Two hellos with the same key share one
-/// engine (and its compiled-module cache).
-std::uint64_t workspace_key(const HelloFrame& hello) {
-  const machine::FaultConfig& faults = hello.options.faults;
-  std::ostringstream oss;
-  oss << hello.program << '|' << hello.arch << '|' << hello.personality
-      << '|' << hello.options.seed << '|'
-      << fmt_double(hello.options.noise_sigma_rel) << '|'
-      << fmt_double(hello.options.attribution_sigma) << '|'
-      << fmt_double(faults.rate) << '|' << faults.seed << '|'
-      << fmt_double(faults.compile_share) << '|'
-      << fmt_double(faults.crash_share) << '|'
-      << fmt_double(faults.timeout_share) << '|'
-      << fmt_double(faults.outlier_rate) << '|'
-      << fmt_double(faults.outlier_min_scale) << '|'
-      << fmt_double(faults.outlier_max_scale);
-  return support::fnv1a64(oss.str());
 }
 
 /// Wire name of a frame kind, for "unknown frame type 'x'" errors
@@ -150,11 +121,9 @@ void Server::start() {
   touch();
   running_.store(true, std::memory_order_release);
 
-  std::size_t worker_count = options_.workers;
-  if (worker_count == 0) {
-    worker_count = std::clamp<std::size_t>(
-        std::thread::hardware_concurrency(), 2, 16);
-  }
+  // One worker per hardware thread, floored at 2 and capped at 16.
+  const std::size_t worker_count = std::clamp<std::size_t>(
+      std::thread::hardware_concurrency(), 2, 16);
   workers_.reserve(worker_count);
   for (std::size_t i = 0; i < worker_count; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -776,23 +745,23 @@ Server::Completion Server::serve_hello(const Job& job) {
                             ErrorFrame{"bad_request", error, 0, false,
                                        true});
   }
-  const HelloFrame& hello = frame.hello;
+  const WorkspaceSpec& spec = frame.hello.workspace;
   try {
-    (void)programs::by_name(hello.program);
+    (void)programs::by_name(spec.program);
   } catch (const std::exception& reason) {
     return error_completion(sid, Framing::kBinary,
                             ErrorFrame{"unknown_program", reason.what(),
                                        0, false, true});
   }
   try {
-    (void)machine::architecture_by_name(hello.arch);
+    (void)machine::architecture_by_name(spec.arch);
   } catch (const std::exception& reason) {
     return error_completion(sid, Framing::kBinary,
                             ErrorFrame{"unknown_architecture",
                                        reason.what(), 0, false, true});
   }
   const std::string arch_display =
-      machine::architecture_by_name(hello.arch).name;
+      machine::architecture_by_name(spec.arch).name;
   if (!options_.archs.empty() &&
       std::find(options_.archs.begin(), options_.archs.end(),
                 arch_display) == options_.archs.end()) {
@@ -803,13 +772,13 @@ Server::Completion Server::serve_hello(const Job& job) {
     return error_completion(
         sid, Framing::kBinary,
         ErrorFrame{"unsupported_architecture",
-                   "this daemon does not serve " + hello.arch, 0, false,
+                   "this daemon does not serve " + spec.arch, 0, false,
                    true});
   }
 
   Workspace* workspace = nullptr;
   try {
-    workspace = workspace_for(hello);
+    workspace = workspace_for(spec);
   } catch (const std::exception& reason) {
     return error_completion(sid, Framing::kBinary,
                             ErrorFrame{"bad_request", reason.what(), 0,
@@ -819,7 +788,7 @@ Server::Completion Server::serve_hello(const Job& job) {
   welcome.session = sid;
   welcome.max_batch = options_.max_batch;
   welcome.framing =
-      negotiate_framing(hello.caps.framings, options_.framings);
+      negotiate_framing(frame.hello.caps.framings, options_.framings);
   welcome.caps.protocol = kProtocolVersion;
   welcome.caps.framings = options_.framings;
   welcome.caps.max_frame_bytes = options_.max_frame_bytes;
@@ -1013,27 +982,16 @@ void Server::run_job(Job job) {
 
 // --- evaluation ------------------------------------------------------------
 
-Server::Workspace* Server::workspace_for(const HelloFrame& hello) {
-  const std::uint64_t key = workspace_key(hello);
+Server::Workspace* Server::workspace_for(const WorkspaceSpec& spec) {
+  const std::uint64_t key = workspace_fingerprint(spec);
   std::lock_guard lock(workspaces_mutex_);
   auto it = workspaces_.find(key);
   if (it != workspaces_.end()) return it->second.get();
 
-  core::FuncyTunerOptions options;
-  options.seed = hello.options.seed;
-  options.noise_sigma_rel = hello.options.noise_sigma_rel;
-  options.attribution_sigma = hello.options.attribution_sigma;
-  options.faults = hello.options.faults;
+  auto workspace = std::make_unique<Workspace>();
   // The daemon never caches through the Evaluator (that cache belongs
   // to the client's bookkeeping); its own raw-result cache is separate.
-  options.eval_cache = false;
-
-  auto workspace = std::make_unique<Workspace>();
-  workspace->tuner = std::make_unique<core::FuncyTuner>(
-      programs::by_name(hello.program),
-      machine::architecture_by_name(hello.arch), options,
-      hello.personality == "gcc" ? compiler::Personality::kGcc
-                                 : compiler::Personality::kIcc);
+  workspace->tuner = make_workspace_tuner(spec);
   if (options_.cache_entries > 0 || disk_cache_ != nullptr) {
     workspace->cache = std::make_unique<core::EvalCache>(
         options_.cache_entries > 0 ? options_.cache_entries

@@ -27,10 +27,12 @@
 // daemon's answers are bit-identical to what the client's own engine
 // would have produced - with or without the CRC trailer.
 //
-// Workspaces are keyed by (program, arch, personality, measurement
-// options), so any number of clients tuning the same cell share one
-// ExecutionEngine (and its compiled-module cache) and one optional
-// daemon-side result cache. A batch frame becomes ONE task-group
+// Workspaces are keyed by workspace_fingerprint (program, arch,
+// personality and the measurement fingerprint of the options) and
+// built by make_workspace_tuner (service/protocol.hpp), so any number
+// of clients tuning the same cell share one ExecutionEngine (and its
+// compiled-module cache) and one optional daemon-side result cache,
+// salted with that same fingerprint. A batch frame becomes ONE task-group
 // submission over the shared pool (request batching), results return
 // in request order. Backpressure: when admitted-but-unfinished
 // requests would exceed max_inflight, the frame is refused with a
@@ -89,9 +91,6 @@ struct ServerOptions {
   /// a daemon without the CRC trailer, which is how mixed fleets
   /// exercise per-endpoint downgrade.
   std::vector<Framing> framings = {Framing::kBinary, Framing::kBinaryCrc};
-  /// Worker threads executing eval batches off the event loop;
-  /// 0 = one per hardware thread (capped at 16, floored at 2).
-  std::size_t workers = 0;
   /// SIGTERM drain: after request_drain(), inflight work gets this
   /// long to finish before the daemon force-exits. New eval frames are
   /// refused with retryable "draining" the whole time.
@@ -292,7 +291,7 @@ class Server {
       const std::vector<core::EvalRequest>& requests);
   [[nodiscard]] core::EvalResponse serve_one(
       Workspace& workspace, const core::EvalRequest& request);
-  Workspace* workspace_for(const HelloFrame& hello);
+  Workspace* workspace_for(const WorkspaceSpec& spec);
   void touch() noexcept;
 
   ServerOptions options_;

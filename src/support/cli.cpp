@@ -7,13 +7,6 @@
 
 namespace ft::support {
 
-CliArgs::CliArgs(int argc, const char* const* argv) {
-  std::vector<std::string> tokens;
-  tokens.reserve(static_cast<std::size_t>(argc > 0 ? argc - 1 : 0));
-  for (int i = 1; i < argc; ++i) tokens.emplace_back(argv[i]);
-  parse(tokens);
-}
-
 CliArgs::CliArgs(const std::vector<std::string>& tokens) { parse(tokens); }
 
 void CliArgs::parse(const std::vector<std::string>& tokens) {

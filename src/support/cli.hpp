@@ -1,6 +1,7 @@
-// Minimal command-line parser shared by the benchmark harness and the
-// example programs. Supports "--name value" and "--name=value" forms
-// plus boolean switches, with typed accessors and defaults.
+// Minimal command-line tokenizer under support::OptionSet (every tool,
+// bench binary and example declares its flags there). Supports
+// "--name value" and "--name=value" forms plus boolean switches, with
+// typed accessors and defaults.
 #pragma once
 
 #include <cstdint>
@@ -20,10 +21,8 @@ class CliError : public std::runtime_error {
 
 class CliArgs {
  public:
-  /// Parses argv; unrecognized bare words are kept as positionals.
-  CliArgs(int argc, const char* const* argv);
-
-  /// Construct from pre-split tokens (used by tests).
+  /// Parses pre-split tokens (argv without the program name);
+  /// unrecognized bare words are kept as positionals.
   explicit CliArgs(const std::vector<std::string>& tokens);
 
   [[nodiscard]] bool has(const std::string& name) const;

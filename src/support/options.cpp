@@ -1,5 +1,7 @@
 #include "support/options.hpp"
 
+#include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -115,9 +117,8 @@ OptionSet& OptionSet::text(const std::string& name, const std::string& fallback,
 }
 
 OptionSet::Parsed OptionSet::parse(int argc, const char* const* argv) const {
-  // Unlike CliArgs' argc/argv constructor this overload consumes every
-  // element: callers pass `argc - 1, argv + 1` (or a subcommand tail),
-  // having stripped the program name themselves.
+  // Consumes every element: callers pass `argc - 1, argv + 1` (or a
+  // subcommand tail), having stripped the program name themselves.
   std::vector<std::string> tokens;
   tokens.reserve(static_cast<std::size_t>(argc > 0 ? argc : 0));
   for (int i = 0; i < argc; ++i) tokens.emplace_back(argv[i]);
@@ -127,6 +128,29 @@ OptionSet::Parsed OptionSet::parse(int argc, const char* const* argv) const {
 OptionSet::Parsed OptionSet::parse(
     const std::vector<std::string>& tokens) const {
   return resolve(CliArgs(tokens));
+}
+
+OptionSet::Parsed OptionSet::parse_or_exit(int argc,
+                                           const char* const* argv,
+                                           const std::string& name) const {
+  return parse_or_exit(std::vector<std::string>(argv, argv + argc), name);
+}
+
+OptionSet::Parsed OptionSet::parse_or_exit(
+    const std::vector<std::string>& tokens, const std::string& name,
+    const std::string& epilog) const {
+  const std::string usage = "usage: " + name + " [options]";
+  try {
+    Parsed parsed = parse(tokens);
+    if (parsed.flag("help")) {
+      std::cout << help(usage) << epilog;
+      std::exit(0);
+    }
+    return parsed;
+  } catch (const CliError& error) {
+    std::cerr << name << ": " << error.what() << '\n' << help(usage);
+    std::exit(1);
+  }
 }
 
 OptionSet::Parsed OptionSet::resolve(const CliArgs& args) const {

@@ -66,9 +66,19 @@ class OptionSet {
   /// partial parses like "10o0"), bad boolean spellings, and any value
   /// a validator refuses. Throws CliError with the offending token.
   /// Every element of argv is a token — pass `argc - 1, argv + 1` from
-  /// main (the program name is NOT skipped, unlike CliArgs).
+  /// main (the program name is NOT skipped).
   [[nodiscard]] Parsed parse(int argc, const char* const* argv) const;
   [[nodiscard]] Parsed parse(const std::vector<std::string>& tokens) const;
+
+  /// parse() for a main(): on a CliError prints "<name>: <error>" and
+  /// the help to stderr and exits 1; when --help is given, prints the
+  /// help and then `epilog` to stdout and exits 0. The set must
+  /// declare a `help` flag; the usage line is "usage: <name> [options]".
+  [[nodiscard]] Parsed parse_or_exit(int argc, const char* const* argv,
+                                     const std::string& name) const;
+  [[nodiscard]] Parsed parse_or_exit(const std::vector<std::string>& tokens,
+                                     const std::string& name,
+                                     const std::string& epilog = "") const;
 
   /// Aligned option table for --help, preceded by `usage_line`.
   [[nodiscard]] std::string help(const std::string& usage_line) const;

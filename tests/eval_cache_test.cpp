@@ -449,6 +449,31 @@ TEST(EvalCacheProperty, InBatchDuplicatesAlwaysHit) {
   }
 }
 
+TEST(EvalCacheProperty, SharedCacheNeverCrossesFaultConfigs) {
+  // Two tuners that differ only in the fault mix measure different
+  // failures, so one shared cache must keep their entries apart: the
+  // second tuner lands on the same bytes alone and after the first.
+  FuncyTunerOptions first;
+  first.samples = 40;
+  first.faults.rate = 0.3;
+  first.faults.compile_share = 0.9;
+  FuncyTunerOptions second = first;
+  second.faults.compile_share = 0.1;
+
+  const auto cfr_json = [](const FuncyTunerOptions& options,
+                           const std::shared_ptr<EvalCache>& cache) {
+    FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(), options);
+    tuner.set_eval_cache(cache);
+    const TuningResult result = tuner.run("cfr");
+    return tuning_result_json(result, tuner.space(), tuner.program());
+  };
+  const std::string alone =
+      cfr_json(second, std::make_shared<EvalCache>());
+  const auto shared = std::make_shared<EvalCache>();
+  (void)cfr_json(first, shared);
+  EXPECT_EQ(cfr_json(second, shared), alone);
+}
+
 TEST(EvalCacheProperty, CampaignSharedCacheBitIdentical) {
   CampaignOptions off;
   off.tuner = collision_options(42, 40);

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -733,6 +734,45 @@ TEST(Checkpoint, OptionsFingerprintSeparatesConfigs) {
   EXPECT_NE(options_fingerprint(base),
             options_fingerprint(different_faults));
   EXPECT_EQ(options_fingerprint(base), options_fingerprint(fast_options()));
+
+  // Every measurement field splits the fingerprint: each changes what a
+  // run measures, so a journal or cache entry recorded under one value
+  // must never replay under another.
+  const std::vector<std::pair<const char*, void (*)(FuncyTunerOptions&)>>
+      measurement_edits = {
+          {"noise_sigma_rel", [](FuncyTunerOptions& o) {
+             o.noise_sigma_rel = 0.02;
+           }},
+          {"attribution_sigma", [](FuncyTunerOptions& o) {
+             o.attribution_sigma = 0.05;
+           }},
+          {"faults.rate", [](FuncyTunerOptions& o) { o.faults.rate = 0.2; }},
+          {"faults.seed", [](FuncyTunerOptions& o) { o.faults.seed = 7; }},
+          {"faults.compile_share", [](FuncyTunerOptions& o) {
+             o.faults.compile_share = 0.9;
+           }},
+          {"faults.crash_share", [](FuncyTunerOptions& o) {
+             o.faults.crash_share = 0.5;
+           }},
+          {"faults.timeout_share", [](FuncyTunerOptions& o) {
+             o.faults.timeout_share = 0.5;
+           }},
+          {"faults.outlier_rate", [](FuncyTunerOptions& o) {
+             o.faults.outlier_rate = 0.1;
+           }},
+          {"faults.outlier_min_scale", [](FuncyTunerOptions& o) {
+             o.faults.outlier_min_scale = 2.0;
+           }},
+          {"faults.outlier_max_scale", [](FuncyTunerOptions& o) {
+             o.faults.outlier_max_scale = 20.0;
+           }},
+      };
+  for (const auto& [field, edit] : measurement_edits) {
+    SCOPED_TRACE(field);
+    FuncyTunerOptions changed = base;
+    edit(changed);
+    EXPECT_NE(options_fingerprint(base), options_fingerprint(changed));
+  }
 }
 
 }  // namespace

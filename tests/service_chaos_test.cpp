@@ -93,8 +93,8 @@ AnyFrame decode_ok(const std::string& payload,
 /// The CL/broadwell hello as a plain-binary payload.
 std::string cl_hello() {
   HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
+  hello.workspace.program = "CL";
+  hello.workspace.arch = "broadwell";
   std::string out;
   encode_hello_frame(Framing::kBinary, hello, &out);
   return out;
@@ -307,8 +307,8 @@ TEST(BinaryCrc, CorruptedWireFrameGetsBadFrameAndTheSessionSurvives) {
 
   Socket socket = Socket::connect(server.address());
   HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
+  hello.workspace.program = "CL";
+  hello.workspace.arch = "broadwell";
   hello.caps.framings = {Framing::kBinaryCrc, Framing::kBinary};
   std::string payload;
   encode_hello_frame(Framing::kBinary, hello, &payload);

@@ -159,16 +159,21 @@ TEST(Protocol, DecodersRejectMalformedFrames) {
 
   // A hello that stops after its header lacks every field.
   HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
+  hello.workspace.program = "CL";
+  hello.workspace.arch = "broadwell";
   const std::string valid_hello = hello_frame(hello);
   expect_malformed(valid_hello.substr(0, 9), "hello header only");
   HelloFrame nameless = hello;
-  nameless.program.clear();
+  nameless.workspace.program.clear();
   expect_malformed(hello_frame(nameless), "hello without a program");
-  HelloFrame clang = hello;
-  clang.personality = "clang";
-  expect_malformed(hello_frame(clang), "hello with an unknown personality");
+  // HelloFrame cannot name another personality; splice one into the
+  // wire string (u32 length + bytes) where "icc" travels.
+  std::string clang = valid_hello;
+  const std::string icc("\x03\0\0\0icc", 7);
+  ASSERT_NE(clang.find(icc), std::string::npos);
+  clang.replace(clang.find(icc), icc.size(),
+                std::string("\x05\0\0\0clang", 9));
+  expect_malformed(clang, "hello with an unknown personality");
 
   // An eval whose request stops inside its loop CVs.
   const std::string eval = eval_frame(1, make_request());
@@ -305,8 +310,8 @@ AnyFrame roundtrip(int fd, const std::string& frame) {
 Socket greet(const Server& server) {
   Socket socket = Socket::connect(server.address());
   HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
+  hello.workspace.program = "CL";
+  hello.workspace.arch = "broadwell";
   const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
   EXPECT_EQ(reply.kind, FrameKind::kWelcome);
   EXPECT_EQ(reply.welcome.framing, Framing::kBinary);
@@ -327,8 +332,8 @@ TEST(Server, RejectsUnknownProgramAndArchitecture) {
   {
     Socket socket = Socket::connect(server.address());
     HelloFrame hello;
-    hello.program = "no-such-benchmark";
-    hello.arch = "broadwell";
+    hello.workspace.program = "no-such-benchmark";
+    hello.workspace.arch = "broadwell";
     const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
     ASSERT_EQ(reply.kind, FrameKind::kError);
     EXPECT_EQ(reply.error.code, "unknown_program");
@@ -337,8 +342,8 @@ TEST(Server, RejectsUnknownProgramAndArchitecture) {
   {
     Socket socket = Socket::connect(server.address());
     HelloFrame hello;
-    hello.program = "CL";
-    hello.arch = "m68k";
+    hello.workspace.program = "CL";
+    hello.workspace.arch = "m68k";
     const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
     ASSERT_EQ(reply.kind, FrameKind::kError);
     EXPECT_EQ(reply.error.code, "unknown_architecture");
@@ -350,8 +355,8 @@ TEST(Server, RejectsUnsupportedProtocolVersion) {
   Server server(test_server_options());
   server.start();
   HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
+  hello.workspace.program = "CL";
+  hello.workspace.arch = "broadwell";
   hello.caps.protocol = 999;
   {
     Socket socket = Socket::connect(server.address());
@@ -567,8 +572,8 @@ TEST(Server, ArchRestrictedDaemonRefusesAndAdvertises) {
     // for this cell" apart from "daemon is broken".
     Socket socket = Socket::connect(server.address());
     HelloFrame hello;
-    hello.program = "CL";
-    hello.arch = "broadwell";
+    hello.workspace.program = "CL";
+    hello.workspace.arch = "broadwell";
     const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
     ASSERT_EQ(reply.kind, FrameKind::kError);
     EXPECT_EQ(reply.error.code, "unsupported_architecture");
@@ -577,8 +582,8 @@ TEST(Server, ArchRestrictedDaemonRefusesAndAdvertises) {
   {
     Socket socket = Socket::connect(server.address());
     HelloFrame hello;
-    hello.program = "CL";
-    hello.arch = "opteron";
+    hello.workspace.program = "CL";
+    hello.workspace.arch = "opteron";
     const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
     ASSERT_EQ(reply.kind, FrameKind::kWelcome);
     // The served set is advertised canonicalized to display names.
@@ -941,6 +946,38 @@ TEST(Fleet, ConnectRequiresAtLeastOneServingEndpoint) {
   }
 }
 
+TEST(Fleet, TunersSharingAWorkspaceShareAHome) {
+  // Schedule knobs (budget, reporting reps, retries, algorithm knobs)
+  // never change what a daemon measures, so they must not move the
+  // workspace to another daemon's warm caches.
+  FleetServers fleet(3);
+  core::FuncyTunerOptions base;
+  base.seed = 9;
+  std::vector<core::FuncyTunerOptions> variants(8, base);
+  variants[1].samples = 25;
+  variants[2].samples = 500;
+  variants[3].final_reps = 3;
+  variants[4].hot_threshold = 0.05;
+  variants[5].retry.max_retries = 5;
+  variants[6].retry.eval_timeout_seconds = 100.0;
+  variants[7].algorithm_options["cfr"] = {"--top-x=5"};
+  const std::string home =
+      FleetBackend::connect(fleet.addresses, "CL", "broadwell", base)
+          ->home_address();
+  for (std::size_t i = 1; i < variants.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(FleetBackend::connect(fleet.addresses, "CL", "broadwell",
+                                    variants[i])
+                  ->home_address(),
+              home);
+  }
+  // The CLI key and the display name spell one architecture.
+  EXPECT_EQ(FleetBackend::connect(fleet.addresses, "CL", "Intel Broadwell",
+                                  base)
+                ->home_address(),
+            home);
+}
+
 TEST(Fleet, HeterogeneousCampaignPinsCellsToServingDaemons) {
   // One daemon per architecture; each refuses the other two archs, so
   // connect-time filtering is what routes every campaign cell.
@@ -1107,51 +1144,50 @@ TEST(ServiceFuzz, ThousandGarbageFramesLeaveTheDaemonServing) {
 
 TEST(Binary, HelloRoundTripIsBitExact) {
   HelloFrame hello;
-  hello.program = "LULESH";
-  hello.arch = "sandybridge";
-  hello.personality = "gcc";
-  hello.options.seed = 0x0123456789abcdefull;
-  hello.options.noise_sigma_rel = 0.1 + 0.2;  // not exactly 0.3
-  hello.options.attribution_sigma = 1e-17;
-  hello.options.faults.rate = 1.0 / 3.0;
-  hello.options.faults.seed = 0xffffffffffffffffull;
-  hello.options.faults.compile_share = 0.7;
-  hello.options.faults.crash_share = 0.2;
-  hello.options.faults.timeout_share = 0.1;
-  hello.options.faults.outlier_rate = 0.015625;
-  hello.options.faults.outlier_min_scale = 1.5;
-  hello.options.faults.outlier_max_scale = 9.999999999999998;
+  WorkspaceSpec& in = hello.workspace;
+  in.program = "LULESH";
+  in.arch = "sandybridge";
+  in.personality = compiler::Personality::kGcc;
+  in.options.seed = 0x0123456789abcdefull;
+  in.options.noise_sigma_rel = 0.1 + 0.2;  // not exactly 0.3
+  in.options.attribution_sigma = 1e-17;
+  in.options.faults.rate = 1.0 / 3.0;
+  in.options.faults.seed = 0xffffffffffffffffull;
+  in.options.faults.compile_share = 0.7;
+  in.options.faults.crash_share = 0.2;
+  in.options.faults.timeout_share = 0.1;
+  in.options.faults.outlier_rate = 0.015625;
+  in.options.faults.outlier_min_scale = 1.5;
+  in.options.faults.outlier_max_scale = 9.999999999999998;
   hello.caps.max_frame_bytes = 123456789;
 
   const AnyFrame frame = decode_ok(hello_frame(hello));
   ASSERT_EQ(frame.kind, FrameKind::kHello);
-  const HelloFrame& out = frame.hello;
-  EXPECT_EQ(out.caps.protocol, kProtocolVersion);
-  EXPECT_EQ(out.program, hello.program);
-  EXPECT_EQ(out.arch, hello.arch);
-  EXPECT_EQ(out.personality, hello.personality);
-  EXPECT_EQ(out.options.seed, hello.options.seed);
+  const WorkspaceSpec& out = frame.hello.workspace;
+  EXPECT_EQ(frame.hello.caps.protocol, kProtocolVersion);
+  EXPECT_EQ(out.program, in.program);
+  EXPECT_EQ(out.arch, in.arch);
+  EXPECT_EQ(out.personality, in.personality);
+  EXPECT_EQ(out.options.seed, in.options.seed);
   // Doubles travel as raw IEEE-754 bit patterns: equality is exact by
   // construction, no decimal round-trip argument required.
-  EXPECT_EQ(out.options.noise_sigma_rel, hello.options.noise_sigma_rel);
-  EXPECT_EQ(out.options.attribution_sigma,
-            hello.options.attribution_sigma);
-  EXPECT_EQ(out.options.faults.rate, hello.options.faults.rate);
-  EXPECT_EQ(out.options.faults.seed, hello.options.faults.seed);
+  EXPECT_EQ(out.options.noise_sigma_rel, in.options.noise_sigma_rel);
+  EXPECT_EQ(out.options.attribution_sigma, in.options.attribution_sigma);
+  EXPECT_EQ(out.options.faults.rate, in.options.faults.rate);
+  EXPECT_EQ(out.options.faults.seed, in.options.faults.seed);
   EXPECT_EQ(out.options.faults.compile_share,
-            hello.options.faults.compile_share);
-  EXPECT_EQ(out.options.faults.crash_share,
-            hello.options.faults.crash_share);
+            in.options.faults.compile_share);
+  EXPECT_EQ(out.options.faults.crash_share, in.options.faults.crash_share);
   EXPECT_EQ(out.options.faults.timeout_share,
-            hello.options.faults.timeout_share);
+            in.options.faults.timeout_share);
   EXPECT_EQ(out.options.faults.outlier_rate,
-            hello.options.faults.outlier_rate);
+            in.options.faults.outlier_rate);
   EXPECT_EQ(out.options.faults.outlier_min_scale,
-            hello.options.faults.outlier_min_scale);
+            in.options.faults.outlier_min_scale);
   EXPECT_EQ(out.options.faults.outlier_max_scale,
-            hello.options.faults.outlier_max_scale);
-  EXPECT_EQ(out.caps.framings, hello.caps.framings);
-  EXPECT_EQ(out.caps.max_frame_bytes, hello.caps.max_frame_bytes);
+            in.options.faults.outlier_max_scale);
+  EXPECT_EQ(frame.hello.caps.framings, hello.caps.framings);
+  EXPECT_EQ(frame.hello.caps.max_frame_bytes, hello.caps.max_frame_bytes);
 }
 
 TEST(Binary, WelcomeRoundTrip) {
@@ -1174,8 +1210,8 @@ TEST(Binary, HandshakeCarriesBinaryCrc32) {
   // A hello offering the CRC trailer and a welcome binding it must
   // both survive the codec: the handshake is what turns the trailer on.
   HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
+  hello.workspace.program = "CL";
+  hello.workspace.arch = "broadwell";
   hello.caps.framings = {Framing::kBinaryCrc, Framing::kBinary};
   EXPECT_EQ(decode_ok(hello_frame(hello)).hello.caps.framings,
             hello.caps.framings);
@@ -1351,8 +1387,8 @@ TEST(Protocol, CapabilitiesTolerateUnknownKeysAndWrongTypes) {
   // unknown is skipped, the frame still decodes, and the
   // mutually-intelligible parts survive.
   HelloFrame hello;
-  hello.program = "CL";
-  hello.arch = "broadwell";
+  hello.workspace.program = "CL";
+  hello.workspace.arch = "broadwell";
   std::string payload = hello_frame(hello);
   // caps start right after the 9-byte header: u32 protocol, then
   // u8 framing_count and the codes.
@@ -1364,8 +1400,8 @@ TEST(Protocol, CapabilitiesTolerateUnknownKeysAndWrongTypes) {
   ASSERT_EQ(frame.kind, FrameKind::kHello);
   EXPECT_EQ(frame.hello.caps.protocol, kProtocolVersion);
   EXPECT_EQ(frame.hello.caps.framings, std::vector<Framing>{Framing::kBinary});
-  EXPECT_EQ(frame.hello.program, "CL");
-  EXPECT_EQ(frame.hello.arch, "broadwell");
+  EXPECT_EQ(frame.hello.workspace.program, "CL");
+  EXPECT_EQ(frame.hello.workspace.arch, "broadwell");
 
   // An offer naming no known framing at all decodes as the baseline.
   payload = hello_frame(hello);

@@ -637,8 +637,8 @@ TEST(OptionSet, ResolvesDefaultsAndGivenValues) {
 }
 
 TEST(OptionSet, ArgcParseConsumesEveryToken) {
-  // Unlike the CliArgs argc/argv constructor, OptionSet::parse does
-  // NOT skip a program name: callers pass the shifted tail. A first
+  // OptionSet::parse does NOT skip a program name: callers pass the
+  // shifted tail. A first
   // flag silently swallowed as argv[0] was exactly the bug this
   // pins down.
   const char* argv[] = {"--samples", "7"};

@@ -181,18 +181,8 @@ int main(int argc, char** argv) {
       .text("json", "", "write the soak report JSON to FILE")
       .flag("help", false, "print this help");
 
-  support::OptionSet::Parsed args;
-  try {
-    args = options.parse(argc - 1, argv + 1);
-  } catch (const support::CliError& error) {
-    std::cerr << "chaos_soak: " << error.what() << '\n'
-              << options.help("usage: chaos_soak [options]");
-    return 1;
-  }
-  if (args.flag("help")) {
-    std::cout << options.help("usage: chaos_soak [options]");
-    return 0;
-  }
+  const support::OptionSet::Parsed args =
+      options.parse_or_exit(argc - 1, argv + 1, "chaos_soak");
 
   SoakConfig config;
   config.seed = static_cast<std::uint64_t>(args.integer("seed"));

@@ -219,24 +219,13 @@ void validate_algorithm_options(
 support::OptionSet::Parsed parse_or_exit(
     const support::OptionSet& set, const std::string& command,
     const std::vector<std::string>& tokens) {
-  const std::string usage = "usage: ftune " + command + " [options]";
-  try {
-    support::OptionSet::Parsed parsed = set.parse(tokens);
-    if (parsed.flag("help")) {
-      std::cout << set.help(usage);
-      if (command == "tune" || command == "campaign") {
-        std::cout << "\nAlgorithm knobs are namespaced: "
-                     "--<algorithm>:<knob>[=value], e.g. --cfr:top-x=8 "
-                     "--cfr:patience=20\n";
-      }
-      std::exit(0);
-    }
-    return parsed;
-  } catch (const support::CliError& error) {
-    std::cerr << "ftune " << command << ": " << error.what() << '\n'
-              << set.help(usage);
-    std::exit(1);
-  }
+  return set.parse_or_exit(
+      tokens, "ftune " + command,
+      command == "tune" || command == "campaign"
+          ? "\nAlgorithm knobs are namespaced: "
+            "--<algorithm>:<knob>[=value], e.g. --cfr:top-x=8 "
+            "--cfr:patience=20\n"
+          : "");
 }
 
 support::OptionSet::Parsed parse_or_exit(const support::OptionSet& set,

@@ -111,18 +111,8 @@ int main(int argc, char** argv) {
             "(empty = the default profile; see FT_CHAOS)")
       .flag("help", false, "print this help");
 
-  support::OptionSet::Parsed parsed;
-  try {
-    parsed = options.parse(argc - 1, argv + 1);
-  } catch (const support::CliError& error) {
-    std::cerr << "ftuned: " << error.what() << '\n'
-              << options.help("usage: ftuned [options]");
-    return 1;
-  }
-  if (parsed.flag("help")) {
-    std::cout << options.help("usage: ftuned [options]");
-    return 0;
-  }
+  const support::OptionSet::Parsed parsed =
+      options.parse_or_exit(argc - 1, argv + 1, "ftuned");
   if (parsed.given("threads")) {
     // Must precede the first global_pool() use; the pool reads
     // FT_THREADS once, at construction.
