@@ -21,7 +21,6 @@
 #include "core/funcy_tuner.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
-#include "support/cli.hpp"
 #include "support/options.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"

@@ -27,6 +27,7 @@
 #include "bench/common.hpp"
 #include "core/checkpoint.hpp"
 #include "core/drift.hpp"
+#include "core/search_registry.hpp"
 #include "support/parse_number.hpp"
 
 namespace {
@@ -57,8 +58,12 @@ int main(int argc, char** argv) {
   using namespace ft;
 
   support::OptionSet set = bench::BenchConfig::option_set();
-  set.text("program", "CL", "benchmark to tune (paper name)")
-      .text("algorithm", "cfr", "initial tuning algorithm")
+  set.text("program", "CL", "benchmark to tune (paper name)",
+           support::accepted_by(programs::by_name))
+      .text("algorithm", "cfr", "initial tuning algorithm",
+            support::accepted_by([](const std::string& key) {
+              return core::SearchRegistry::global().create(key);
+            }))
       .integer("segments", 4, "drifted segments after steady state")
       .real("work-drift", 0.25, "per-segment per-time-step work drift")
       .real("ws-drift", -0.5,
@@ -76,7 +81,8 @@ int main(int argc, char** argv) {
       .text("eval-cache-dir", "",
             "disk-backed eval-cache tier shared across processes")
       .text("eval-cache-disk-size", "",
-            "size budget for the disk tier (e.g. 64M)");
+            "size budget for the disk tier (e.g. 64M)",
+            support::accepted_by(support::parse_byte_size));
   const support::OptionSet::Parsed args =
       set.parse_or_exit(argc - 1, argv + 1, argv[0]);
   bench::BenchConfig config = bench::BenchConfig::from(args);
@@ -98,15 +104,10 @@ int main(int argc, char** argv) {
 
   core::FuncyTunerOptions tuner_options = config.tuner_options();
   tuner_options.eval_cache_dir = args.text("eval-cache-dir");
-  if (!args.text("eval-cache-disk-size").empty()) {
-    std::uint64_t bytes = 0;
-    if (!support::parse_byte_size(args.text("eval-cache-disk-size"),
-                                  &bytes)) {
-      std::cerr << argv[0] << ": invalid --eval-cache-disk-size '"
-                << args.text("eval-cache-disk-size") << "'\n";
-      return 1;
-    }
-    tuner_options.eval_cache_disk_bytes = static_cast<std::size_t>(bytes);
+  if (const std::string& size = args.text("eval-cache-disk-size");
+      !size.empty()) {
+    tuner_options.eval_cache_disk_bytes =
+        static_cast<std::size_t>(support::parse_byte_size(size));
   }
 
   core::FuncyTuner tuner(programs::by_name(args.text("program")),

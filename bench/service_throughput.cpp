@@ -33,6 +33,7 @@
 #include <memory>
 #include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -230,14 +231,29 @@ void print_result(const std::string& framing, const RunResult& result) {
             << result.p99_ms << " ms\n";
 }
 
+/// --framing: `both`, or exactly one framing name.
+std::vector<service::Framing> framings_from(const std::string& arg) {
+  if (arg == "both") {
+    return {service::Framing::kBinary, service::Framing::kBinaryCrc};
+  }
+  std::vector<service::Framing> framings = service::parse_framings(arg);
+  if (framings.size() != 1) {
+    throw std::invalid_argument("expected binary, binary-crc32 or both");
+  }
+  return framings;
+}
+
 int run(int argc, char** argv) {
   support::OptionSet set;
   set.integer("clients", 8, "concurrent client sessions")
       .integer("batch", 16, "requests per eval_batch frame")
       .real("seconds", 2.0, "timed window per framing")
-      .text("framing", "both", "binary, binary-crc32, or both")
-      .text("program", "CL", "benchmark the workspace serves")
-      .text("arch", "broadwell", "architecture the workspace serves")
+      .text("framing", "both", "binary, binary-crc32, or both",
+            support::accepted_by(framings_from))
+      .text("program", "CL", "benchmark the workspace serves",
+            support::accepted_by(programs::by_name))
+      .text("arch", "broadwell", "architecture the workspace serves",
+            support::accepted_by(machine::architecture_by_name))
       .text("json", "", "append machine-readable results to this file")
       .text("connect", "",
             "target an already-running ftuned at this address instead "
@@ -257,19 +273,8 @@ int run(int argc, char** argv) {
   setup.arch = parsed.text("arch");
   setup.check_allocs = parsed.flag("check-allocs");
 
-  std::vector<service::Framing> framings;
-  const std::string framing_arg = parsed.text("framing");
-  if (framing_arg == "both") {
-    framings = {service::Framing::kBinary, service::Framing::kBinaryCrc};
-  } else {
-    service::Framing framing;
-    if (!service::framing_from_name(framing_arg, &framing)) {
-      std::cerr << "service_throughput: unknown framing '" << framing_arg
-                << "' (expected binary, binary-crc32 or both)\n";
-      return 1;
-    }
-    framings = {framing};
-  }
+  const std::vector<service::Framing> framings =
+      framings_from(parsed.text("framing"));
 
   // The in-process daemon is sized so that the service layer - not
   // admission control or the measurement model - is the bottleneck:

@@ -21,7 +21,8 @@
 int main(int argc, char** argv) {
   using namespace ft;
   support::OptionSet set;
-  set.text("program", "AMG", "benchmark to tune")
+  set.text("program", "AMG", "benchmark to tune",
+           support::accepted_by(programs::by_name))
       .integer("samples", 500, "pre-sampled CV count / search iterations")
       .integer("seed", 42, "top-level seed")
       .flag("help", false, "print this help");

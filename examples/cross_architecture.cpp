@@ -17,7 +17,8 @@
 int main(int argc, char** argv) {
   using namespace ft;
   support::OptionSet set;
-  set.text("program", "CL", "benchmark to tune")
+  set.text("program", "CL", "benchmark to tune",
+           support::accepted_by(programs::by_name))
       .integer("samples", 600, "pre-sampled CV count")
       .integer("seed", 42, "top-level seed")
       .flag("help", false, "print this help");

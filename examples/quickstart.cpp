@@ -19,8 +19,10 @@
 
 int main(int argc, char** argv) {
   ft::support::OptionSet set;
-  set.text("program", "CL", "benchmark to tune")
-      .text("arch", "broadwell", "opteron|sandybridge|broadwell")
+  set.text("program", "CL", "benchmark to tune",
+           ft::support::accepted_by(ft::programs::by_name))
+      .text("arch", "broadwell", "opteron|sandybridge|broadwell",
+            ft::support::accepted_by(ft::machine::architecture_by_name))
       .integer("samples", 300, "pre-sampled CV count")
       .integer("top-x", 30, "CFR's pruned space per loop")
       .integer("seed", 42, "top-level seed")

@@ -21,7 +21,8 @@ int main(int argc, char** argv) {
   support::OptionSet set;
   set.integer("samples", 1000, "pre-sampled CV count")
       .integer("seed", 42, "top-level seed")
-      .text("arch", "broadwell", "opteron|sandybridge|broadwell")
+      .text("arch", "broadwell", "opteron|sandybridge|broadwell",
+            support::accepted_by(machine::architecture_by_name))
       .flag("help", false, "print this help");
   const support::OptionSet::Parsed args =
       set.parse_or_exit(argc - 1, argv + 1, argv[0]);

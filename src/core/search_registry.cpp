@@ -100,8 +100,7 @@ class FrAlgorithm final : public SearchAlgorithm {
   std::string display_name() const override { return "FR"; }
   support::OptionSet options() const override {
     support::OptionSet set;
-    set.integer("samples", 1000,
-                "evaluation budget (default: --samples)");
+    set.integer("samples", 0, "evaluation budget").default_from("samples");
     return set;
   }
   TuningResult run(SearchContext& context) const override {
@@ -133,8 +132,8 @@ class CfrAlgorithm final : public SearchAlgorithm {
   support::OptionSet options() const override {
     support::OptionSet set;
     set.integer("top-x", 10, "pruned space size X per module")
-        .integer("samples", 1000,
-                 "evaluation budget K of Algorithm 1 (default: --samples)")
+        .integer("samples", 0, "evaluation budget K of Algorithm 1")
+        .default_from("samples")
         .integer("patience", 0, "early-stop patience; 0 = fixed budget");
     return set;
   }
@@ -159,9 +158,8 @@ class RetuneAlgorithm final : public SearchAlgorithm {
   std::string display_name() const override { return "Retune"; }
   support::OptionSet options() const override {
     support::OptionSet set;
-    set.integer("iterations", 60,
-                "evaluation budget, the seed costs one (default: "
-                "--samples)")
+    set.integer("iterations", 0, "evaluation budget, the seed costs one")
+        .default_from("samples")
         .integer("top-x", 10, "pruned candidate space per module")
         .integer("patience", 0, "early-stop patience; 0 = fixed budget");
     return set;
@@ -236,6 +234,12 @@ std::vector<std::string> SearchRegistry::names() const {
     if (entry.listed) keys.push_back(entry.name);
   }
   return keys;
+}
+
+void SearchRegistry::declare_knobs(support::OptionSet& set) const {
+  for (const Entry& entry : entries_) {
+    set.knob_namespace(entry.name, entry.factory()->options());
+  }
 }
 
 SearchRegistry& SearchRegistry::global() {

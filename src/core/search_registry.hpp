@@ -8,9 +8,10 @@
 // FuncyTuner's phases - so cheap algorithms (Random) never force the
 // expensive collection sweep just by being constructed. Each
 // algorithm additionally owns a declarative options() schema
-// (support/options OptionSet) of its private knobs, surfaced by ftune
-// as namespaced flags (`--cfr:top-x`, `--fr:samples`, ...), the only
-// place those knobs can be set.
+// (support::OptionSet) of its private knobs. declare_knobs() makes
+// every schema one option namespace of a command line, so ftune
+// parses, refuses and lists them as `--cfr:top-x`, `--fr:samples`,
+// ...: the only place those knobs can be set.
 #pragma once
 
 #include <functional>
@@ -71,9 +72,9 @@ class SearchContext {
   }
   [[nodiscard]] const compiler::ModuleAssignment& seed_assignment() const;
 
-  /// Raw namespaced option tokens for one algorithm key (what the user
+  /// Namespaced option tokens for one algorithm key (what the user
   /// passed as `--<algorithm>:<knob>[=value]`), normalized to
-  /// `--knob=value` form; empty when none were given.
+  /// `--knob=value` form by OptionSet; empty when none were given.
   [[nodiscard]] std::vector<std::string> algorithm_tokens(
       const std::string& algorithm) const;
 
@@ -97,16 +98,17 @@ class SearchAlgorithm {
   /// "CFR"); also what TuningResult::algorithm is set to.
   [[nodiscard]] virtual std::string display_name() const = 0;
   /// Declarative schema of this algorithm's private knobs, with
-  /// UNprefixed names ("top-x", "patience"); ftune surfaces each as
-  /// `--<name()>:<knob>`. Default: no knobs.
+  /// UNprefixed names ("top-x", "patience"); a command line surfaces
+  /// each as `--<name()>:<knob>` (SearchRegistry::declare_knobs).
+  /// Default: no knobs.
   [[nodiscard]] virtual support::OptionSet options() const { return {}; }
   [[nodiscard]] virtual TuningResult run(SearchContext& context) const = 0;
 
  protected:
   /// The context's namespaced tokens for this algorithm, resolved
-  /// against options() - strict, so an unknown or malformed knob
-  /// throws support::CliError at run time (ftune validates eagerly at
-  /// parse time, so users see it before any tuning starts).
+  /// against options() - strict, so an unknown or malformed knob set
+  /// programmatically throws support::CliError at run time (a command
+  /// line refuses it at parse time, before any tuning starts).
   [[nodiscard]] support::OptionSet::Parsed parsed_options(
       const SearchContext& context) const {
     return options().parse(context.algorithm_tokens(name()));
@@ -136,6 +138,9 @@ class SearchRegistry {
       const std::string& name) const;
   /// Listed keys in registration order (what `--algorithm all` runs).
   [[nodiscard]] std::vector<std::string> names() const;
+  /// Declares every registered algorithm, listed or not, as an option
+  /// namespace of `set` with its options() schema as the knobs.
+  void declare_knobs(support::OptionSet& set) const;
 
   /// The process-wide registry, pre-populated with the paper's four
   /// algorithms (random, fr, greedy, cfr) and the unlisted online

@@ -1,12 +1,14 @@
 #include "service/protocol.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 
 #include "core/checkpoint.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
 #include "support/rng.hpp"
+#include "support/string_utils.hpp"
 
 namespace ft::service {
 
@@ -20,16 +22,20 @@ const char* framing_name(Framing framing) {
   return "binary";
 }
 
-bool framing_from_name(std::string_view name, Framing* out) {
-  if (name == "binary") {
-    *out = Framing::kBinary;
-    return true;
+std::vector<Framing> parse_framings(std::string_view list) {
+  std::vector<Framing> framings;
+  for (const std::string& field : support::split(list, ',')) {
+    const std::string name = support::trim(field);
+    if (name == "binary") {
+      framings.push_back(Framing::kBinary);
+    } else if (name == "binary-crc32") {
+      framings.push_back(Framing::kBinaryCrc);
+    } else if (!name.empty()) {
+      throw std::invalid_argument("unknown framing '" + name +
+                                  "' (expected binary or binary-crc32)");
+    }
   }
-  if (name == "binary-crc32") {
-    *out = Framing::kBinaryCrc;
-    return true;
-  }
-  return false;
+  return framings;
 }
 
 Framing negotiate_framing(const std::vector<Framing>& client_order,

@@ -68,10 +68,11 @@ enum class Framing : std::uint8_t {
 }
 
 [[nodiscard]] const char* framing_name(Framing framing);
-/// False for names this build does not know. Unknown names are how
-/// FUTURE framings look to us - callers must skip them, not fail the
-/// handshake.
-[[nodiscard]] bool framing_from_name(std::string_view name, Framing* out);
+/// A command line's comma-separated framing list ("binary-crc32,binary")
+/// in order; empty fields are skipped, so "" gives an empty list.
+/// Throws std::invalid_argument naming the first unknown framing, so it
+/// doubles as the flag's validator (support::accepted_by).
+[[nodiscard]] std::vector<Framing> parse_framings(std::string_view list);
 
 /// Versioned capability set exchanged in hello (what the client can
 /// speak, preference-ordered) and welcome (what the server serves).

@@ -1,9 +1,11 @@
 #include "support/options.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
-#include <stdexcept>
+
+#include "support/parse_number.hpp"
 
 namespace ft::support {
 
@@ -20,6 +22,8 @@ bool parse_flag_text(const std::string& text, bool* out) {
   }
   return false;
 }
+
+bool is_option(const std::string& token) { return token.rfind("--", 0) == 0; }
 
 }  // namespace
 
@@ -60,7 +64,7 @@ bool OptionSet::Parsed::given(const std::string& name) const {
 
 OptionSet& OptionSet::add(Spec spec) {
   for (const Spec& existing : specs_) {
-    if (existing.name == spec.name) {
+    if (existing.space == spec.space && existing.name == spec.name) {
       throw std::logic_error("option --" + spec.name + " declared twice");
     }
   }
@@ -116,34 +120,135 @@ OptionSet& OptionSet::text(const std::string& name, const std::string& fallback,
   return add(std::move(spec));
 }
 
+OptionSet& OptionSet::default_from(const std::string& option) {
+  specs_.back().fallback_text = "--" + option;
+  return *this;
+}
+
+OptionSet& OptionSet::knob_namespace(const std::string& name,
+                                     const OptionSet& knobs) {
+  namespaces_.push_back(name);
+  for (Spec spec : knobs.specs_) {
+    spec.space = name;
+    add(std::move(spec));
+  }
+  return *this;
+}
+
+const OptionSet::Spec& OptionSet::find(const std::string& token_name) const {
+  const std::size_t colon = token_name.find(':');
+  std::string space;
+  std::string name = token_name;
+  if (colon != std::string::npos) {
+    space = token_name.substr(0, colon);
+    name = token_name.substr(colon + 1);
+    if (space.empty() || name.empty()) {
+      throw CliError("malformed namespaced option --" + token_name +
+                     " (expected --<namespace>:<knob>[=value])");
+    }
+    if (std::find(namespaces_.begin(), namespaces_.end(), space) ==
+        namespaces_.end()) {
+      throw CliError("unknown option namespace: --" + token_name);
+    }
+  }
+  for (const Spec& spec : specs_) {
+    if (spec.space == space && spec.name == name) return spec;
+  }
+  throw CliError("unknown option: --" + token_name);
+}
+
+OptionSet::Parsed::Value OptionSet::resolve(const Spec& spec,
+                                            const std::string* raw) {
+  Parsed::Value value;
+  value.name = spec.name;
+  value.type = spec.type;
+  value.given = raw != nullptr;
+  value.text = raw != nullptr ? *raw : spec.fallback_text;
+  value.integer = spec.fallback_integer;
+  value.real = spec.fallback_real;
+  value.flag = spec.fallback_flag;
+  if (raw == nullptr) return value;
+
+  const std::string shown =
+      "--" + (spec.space.empty() ? "" : spec.space + ":") + spec.name;
+  if (spec.validator != nullptr) {
+    const std::string verdict = spec.validator(*raw);
+    if (!verdict.empty()) throw CliError(shown + ": " + verdict);
+  }
+  // Partial parses ("10o0") are as wrong as unparseable ones.
+  switch (spec.type) {
+    case kFlag:
+      if (!parse_flag_text(*raw, &value.flag)) {
+        throw CliError(shown + ": not a boolean: '" + *raw + "'");
+      }
+      break;
+    case kInteger:
+      if (!parse_int64(*raw, &value.integer)) {
+        throw CliError(shown + ": not an integer: '" + *raw + "'");
+      }
+      break;
+    case kReal:
+      if (!parse_double(*raw, &value.real)) {
+        throw CliError(shown + ": not a number: '" + *raw + "'");
+      }
+      break;
+    case kText:
+      break;
+  }
+  return value;
+}
+
 OptionSet::Parsed OptionSet::parse(int argc, const char* const* argv) const {
   // Consumes every element: callers pass `argc - 1, argv + 1` (or a
   // subcommand tail), having stripped the program name themselves.
-  std::vector<std::string> tokens;
-  tokens.reserve(static_cast<std::size_t>(argc > 0 ? argc : 0));
-  for (int i = 0; i < argc; ++i) tokens.emplace_back(argv[i]);
-  return resolve(CliArgs(tokens));
+  return parse(std::vector<std::string>(argv, argv + std::max(argc, 0)));
 }
 
 OptionSet::Parsed OptionSet::parse(
     const std::vector<std::string>& tokens) const {
-  return resolve(CliArgs(tokens));
+  Parsed parsed;
+  std::map<const Spec*, std::string> given;  // a repeated flag: last wins
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    if (!is_option(tokens[i])) {
+      parsed.positionals_.push_back(tokens[i]);
+      continue;
+    }
+    const std::string body = tokens[i].substr(2);
+    const std::size_t eq = body.find('=');
+    std::string value = "true";
+    if (eq != std::string::npos) {
+      value = body.substr(eq + 1);
+    } else if (i + 1 < tokens.size() && !is_option(tokens[i + 1])) {
+      value = tokens[++i];
+    }
+    const Spec& spec = find(body.substr(0, eq));
+    if (spec.space.empty()) {
+      given[&spec] = value;
+      continue;
+    }
+    (void)resolve(spec, &value);
+    parsed.namespaced_[spec.space].push_back("--" + spec.name + "=" + value);
+  }
+  // Eager typed parsing: a malformed value fails the whole command
+  // line even if the tool never reads that option on this path.
+  parsed.values_.reserve(specs_.size());
+  for (const Spec& spec : specs_) {
+    if (!spec.space.empty()) continue;
+    const auto it = given.find(&spec);
+    parsed.values_.push_back(
+        resolve(spec, it == given.end() ? nullptr : &it->second));
+  }
+  return parsed;
 }
 
 OptionSet::Parsed OptionSet::parse_or_exit(int argc,
                                            const char* const* argv,
                                            const std::string& name) const {
-  return parse_or_exit(std::vector<std::string>(argv, argv + argc), name);
-}
-
-OptionSet::Parsed OptionSet::parse_or_exit(
-    const std::vector<std::string>& tokens, const std::string& name,
-    const std::string& epilog) const {
   const std::string usage = "usage: " + name + " [options]";
   try {
-    Parsed parsed = parse(tokens);
+    Parsed parsed = parse(argc, argv);
     if (parsed.flag("help")) {
-      std::cout << help(usage) << epilog;
+      std::cout << help(usage);
       std::exit(0);
     }
     return parsed;
@@ -153,61 +258,13 @@ OptionSet::Parsed OptionSet::parse_or_exit(
   }
 }
 
-OptionSet::Parsed OptionSet::resolve(const CliArgs& args) const {
-  std::vector<std::string> known;
-  known.reserve(specs_.size());
-  for (const Spec& spec : specs_) known.push_back(spec.name);
-  args.check_known(known);
-
-  Parsed parsed;
-  parsed.positionals_ = args.positionals();
-  parsed.values_.reserve(specs_.size());
-  for (const Spec& spec : specs_) {
-    Parsed::Value value;
-    value.name = spec.name;
-    value.type = spec.type;
-    value.given = args.has(spec.name);
-    if (value.given && spec.validator != nullptr) {
-      const std::string verdict = spec.validator(args.get(spec.name));
-      if (!verdict.empty()) {
-        throw CliError("--" + spec.name + ": " + verdict);
-      }
-    }
-    // Eager typed parsing: a malformed value fails the whole command
-    // line even if the tool never reads that option on this path.
-    switch (spec.type) {
-      case kFlag: {
-        value.flag = spec.fallback_flag;
-        if (value.given) {
-          const std::string raw = args.get(spec.name);
-          if (!parse_flag_text(raw, &value.flag)) {
-            throw CliError("--" + spec.name + ": not a boolean: '" + raw +
-                           "'");
-          }
-        }
-        break;
-      }
-      case kInteger:
-        value.integer = args.get_int(spec.name, spec.fallback_integer);
-        break;
-      case kReal:
-        value.real = args.get_double(spec.name, spec.fallback_real);
-        break;
-      case kText:
-        value.text = args.get(spec.name, spec.fallback_text);
-        break;
-    }
-    parsed.values_.push_back(std::move(value));
-  }
-  return parsed;
-}
-
 std::string OptionSet::help(const std::string& usage_line) const {
   std::size_t width = 0;
   std::vector<std::string> heads;
   heads.reserve(specs_.size());
   for (const Spec& spec : specs_) {
-    std::string head = "  --" + spec.name;
+    std::string head =
+        "  --" + (spec.space.empty() ? "" : spec.space + ":") + spec.name;
     switch (spec.type) {
       case kFlag: break;
       case kInteger: head += " N"; break;
@@ -219,15 +276,23 @@ std::string OptionSet::help(const std::string& usage_line) const {
   }
 
   std::ostringstream out;
-  out << usage_line << "\n\noptions:\n";
-  for (std::size_t i = 0; i < specs_.size(); ++i) {
-    const Spec& spec = specs_[i];
-    out << heads[i] << std::string(width - heads[i].size() + 2, ' ')
-        << spec.help;
-    if (!spec.fallback_text.empty()) {
-      out << " [default: " << spec.fallback_text << "]";
+  const auto rows = [&](bool namespaced) {
+    for (std::size_t i = 0; i < specs_.size(); ++i) {
+      const Spec& spec = specs_[i];
+      if (spec.space.empty() == namespaced) continue;
+      out << heads[i] << std::string(width - heads[i].size() + 2, ' ')
+          << spec.help;
+      if (!spec.fallback_text.empty()) {
+        out << " [default: " << spec.fallback_text << "]";
+      }
+      out << "\n";
     }
-    out << "\n";
+  };
+  out << usage_line << "\n\noptions:\n";
+  rows(false);
+  if (!namespaces_.empty()) {
+    out << "\nnamespaced options (--<namespace>:<knob>[=value]):\n";
+    rows(true);
   }
   return out.str();
 }

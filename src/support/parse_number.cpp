@@ -1,6 +1,8 @@
 #include "support/parse_number.hpp"
 
 #include <charconv>
+#include <stdexcept>
+#include <string>
 
 // Floating-point std::from_chars needs libstdc++ >= 11 / libc++ >= 20.
 // The fallback parses through a stream imbued with the classic "C"
@@ -60,11 +62,16 @@ bool parse_uint64(std::string_view text, std::uint64_t* out) {
          !text.empty();
 }
 
-bool parse_byte_size(std::string_view text, std::uint64_t* out) {
+std::uint64_t parse_byte_size(std::string_view text) {
+  const auto refuse = [text] {
+    return std::invalid_argument("not a byte size: '" + std::string(text) +
+                                 "' (expected N with an optional K/M/G/T "
+                                 "suffix)");
+  };
   std::uint64_t value = 0;
   const auto [ptr, ec] =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc() || ptr == text.data()) return false;
+  if (ec != std::errc() || ptr == text.data()) throw refuse();
   std::string_view rest = text.substr(
       static_cast<std::size_t>(ptr - text.data()));
   unsigned shift = 0;
@@ -74,19 +81,18 @@ bool parse_byte_size(std::string_view text, std::uint64_t* out) {
       case 'm': case 'M': shift = 20; break;
       case 'g': case 'G': shift = 30; break;
       case 't': case 'T': shift = 40; break;
-      default: return false;
+      default: throw refuse();
     }
     rest.remove_prefix(1);
     // Accept "64M", "64MB" and "64MiB" spellings alike.
-    if (rest == "i" || rest == "I") return false;
+    if (rest == "i" || rest == "I") throw refuse();
     if (rest.size() == 2 && (rest[0] == 'i' || rest[0] == 'I')) {
       rest.remove_prefix(1);
     }
-    if (!rest.empty() && rest != "b" && rest != "B") return false;
+    if (!rest.empty() && rest != "b" && rest != "B") throw refuse();
   }
-  if (shift != 0 && value > (std::uint64_t{~0ULL} >> shift)) return false;
-  *out = value << shift;
-  return true;
+  if (shift != 0 && value > (std::uint64_t{~0ULL} >> shift)) throw refuse();
+  return value << shift;
 }
 
 }  // namespace ft::support

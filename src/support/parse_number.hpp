@@ -31,8 +31,9 @@ namespace ft::support {
 
 /// Byte sizes for CLI flags: a base-10 integer with an optional
 /// K/M/G/T suffix (binary multiples, case-insensitive, optional
-/// trailing B/iB as in "64MiB"). Rejects overflow.
-[[nodiscard]] bool parse_byte_size(std::string_view text,
-                                   std::uint64_t* out);
+/// trailing B/iB as in "64MiB"). Throws std::invalid_argument naming
+/// the text on anything else, overflow included, so it doubles as the
+/// flag's validator (support::accepted_by).
+[[nodiscard]] std::uint64_t parse_byte_size(std::string_view text);
 
 }  // namespace ft::support

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 
 #include "compiler/pipeline.hpp"
 #include "flags/spaces.hpp"
@@ -42,6 +43,13 @@ struct FlagCase {
   std::function<void(ir::LoopFeatures&)> tweak;  // triggering condition
   bool expect_helps;  // vs. default CV on the SAME tweaked loop
 };
+
+// Names each case by its label in test listings; gtest's default
+// would print the struct's bytes, pointers included, which change from
+// run to run.
+void PrintTo(const FlagCase& test_case, std::ostream* out) {
+  *out << test_case.label;
+}
 
 class MinorFlag : public ::testing::TestWithParam<FlagCase> {};
 

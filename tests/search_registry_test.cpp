@@ -26,7 +26,6 @@
 #include "programs/benchmarks.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
-#include "support/cli.hpp"
 #include "support/rng.hpp"
 
 namespace ft {

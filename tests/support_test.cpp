@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/cli.hpp"
 #include "support/json.hpp"
 #include "support/options.hpp"
 #include "support/parse_number.hpp"
@@ -285,57 +285,74 @@ TEST(Table, HandlesRaggedRows) {
 
 // ---------------------------------------------------------------- cli ----
 
+// The tokenizing rules every tool, bench binary and example shares.
+
 TEST(Cli, ParsesNameValuePairs) {
-  const CliArgs args({"--seed", "42", "--program", "CL"});
-  EXPECT_EQ(args.get_int("seed", 0), 42);
-  EXPECT_EQ(args.get("program"), "CL");
+  OptionSet set;
+  set.integer("seed", 0, "").text("program", "", "");
+  const OptionSet::Parsed args = set.parse({"--seed", "42", "--program", "CL"});
+  EXPECT_EQ(args.integer("seed"), 42);
+  EXPECT_EQ(args.text("program"), "CL");
 }
 
 TEST(Cli, ParsesEqualsForm) {
-  const CliArgs args({"--samples=100"});
-  EXPECT_EQ(args.get_int("samples", 0), 100);
+  OptionSet set;
+  set.integer("samples", 0, "");
+  EXPECT_EQ(set.parse({"--samples=100"}).integer("samples"), 100);
 }
 
 TEST(Cli, BooleanSwitch) {
-  const CliArgs args({"--verbose", "--seed", "1"});
-  EXPECT_TRUE(args.get_bool("verbose", false));
-  EXPECT_EQ(args.get_int("seed", 0), 1);
+  OptionSet set;
+  set.flag("verbose", false, "").integer("seed", 0, "");
+  const OptionSet::Parsed args = set.parse({"--verbose", "--seed", "1"});
+  EXPECT_TRUE(args.flag("verbose"));
+  EXPECT_EQ(args.integer("seed"), 1);
 }
 
 TEST(Cli, DefaultsWhenMissing) {
-  const CliArgs args(std::vector<std::string>{});
-  EXPECT_EQ(args.get_int("seed", 99), 99);
-  EXPECT_EQ(args.get("name", "x"), "x");
-  EXPECT_FALSE(args.has("seed"));
+  OptionSet set;
+  set.integer("seed", 99, "").text("name", "x", "");
+  const OptionSet::Parsed args = set.parse(std::vector<std::string>{});
+  EXPECT_EQ(args.integer("seed"), 99);
+  EXPECT_EQ(args.text("name"), "x");
+  EXPECT_FALSE(args.given("seed"));
 }
 
 TEST(Cli, Positionals) {
-  const CliArgs args({"foo", "--k", "v", "bar"});
+  OptionSet set;
+  set.text("k", "", "");
+  const OptionSet::Parsed args = set.parse({"foo", "--k", "v", "bar"});
+  EXPECT_EQ(args.text("k"), "v");
   ASSERT_EQ(args.positionals().size(), 2u);
   EXPECT_EQ(args.positionals()[0], "foo");
   EXPECT_EQ(args.positionals()[1], "bar");
 }
 
 TEST(Cli, MalformedNumberThrows) {
-  const CliArgs args({"--seed", "abc"});
+  OptionSet integer;
+  integer.integer("seed", 7, "").real("missing", 2.5, "");
+  OptionSet real;
+  real.real("seed", 2.5, "").integer("missing", 7, "");
   // A typo must fail loudly, not silently tune with the default.
-  EXPECT_THROW((void)args.get_int("seed", 7), CliError);
-  EXPECT_THROW((void)args.get_double("seed", 2.5), CliError);
+  EXPECT_THROW((void)integer.parse({"--seed", "abc"}), CliError);
+  EXPECT_THROW((void)real.parse({"--seed", "abc"}), CliError);
   // Absent flags still fall back.
-  EXPECT_EQ(args.get_int("missing", 7), 7);
-  EXPECT_EQ(args.get_double("missing", 2.5), 2.5);
+  EXPECT_EQ(real.parse({"--seed", "1"}).integer("missing"), 7);
+  EXPECT_EQ(integer.parse({"--seed", "1"}).real("missing"), 2.5);
 }
 
 TEST(Cli, PartialNumberThrows) {
-  const CliArgs args({"--samples", "10o0", "--rate", "0.5x"});
-  EXPECT_THROW((void)args.get_int("samples", 1), CliError);
-  EXPECT_THROW((void)args.get_double("rate", 0.0), CliError);
+  OptionSet set;
+  set.integer("samples", 1, "").real("rate", 0.0, "");
+  EXPECT_THROW((void)set.parse({"--samples", "10o0"}), CliError);
+  EXPECT_THROW((void)set.parse({"--rate", "0.5x"}), CliError);
 }
 
 TEST(Cli, MalformedNumberErrorNamesOffendingToken) {
-  const CliArgs args({"--seed", "abc"});
+  OptionSet set;
+  set.integer("seed", 7, "");
   try {
-    (void)args.get_int("seed", 7);
+    (void)set.parse({"--seed", "abc"});
     FAIL() << "expected CliError";
   } catch (const CliError& error) {
     EXPECT_NE(std::string(error.what()).find("--seed"), std::string::npos);
@@ -344,11 +361,16 @@ TEST(Cli, MalformedNumberErrorNamesOffendingToken) {
 }
 
 TEST(Cli, CheckKnownRejectsUnknownFlag) {
-  const CliArgs args({"--samples", "10", "--smaples", "10"});
-  EXPECT_THROW(args.check_known({"samples"}), CliError);
-  EXPECT_NO_THROW(args.check_known({"samples", "smaples"}));
+  const std::vector<std::string> tokens = {"--samples", "10", "--smaples",
+                                           "10"};
+  OptionSet known;
+  known.integer("samples", 0, "");
+  EXPECT_THROW((void)known.parse(tokens), CliError);
+  OptionSet both = known;
+  both.integer("smaples", 0, "");
+  EXPECT_NO_THROW((void)both.parse(tokens));
   try {
-    args.check_known({"samples"});
+    (void)known.parse(tokens);
     FAIL() << "expected CliError";
   } catch (const CliError& error) {
     EXPECT_NE(std::string(error.what()).find("--smaples"),
@@ -622,8 +644,8 @@ OptionSet demo_options() {
 
 TEST(OptionSet, ResolvesDefaultsAndGivenValues) {
   const OptionSet set = demo_options();
-  // "--csv file.txt" would read as csv="file.txt" (CliArgs' greedy
-  // value rule), so the positional leads and the switch trails.
+  // "--csv file.txt" would read as csv="file.txt" (the greedy value
+  // rule), so the positional leads and the switch trails.
   const OptionSet::Parsed parsed =
       set.parse({"file.txt", "--samples", "42", "--csv"});
   EXPECT_EQ(parsed.integer("samples"), 42);
@@ -674,6 +696,90 @@ TEST(OptionSet, HelpListsEveryOptionWithDefaults) {
   EXPECT_NE(help.find("[default: 1000]"), std::string::npos);
   EXPECT_NE(help.find("--sigma X"), std::string::npos);
   EXPECT_NE(help.find("--csv"), std::string::npos);
+}
+
+// A set with two knob namespaces, as ftune declares one per algorithm.
+OptionSet knob_options() {
+  OptionSet cfr;
+  cfr.integer("top-x", 10, "pruned space size")
+      .integer("samples", 0, "budget")
+      .default_from("samples")
+      .flag("verbose", false, "chatty");
+  OptionSet set = demo_options();
+  set.knob_namespace("cfr", cfr).knob_namespace("random", OptionSet{});
+  return set;
+}
+
+TEST(OptionSet, RefusesUnknownNamespace) {
+  EXPECT_THROW((void)knob_options().parse({"--annealing:temp=3"}),
+               CliError);
+  // A set that declares no namespace refuses every namespaced token.
+  EXPECT_THROW((void)demo_options().parse({"--cfr:top-x=5"}), CliError);
+  // A token with an empty namespace or knob is malformed.
+  EXPECT_THROW((void)knob_options().parse({"--:top-x=5"}), CliError);
+  EXPECT_THROW((void)knob_options().parse({"--cfr:=5"}), CliError);
+}
+
+TEST(OptionSet, RefusesUnknownKnob) {
+  EXPECT_THROW((void)knob_options().parse({"--cfr:banana=1"}), CliError);
+  // A namespace with no knobs has none to set.
+  EXPECT_THROW((void)knob_options().parse({"--random:top-x", "5"}),
+               CliError);
+  // A knob is not a plain option, nor the reverse.
+  EXPECT_THROW((void)knob_options().parse({"--top-x", "5"}), CliError);
+  EXPECT_THROW((void)knob_options().parse({"--cfr:sigma", "0.1"}),
+               CliError);
+  try {
+    (void)knob_options().parse({"--cfr:banana=1"});
+    FAIL() << "expected CliError";
+  } catch (const CliError& error) {
+    EXPECT_NE(std::string(error.what()).find("--cfr:banana"),
+              std::string::npos);
+  }
+}
+
+TEST(OptionSet, RefusesMalformedKnobValue) {
+  try {
+    (void)knob_options().parse({"--cfr:top-x", "ten"});
+    FAIL() << "expected CliError";
+  } catch (const CliError& error) {
+    EXPECT_NE(std::string(error.what()).find("--cfr:top-x"),
+              std::string::npos);
+    EXPECT_NE(std::string(error.what()).find("ten"), std::string::npos);
+  }
+  EXPECT_THROW((void)knob_options().parse({"--cfr:verbose=maybe"}),
+               CliError);
+}
+
+TEST(OptionSet, KnobValueSpellingsGiveIdenticalTokens) {
+  const OptionSet set = knob_options();
+  const OptionSet::Parsed inline_form =
+      set.parse({"--cfr:top-x=5", "--samples", "9", "--cfr:verbose"});
+  const OptionSet::Parsed separate_form =
+      set.parse({"--cfr:top-x", "5", "--samples=9", "--cfr:verbose"});
+  const std::map<std::string, std::vector<std::string>> expected = {
+      {"cfr", {"--top-x=5", "--verbose=true"}}};
+  EXPECT_EQ(inline_form.namespaced(), expected);
+  EXPECT_EQ(separate_form.namespaced(), expected);
+  EXPECT_EQ(inline_form.integer("samples"), 9);
+  // Raw value text and repeats are kept, in command-line order.
+  EXPECT_EQ(set.parse({"--cfr:top-x=05", "--cfr:top-x", "6"})
+                .namespaced()
+                .at("cfr"),
+            (std::vector<std::string>{"--top-x=05", "--top-x=6"}));
+  EXPECT_TRUE(set.parse({"--samples", "3"}).namespaced().empty());
+}
+
+TEST(OptionSet, HelpListsEveryKnob) {
+  const std::string help = knob_options().help("usage: demo [options]");
+  EXPECT_NE(help.find("--samples N"), std::string::npos);
+  EXPECT_NE(help.find("--cfr:top-x N"), std::string::npos);
+  EXPECT_NE(help.find("pruned space size [default: 10]"),
+            std::string::npos);
+  EXPECT_NE(help.find("budget [default: --samples]"), std::string::npos);
+  EXPECT_NE(help.find("--cfr:verbose"), std::string::npos);
+  // Every knob row comes after every plain option row.
+  EXPECT_LT(help.find("--help"), help.find("--cfr:top-x"));
 }
 
 // ---------------------------------------------------------- JsonValue ----
@@ -805,6 +911,20 @@ class ScopedNumericLocale {
   bool applied_;
 };
 
+TEST(ParseNumber, ByteSizes) {
+  EXPECT_EQ(parse_byte_size("0"), 0u);
+  EXPECT_EQ(parse_byte_size("4096"), 4096u);
+  EXPECT_EQ(parse_byte_size("64k"), 64u << 10);
+  EXPECT_EQ(parse_byte_size("64M"), 64u << 20);
+  EXPECT_EQ(parse_byte_size("64MB"), 64u << 20);
+  EXPECT_EQ(parse_byte_size("64MiB"), 64u << 20);
+  EXPECT_EQ(parse_byte_size("2G"), std::uint64_t{2} << 30);
+  for (const char* bad : {"", "M", "64Q", "64Mi", "64MX", "-1", "1.5G",
+                          "99999999999T"}) {
+    EXPECT_THROW((void)parse_byte_size(bad), std::invalid_argument) << bad;
+  }
+}
+
 // The regression for the std::stod / std::strtod bug: under de_DE the
 // decimal separator is ',', so the old code parsed "1.25" as 1 and
 // broke bit-identity of every serialized double. %.17g text must
@@ -830,8 +950,9 @@ TEST(ParseNumber, LocaleIndependentRoundTrip) {
     EXPECT_EQ(std::memcmp(&parsed, &expected, sizeof parsed), 0) << text;
 
     // The two public surfaces that used to mis-parse: CLI options...
-    CliArgs args({"--value", text});
-    EXPECT_EQ(args.get_double("value", 0.0), parsed) << text;
+    OptionSet set;
+    set.real("value", 0.0, "");
+    EXPECT_EQ(set.parse({"--value", text}).real("value"), parsed) << text;
 
     // ...and wire/journal JSON.
     JsonValue value;

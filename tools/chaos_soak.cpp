@@ -168,7 +168,10 @@ int main(int argc, char** argv) {
                "transport faults)")
       .text("chaos", "",
             "chaos spec override, e.g. `stall=0,reset=0.05` "
-            "(empty = the default profile)")
+            "(empty = the default profile)",
+            support::accepted_by([](const std::string& spec) {
+              return service::chaos::ChaosConfig::parse(0, spec);
+            }))
       .integer("daemons", 3, "fleet size")
       .real("kill-period", 1.0,
             "SIGKILL a random daemon this often during the chaos "

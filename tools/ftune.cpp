@@ -13,10 +13,12 @@
 //                                      per-module flag main effects
 //
 // Every subcommand declares its flags through support::OptionSet, so
-// unknown flags and malformed values are hard errors and
+// unknown flags and malformed or unknown values (a program name, a
+// framing, a chaos spec) are refused before any work starts, and
 // `ftune <cmd> --help` prints that subcommand's generated option
-// table. With --remote ADDR[,ADDR...] the evaluating subcommands
-// (profile, tune, campaign, importance) execute their raw
+// table; tune and campaign also list every algorithm's namespaced
+// knobs (`--cfr:top-x`). With --remote ADDR[,ADDR...] the evaluating
+// subcommands (profile, tune, campaign, importance) execute their raw
 // measurements on running `ftuned` daemons - a comma-separated list
 // forms a sharded fleet with health probes and failover; results are
 // bit-identical to in-process runs either way.
@@ -25,7 +27,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
@@ -40,7 +41,6 @@
 #include "service/client.hpp"
 #include "service/fallback.hpp"
 #include "service/fleet.hpp"
-#include "support/cli.hpp"
 #include "support/options.hpp"
 #include "support/parse_number.hpp"
 #include "support/string_utils.hpp"
@@ -54,14 +54,39 @@ namespace {
 
 using namespace ft;
 
+/// Validator for a comma-separated list whose every non-empty field
+/// `decode` accepts.
+template <typename Decode>
+support::OptionSet::Validator each_accepted_by(Decode decode) {
+  return support::accepted_by([decode](const std::string& list) {
+    for (const std::string& field : support::split(list, ',')) {
+      if (!field.empty()) (void)decode(field);
+    }
+  });
+}
+
+/// Validator accepting `all` or whatever `other` accepts.
+support::OptionSet::Validator all_or(support::OptionSet::Validator other) {
+  return [other](const std::string& raw) {
+    return raw == "all" ? std::string() : other(raw);
+  };
+}
+
+/// A registry key, listed or not ("retune").
+void check_algorithm(const std::string& key) {
+  (void)core::SearchRegistry::global().create(key);
+}
+
 /// The flag table every evaluating subcommand (profile, tune,
 /// importance) shares. Subcommands chain their extra flags onto the
 /// returned set before parsing.
 support::OptionSet common_options() {
   const core::FuncyTunerOptions defaults;
   support::OptionSet set;
-  set.text("program", "CL", "benchmark name (see `ftune list`)")
-      .text("arch", "broadwell", "opteron|sandybridge|broadwell")
+  set.text("program", "CL", "benchmark name (see `ftune list`)",
+           support::accepted_by(programs::by_name))
+      .text("arch", "broadwell", "opteron|sandybridge|broadwell",
+            support::accepted_by(machine::architecture_by_name))
       .integer("samples", 1000,
                "K: pre-sampled CVs, and the fr/cfr budget unless "
                "--fr:samples / --cfr:samples is given",
@@ -99,7 +124,8 @@ support::OptionSet common_options() {
             "across processes (implies a memory tier)")
       .text("eval-cache-disk-size", "",
             "size budget for --eval-cache-dir, bytes with optional "
-            "K/M/G suffix (default 256M)")
+            "K/M/G suffix (default 256M)",
+            support::accepted_by(support::parse_byte_size))
       .text("remote", "",
             "evaluate via running ftuned daemon(s): comma-separated "
             "unix:PATH / tcp:host:port endpoints (2+ = fleet with "
@@ -110,13 +136,17 @@ support::OptionSet common_options() {
       .text("framing", "binary",
             "preferred wire framing for --remote sessions: binary or "
             "binary-crc32 (negotiated per endpoint; daemons that lack "
-            "binary-crc32 fall back to binary)")
+            "binary-crc32 fall back to binary)",
+            support::accepted_by(service::parse_framings))
       .integer("chaos-seed", 0,
                "seeded transport fault injection on --remote sessions "
                "(0 = off); equivalent to FT_CHAOS_SEED")
       .text("chaos", "",
             "chaos spec `torn-write=P,reset=P,...` (empty = the "
-            "default profile; see FT_CHAOS)")
+            "default profile; see FT_CHAOS)",
+            support::accepted_by([](const std::string& spec) {
+              return service::chaos::ChaosConfig::parse(0, spec);
+            }))
       .flag("fallback-local", false,
             "degrade to in-process evaluation when the remote backend "
             "is unavailable (bit-identical results)")
@@ -145,94 +175,10 @@ core::FuncyTunerOptions parse_options(
   options.eval_cache_dir = args.text("eval-cache-dir");
   if (const std::string& size = args.text("eval-cache-disk-size");
       !size.empty()) {
-    std::uint64_t bytes = 0;
-    if (!support::parse_byte_size(size, &bytes)) {
-      std::cerr << "ftune: bad --eval-cache-disk-size '" << size << "'\n";
-      std::exit(1);
-    }
-    options.eval_cache_disk_bytes = static_cast<std::size_t>(bytes);
+    options.eval_cache_disk_bytes =
+        static_cast<std::size_t>(support::parse_byte_size(size));
   }
   return options;
-}
-
-/// Splits namespaced `--algorithm:knob[=value]` tokens out of argv
-/// before the strict OptionSet parse, returning the remaining tokens.
-/// The value lookahead mirrors CliArgs exactly: `=` binds inline,
-/// otherwise the next token is consumed unless it starts with `--`,
-/// otherwise the knob is a bare flag ("true"). Each extracted token is
-/// normalized to a single `--knob=value` entry in the owning
-/// algorithm's bucket.
-std::vector<std::string> extract_algorithm_options(
-    int argc, char** argv,
-    std::map<std::string, std::vector<std::string>>* per_algorithm) {
-  std::vector<std::string> remaining;
-  for (int i = 0; i < argc; ++i) {
-    const std::string token = argv[i];
-    std::size_t colon = std::string::npos;
-    if (token.size() <= 2 || token[0] != '-' || token[1] != '-' ||
-        (colon = token.find(':', 2)) == std::string::npos ||
-        token.find('=', 2) < colon) {
-      remaining.push_back(token);
-      continue;
-    }
-    const std::string algorithm = token.substr(2, colon - 2);
-    std::string knob = token.substr(colon + 1);
-    if (algorithm.empty() || knob.empty() || knob[0] == '=') {
-      std::cerr << "ftune: malformed namespaced option '" << token
-                << "' (expected --<algorithm>:<knob>[=value])\n";
-      std::exit(1);
-    }
-    if (knob.find('=') == std::string::npos) {
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        knob += '=';
-        knob += argv[++i];
-      } else {
-        knob += "=true";
-      }
-    }
-    (*per_algorithm)[algorithm].push_back("--" + knob);
-  }
-  return remaining;
-}
-
-/// Eagerly validates every namespaced bucket against the owning
-/// algorithm's declared schema, so an unknown algorithm or knob fails
-/// at the command line instead of mid-campaign.
-void validate_algorithm_options(
-    const std::map<std::string, std::vector<std::string>>& per_algorithm) {
-  for (const auto& [algorithm, tokens] : per_algorithm) {
-    try {
-      (void)core::SearchRegistry::global()
-          .create(algorithm)
-          ->options()
-          .parse(tokens);
-    } catch (const std::exception& error) {
-      std::cerr << "ftune: --" << algorithm << ":* options: "
-                << error.what() << '\n';
-      std::exit(1);
-    }
-  }
-}
-
-/// Strict parse with the uniform --help / usage-error behavior.
-/// Tokens start past the subcommand token.
-support::OptionSet::Parsed parse_or_exit(
-    const support::OptionSet& set, const std::string& command,
-    const std::vector<std::string>& tokens) {
-  return set.parse_or_exit(
-      tokens, "ftune " + command,
-      command == "tune" || command == "campaign"
-          ? "\nAlgorithm knobs are namespaced: "
-            "--<algorithm>:<knob>[=value], e.g. --cfr:top-x=8 "
-            "--cfr:patience=20\n"
-          : "");
-}
-
-support::OptionSet::Parsed parse_or_exit(const support::OptionSet& set,
-                                         const std::string& command,
-                                         int argc, char** argv) {
-  return parse_or_exit(set, command,
-                       std::vector<std::string>(argv, argv + argc));
 }
 
 /// Applies --threads (declared by common_options() only). Must run
@@ -263,14 +209,9 @@ service::ClientOptions client_options_from(
   service::ClientOptions options;
   options.io_timeout_seconds = args.real("io-timeout");
   if (args.given("chaos-seed") || args.given("chaos")) {
-    try {
-      options.chaos = service::chaos::ChaosConfig::parse(
-          static_cast<std::uint64_t>(args.integer("chaos-seed")),
-          args.text("chaos"));
-    } catch (const std::exception& error) {
-      std::cerr << "ftune: " << error.what() << '\n';
-      std::exit(1);
-    }
+    options.chaos = service::chaos::ChaosConfig::parse(
+        static_cast<std::uint64_t>(args.integer("chaos-seed")),
+        args.text("chaos"));
   }
   return options;
 }
@@ -280,19 +221,8 @@ service::ClientOptions client_options_from(
 /// where possible".
 std::vector<service::Framing> framings_from(
     const support::OptionSet::Parsed& args) {
-  std::vector<service::Framing> framings;
-  for (const std::string& field :
-       support::split(args.text("framing"), ',')) {
-    const std::string name = support::trim(field);
-    if (name.empty()) continue;
-    service::Framing framing;
-    if (!service::framing_from_name(name, &framing)) {
-      std::cerr << "ftune: unknown framing '" << name
-                << "' (expected binary or binary-crc32)\n";
-      std::exit(1);
-    }
-    framings.push_back(framing);
-  }
+  std::vector<service::Framing> framings =
+      service::parse_framings(args.text("framing"));
   if (framings.empty()) framings.push_back(service::Framing::kBinary);
   return framings;
 }
@@ -357,7 +287,7 @@ std::string suffixed_path(const std::string& path, const std::string& key) {
 int cmd_list(int argc, char** argv) {
   support::OptionSet set;
   set.flag("help", false, "print this help");
-  (void)parse_or_exit(set, "list", argc, argv);
+  (void)set.parse_or_exit(argc, argv, "ftune list");
   support::Table programs_table("Benchmarks (Table 1)");
   programs_table.set_header({"Name", "Language", "kLOC", "Hot loops"});
   for (const auto& program : programs::suite()) {
@@ -391,10 +321,12 @@ int cmd_list(int argc, char** argv) {
 
 int cmd_spaces(int argc, char** argv) {
   support::OptionSet set;
-  set.text("compiler", "icc", "icc|gcc")
+  set.text("compiler", "icc", "icc|gcc", [](const std::string& raw) {
+       return raw == "icc" || raw == "gcc" ? "" : "expected icc or gcc";
+     })
       .flag("help", false, "print this help");
   const support::OptionSet::Parsed args =
-      parse_or_exit(set, "spaces", argc, argv);
+      set.parse_or_exit(argc, argv, "ftune spaces");
   const flags::FlagSpace space = args.text("compiler") == "gcc"
                                      ? flags::gcc_space()
                                      : flags::icc_space();
@@ -419,7 +351,7 @@ int cmd_spaces(int argc, char** argv) {
 
 int cmd_profile(int argc, char** argv) {
   const support::OptionSet::Parsed args =
-      parse_or_exit(common_options(), "profile", argc, argv);
+      common_options().parse_or_exit(argc, argv, "ftune profile");
   apply_threads(args);
   const core::FuncyTunerOptions options = parse_options(args);
   core::FuncyTuner tuner(programs::by_name(args.text("program")),
@@ -446,7 +378,8 @@ int cmd_profile(int argc, char** argv) {
 
 int cmd_tune(int argc, char** argv) {
   support::OptionSet set = common_options();
-  set.text("algorithm", "cfr", "registry key or `all`")
+  set.text("algorithm", "cfr", "registry key or `all`",
+           all_or(support::accepted_by(check_algorithm)))
       .text("json", "",
             "result JSON (array when tuning several algorithms)")
       .text("history", "",
@@ -458,30 +391,15 @@ int cmd_tune(int argc, char** argv) {
       .text("checkpoint", "",
             "journal completed evaluations to FILE (binary, CRC-checked)")
       .text("resume", "", "continue a killed run from its journal");
-  std::map<std::string, std::vector<std::string>> algorithm_options;
-  const std::vector<std::string> tokens =
-      extract_algorithm_options(argc, argv, &algorithm_options);
+  core::SearchRegistry::global().declare_knobs(set);
   const support::OptionSet::Parsed args =
-      parse_or_exit(set, "tune", tokens);
+      set.parse_or_exit(argc, argv, "ftune tune");
   apply_threads(args);
-  validate_algorithm_options(algorithm_options);
 
-  core::SearchRegistry& registry = core::SearchRegistry::global();
   const std::string algorithm = args.text("algorithm");
-  std::vector<std::string> keys;
-  if (algorithm == "all") {
-    keys = registry.names();
-  } else if (registry.contains(algorithm)) {
-    keys.push_back(algorithm);
-  } else {
-    std::string known;
-    for (const std::string& name : registry.names()) {
-      known += name + "|";
-    }
-    std::cerr << "unknown --algorithm '" << algorithm << "' (expected "
-              << known << "all)\n";
-    return 1;
-  }
+  const std::vector<std::string> keys =
+      algorithm == "all" ? core::SearchRegistry::global().names()
+                         : std::vector<std::string>{algorithm};
 
   // Telemetry: a JSONL trace sink and/or a metrics snapshot, both
   // off (and zero-cost) by default.
@@ -494,7 +412,7 @@ int cmd_tune(int argc, char** argv) {
   if (want_metrics) telemetry::enable_metrics(true);
 
   core::FuncyTunerOptions options = parse_options(args);
-  options.algorithm_options = algorithm_options;
+  options.algorithm_options = args.namespaced();
   core::FuncyTuner tuner(programs::by_name(args.text("program")),
                          machine::architecture_by_name(args.text("arch")),
                          options);
@@ -684,20 +602,20 @@ int cmd_tune(int argc, char** argv) {
 int cmd_campaign(int argc, char** argv) {
   support::OptionSet set = common_options();
   set.text("programs", "",
-           "comma-separated benchmark names (default: the full suite)")
+           "comma-separated benchmark names (default: the full suite)",
+           each_accepted_by(programs::by_name))
       .text("archs", "",
-            "comma-separated architectures (default: all three)")
+            "comma-separated architectures (default: all three)",
+            each_accepted_by(machine::architecture_by_name))
       .text("algorithms", "cfr",
-            "comma-separated registry keys, or `all`")
+            "comma-separated registry keys, or `all`",
+            all_or(each_accepted_by(check_algorithm)))
       .flag("parallel-cells", false, "run grid cells concurrently")
       .text("json", "", "write the campaign result grid JSON to FILE");
-  std::map<std::string, std::vector<std::string>> algorithm_options;
-  const std::vector<std::string> tokens =
-      extract_algorithm_options(argc, argv, &algorithm_options);
+  core::SearchRegistry::global().declare_knobs(set);
   const support::OptionSet::Parsed args =
-      parse_or_exit(set, "campaign", tokens);
+      set.parse_or_exit(argc, argv, "ftune campaign");
   apply_threads(args);
-  validate_algorithm_options(algorithm_options);
 
   std::vector<ir::Program> programs;
   if (args.text("programs").empty()) {
@@ -722,7 +640,7 @@ int cmd_campaign(int argc, char** argv) {
 
   core::CampaignOptions options;
   options.tuner = parse_options(args);
-  options.tuner.algorithm_options = algorithm_options;
+  options.tuner.algorithm_options = args.namespaced();
   options.parallel_cells = args.flag("parallel-cells");
   if (args.text("algorithms") != "all") {
     for (const std::string& key :
@@ -795,7 +713,7 @@ int cmd_importance(int argc, char** argv) {
   support::OptionSet set = common_options();
   set.integer("top", 3, "flags shown per module");
   const support::OptionSet::Parsed args =
-      parse_or_exit(set, "importance", argc, argv);
+      set.parse_or_exit(argc, argv, "ftune importance");
   apply_threads(args);
   const core::FuncyTunerOptions options = parse_options(args);
   core::FuncyTuner tuner(programs::by_name(args.text("program")),

@@ -79,7 +79,8 @@ int main(int argc, char** argv) {
             "memory tiers)")
       .text("eval-cache-disk-size", "",
             "size budget for --eval-cache-dir, bytes with optional "
-            "K/M/G suffix (default 256M)")
+            "K/M/G suffix (default 256M)",
+            support::accepted_by(support::parse_byte_size))
       .integer("max-frame-bytes",
                static_cast<std::int64_t>(service::kDefaultMaxFrameBytes),
                "largest accepted wire frame")
@@ -90,7 +91,8 @@ int main(int argc, char** argv) {
             "(advertised in welcome; others refused; empty = all)")
       .text("framing", "binary,binary-crc32",
             "comma-separated framings accepted in negotiation (binary "
-            "is always kept as the baseline)")
+            "is always kept as the baseline)",
+            support::accepted_by(service::parse_framings))
       .real("drain-grace", 10.0,
             "seconds inflight work may finish after SIGTERM before the "
             "daemon force-exits")
@@ -108,7 +110,10 @@ int main(int argc, char** argv) {
                "(0 = off); equivalent to FT_CHAOS_SEED")
       .text("chaos", "",
             "chaos spec `torn-write=P,reset=P,overload=P,...` "
-            "(empty = the default profile; see FT_CHAOS)")
+            "(empty = the default profile; see FT_CHAOS)",
+            support::accepted_by([](const std::string& spec) {
+              return service::chaos::ChaosConfig::parse(0, spec);
+            }))
       .flag("help", false, "print this help");
 
   const support::OptionSet::Parsed parsed =
@@ -132,13 +137,8 @@ int main(int argc, char** argv) {
   server_options.cache_dir = parsed.text("eval-cache-dir");
   if (const std::string& size = parsed.text("eval-cache-disk-size");
       !size.empty()) {
-    std::uint64_t bytes = 0;
-    if (!support::parse_byte_size(size, &bytes)) {
-      std::cerr << "ftuned: bad --eval-cache-disk-size '" << size
-                << "'\n";
-      return 1;
-    }
-    server_options.cache_disk_bytes = static_cast<std::size_t>(bytes);
+    server_options.cache_disk_bytes =
+        static_cast<std::size_t>(support::parse_byte_size(size));
   }
   server_options.max_frame_bytes =
       static_cast<std::size_t>(parsed.integer("max-frame-bytes"));
@@ -146,18 +146,8 @@ int main(int argc, char** argv) {
        support::split(parsed.text("archs"), ',')) {
     if (!arch.empty()) server_options.archs.push_back(arch);
   }
-  server_options.framings.clear();  // Server re-adds the binary baseline
-  for (const std::string& name :
-       support::split(parsed.text("framing"), ',')) {
-    if (name.empty()) continue;
-    service::Framing framing;
-    if (!service::framing_from_name(name, &framing)) {
-      std::cerr << "ftuned: unknown framing '" << name
-                << "' (expected binary or binary-crc32)\n";
-      return 1;
-    }
-    server_options.framings.push_back(framing);
-  }
+  // Server re-adds the binary baseline.
+  server_options.framings = service::parse_framings(parsed.text("framing"));
   server_options.drain_grace_seconds = parsed.real("drain-grace");
   server_options.request_deadline_seconds =
       parsed.real("request-deadline");
@@ -166,14 +156,9 @@ int main(int argc, char** argv) {
   server_options.max_sessions =
       static_cast<std::size_t>(parsed.integer("max-sessions"));
   if (parsed.given("chaos-seed") || parsed.given("chaos")) {
-    try {
-      server_options.chaos = service::chaos::ChaosConfig::parse(
-          static_cast<std::uint64_t>(parsed.integer("chaos-seed")),
-          parsed.text("chaos"));
-    } catch (const std::exception& error) {
-      std::cerr << "ftuned: " << error.what() << '\n';
-      return 1;
-    }
+    server_options.chaos = service::chaos::ChaosConfig::parse(
+        static_cast<std::uint64_t>(parsed.integer("chaos-seed")),
+        parsed.text("chaos"));
   }
 
   try {
