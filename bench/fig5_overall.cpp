@@ -8,25 +8,30 @@
 // frequently degrades below 1.0 (0.34 worst case); G.Independent is an
 // unreachable upper bound (up to 1.52/1.73).
 //
-// --remote ADDR evaluates through a running `ftuned` daemon instead of
-// in-process; results are bit-identical either way (the daemon only
-// executes raw measurements, all bookkeeping stays local).
+// --remote ADDR[,ADDR...] evaluates through running `ftuned` daemons
+// (one fleet, as in `ftune --remote`) instead of in-process; results
+// are bit-identical either way (the daemons only execute raw
+// measurements, all bookkeeping stays local).
 
 #include "bench/common.hpp"
 
 #include "core/search_registry.hpp"
-#include "service/client.hpp"
+#include "service/fleet.hpp"
 
 int main(int argc, char** argv) {
   using namespace ft;
   support::OptionSet options = bench::BenchConfig::option_set();
   options.text("remote", "",
-               "evaluate via a running ftuned daemon at "
-               "unix:PATH or tcp:host:port");
+               "evaluate via running ftuned daemon(s): comma-separated "
+               "unix:PATH / tcp:host:port endpoints");
   const support::OptionSet::Parsed parsed =
       options.parse_or_exit(argc - 1, argv + 1, argv[0]);
   const bench::BenchConfig config = bench::BenchConfig::from(parsed);
-  const std::string remote = parsed.text("remote");
+  const std::vector<std::string> remote =
+      service::parse_address_list(parsed.text("remote"));
+  const service::FleetFactory fleet =
+      remote.empty() ? nullptr
+                     : service::make_fleet_backend_factory(remote, {}, {});
   const std::vector<std::string> algorithms =
       core::SearchRegistry::global().names();
 
@@ -51,11 +56,9 @@ int main(int argc, char** argv) {
           config.tuner_options(static_cast<std::uint64_t>(arch_index));
       core::FuncyTuner tuner(programs::by_name(name), arch,
                              tuner_options);
-      if (!remote.empty()) {
+      if (fleet) {
         tuner.evaluator().set_backend(
-            std::make_shared<service::RemoteBackend>(
-                service::Client::connect(remote, name, arch.name,
-                                         tuner_options)));
+            fleet(tuner.program(), arch, tuner_options));
       }
       for (std::size_t i = 0; i < algorithms.size(); ++i) {
         const core::TuningResult result = tuner.run(algorithms[i]);

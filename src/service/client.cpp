@@ -16,18 +16,6 @@ std::unique_ptr<Client> Client::connect(const Endpoint& endpoint,
   return client;
 }
 
-std::unique_ptr<Client> Client::connect(
-    const std::string& address, const std::string& program,
-    const std::string& arch, const core::FuncyTunerOptions& options,
-    compiler::Personality personality,
-    const ClientOptions& client_options) {
-  ConnectOptions connect_options;
-  connect_options.workspace =
-      WorkspaceSpec{program, arch, personality, options};
-  connect_options.transport = client_options;
-  return connect(Endpoint::parse(address), connect_options);
-}
-
 Client::~Client() {
   if (session_.valid()) {
     encode_bye_frame(session_.framing(), &write_buffer_.payload);
@@ -158,6 +146,18 @@ void Client::ping() {
   }
 }
 
+namespace {
+
+core::EvalBackend::RawResult raw_result(const core::EvalResponse& response) {
+  if (!response.ok()) {
+    throw ServiceError("remote_fault", "daemon-side raw run failed: " +
+                                           response.outcome.error.detail);
+  }
+  return {response.outcome.result, response.modules_compiled};
+}
+
+}  // namespace
+
 core::EvalBackend::RawResult RemoteBackend::run(
     const compiler::ModuleAssignment& assignment,
     const machine::RunOptions& options) {
@@ -168,13 +168,7 @@ core::EvalBackend::RawResult RemoteBackend::run(
   request.instrumented = options.instrumented;
   request.noise = options.noise;
   request.aggregate = options.aggregate;
-  const core::EvalResponse response = client_->call(request);
-  if (!response.ok()) {
-    throw ServiceError("remote_fault",
-                       "daemon-side raw run failed: " +
-                           response.outcome.error.detail);
-  }
-  return RawResult{response.outcome.result, response.modules_compiled};
+  return raw_result(client_->call(request));
 }
 
 std::vector<core::EvalBackend::RawResult> RemoteBackend::run_many(
@@ -184,13 +178,7 @@ std::vector<core::EvalBackend::RawResult> RemoteBackend::run_many(
   std::vector<RawResult> results;
   results.reserve(responses.size());
   for (const core::EvalResponse& response : responses) {
-    if (!response.ok()) {
-      throw ServiceError("remote_fault",
-                         "daemon-side raw run failed: " +
-                             response.outcome.error.detail);
-    }
-    results.push_back(
-        RawResult{response.outcome.result, response.modules_compiled});
+    results.push_back(raw_result(response));
   }
   return results;
 }

@@ -1,15 +1,19 @@
 // Client side of the ftuned evaluation service: a framed-RPC session
-// plus the EvalBackend adapter that plugs it into an Evaluator. With
-// `RemoteBackend` attached, every raw measurement a tuning run needs
-// travels to the daemon (batches as ONE frame) while all resilience
-// bookkeeping stays local - `ftune --remote ADDR` is bit-identical to
-// a plain `ftune` run, with or without the CRC trailer.
+// (Client) and the EvalBackend that puts one session on the raw
+// measurement path (RemoteBackend). Every raw measurement a tuning run
+// needs travels to the daemon (batches as ONE frame) while all
+// resilience bookkeeping stays local, so a remote run is bit-identical
+// to a plain in-process run, with or without the CRC trailer.
+//
+// Product code does not attach a RemoteBackend itself: `--remote` is
+// always a FleetBackend (service/fleet.hpp), and each fleet endpoint's
+// wire is one RemoteBackend. Request building and the "daemon-side raw
+// run failed" check therefore live here only.
 //
 // Transport setup lives in service/connect.hpp (the single dial +
-// handshake + negotiation path shared with the fleet); Client adds
-// the RPC surface, the overload-retry policy, and reusable
-// encode/decode buffers so the steady-state hot path allocates
-// nothing.
+// handshake + negotiation path); Client adds the RPC surface, the
+// overload-retry policy, and reusable encode/decode buffers so the
+// steady-state hot path allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +24,6 @@
 #include <vector>
 
 #include "core/evaluator.hpp"
-#include "core/funcy_tuner.hpp"
 #include "service/connect.hpp"
 #include "service/framing.hpp"
 #include "service/protocol.hpp"
@@ -35,17 +38,9 @@ namespace ft::service {
 /// itself with a bounded backoff.
 class Client {
  public:
-  /// The one true constructor: adopts a connect()-style setup.
+  /// Dials and greets `endpoint` through service::connect().
   [[nodiscard]] static std::unique_ptr<Client> connect(
       const Endpoint& endpoint, const ConnectOptions& options);
-
-  /// Convenience overload (the historical signature): binary framing,
-  /// fields spread out. Equivalent to packing them into ConnectOptions.
-  [[nodiscard]] static std::unique_ptr<Client> connect(
-      const std::string& address, const std::string& program,
-      const std::string& arch, const core::FuncyTunerOptions& options,
-      compiler::Personality personality = compiler::Personality::kIcc,
-      const ClientOptions& client_options = {});
 
   ~Client();  // best-effort bye
   Client(const Client&) = delete;
@@ -97,10 +92,12 @@ class Client {
   AnyFrame reply_;
 };
 
-/// EvalBackend over a Client: substitutes the daemon for the local
-/// engine as the raw measurement executor. batches_remotely() makes
-/// Evaluator::evaluate_batch coalesce all pending raw runs of a batch
-/// into one run_many() -> one eval_batch frame.
+/// EvalBackend over one Client: substitutes the daemon for the local
+/// engine as the raw measurement executor. It is the per-endpoint wire
+/// of a FleetBackend. batches_remotely() makes Evaluator::evaluate_batch
+/// coalesce all pending raw runs of a batch into one run_many() -> one
+/// eval_batch frame. Throws ServiceError("remote_fault") when the
+/// daemon answers with a failed raw run.
 class RemoteBackend final : public core::EvalBackend {
  public:
   explicit RemoteBackend(std::shared_ptr<Client> client)

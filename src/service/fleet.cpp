@@ -9,6 +9,8 @@
 #include <mutex>
 
 #include "support/rng.hpp"
+#include "support/string_utils.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace ft::service {
 
@@ -17,6 +19,14 @@ namespace {
 /// A chunk bounced by `overloaded` give-ups or endpoint deaths is
 /// re-dispatched at most this many times before the batch fails.
 constexpr int kMaxChunkRedispatch = 8;
+
+/// "The daemons cannot serve right now but the work itself is fine":
+/// what a fleet absorbs at connect and the local rung absorbs per
+/// call. Anything else (bad_request, unknown_program, remote_fault...)
+/// would fail locally too, or signals a real bug that must surface.
+bool degradable(const std::string& code) noexcept {
+  return is_transport_code(code) || is_bounce_code(code);
+}
 
 double monotonic_seconds() {
   using clock = std::chrono::steady_clock;
@@ -27,26 +37,23 @@ double monotonic_seconds() {
 }  // namespace
 
 std::unique_ptr<FleetBackend> FleetBackend::connect(
-    const std::vector<std::string>& addresses, const std::string& program,
-    const std::string& arch, const core::FuncyTunerOptions& options,
-    compiler::Personality personality, const FleetOptions& fleet_options) {
+    const std::vector<std::string>& addresses, const ConnectOptions& options,
+    const FleetOptions& fleet_options) {
   auto fleet = std::unique_ptr<FleetBackend>(new FleetBackend());
   fleet->options_ = fleet_options;
-  fleet->connect_options_.workspace =
-      WorkspaceSpec{program, arch, personality, options};
-  fleet->connect_options_.framings = fleet_options.framings;
-  fleet->connect_options_.transport = fleet_options.client;
+  fleet->connect_options_ = options;
+  const WorkspaceSpec& workspace = options.workspace;
 
   for (const std::string& address : addresses) {
+    auto endpoint = std::make_unique<Endpoint>();
+    endpoint->address = address;
+    // FleetBackend::Endpoint shadows the transport-level Endpoint.
+    endpoint->dial = ::ft::service::Endpoint::parse(address);
+    endpoint->jitter_state = support::fnv1a64(address);
     try {
-      auto endpoint = std::make_unique<Endpoint>();
-      endpoint->address = address;
-      // FleetBackend::Endpoint shadows the transport-level Endpoint.
-      endpoint->dial = ::ft::service::Endpoint::parse(address);
-      endpoint->jitter_state = support::fnv1a64(address);
-      endpoint->client =
-          Client::connect(endpoint->dial, fleet->connect_options_);
-      fleet->endpoints_.push_back(std::move(endpoint));
+      endpoint->wire = std::make_shared<RemoteBackend>(
+          Client::connect(endpoint->dial, options));
+      endpoint->alive.store(true, std::memory_order_release);
     } catch (const ServiceError& refusal) {
       const std::string code = refusal.code();
       if (code == "unsupported_architecture" ||
@@ -56,26 +63,28 @@ std::unique_ptr<FleetBackend> FleetBackend::connect(
         // backend. Other cells may still use it.
         continue;
       }
-      if (is_transport_code(code)) {
-        // Down right now; the fleet exists to survive exactly this.
-        std::cerr << "ftune: fleet endpoint " << address
-                  << " unavailable: " << refusal.what() << '\n';
-        continue;
-      }
-      throw;  // bad options / version skew: every endpoint would refuse
+      if (!degradable(code)) throw;  // bad options / version skew
+      // Down right now: keep it behind an open breaker, so the probe
+      // adopts it once it answers.
+      std::cerr << "ftune: fleet endpoint " << address
+                << " unavailable: " << refusal.what() << '\n';
+      fleet->open_spell_locked(*endpoint);
+      ++fleet->stats_.breaker_opens;
     }
+    fleet->endpoints_.push_back(std::move(endpoint));
   }
-  if (fleet->endpoints_.empty()) {
-    throw ServiceError("fleet", "no usable fleet endpoint for " + program +
-                                    " on " + arch);
+  if (fleet->alive_count() == 0) {
+    const std::string what = "no usable fleet endpoint for " +
+                             workspace.program + " on " + workspace.arch;
+    if (!fleet_options.fallback_local) throw ServiceError("fleet", what);
+    std::cerr << "ftune: " << what << "; evaluating locally\n";
   }
 
   // Rendezvous (highest-random-weight) home: the endpoint with the
   // highest hash of (address, workspace fingerprint). Adding or
   // removing an endpoint moves only the workspaces homed on it.
   const std::string suffix =
-      '|' + std::to_string(
-                workspace_fingerprint(fleet->connect_options_.workspace));
+      '|' + std::to_string(workspace_fingerprint(workspace));
   std::uint64_t best = 0;
   for (std::size_t i = 0; i < fleet->endpoints_.size(); ++i) {
     const std::uint64_t weight =
@@ -88,8 +97,10 @@ std::unique_ptr<FleetBackend> FleetBackend::connect(
 
   // The probe thread runs even for a single endpoint: it is also the
   // breaker's half-open reconnect path, and a lone daemon that
-  // restarts deserves to be re-adopted just as much as a fleet member.
-  if (fleet_options.probe_interval_seconds > 0) {
+  // restarts (or starts late) deserves to be adopted just as much as a
+  // fleet member.
+  if (fleet_options.probe_interval_seconds > 0 &&
+      !fleet->endpoints_.empty()) {
     fleet->probe_thread_ = std::thread([raw = fleet.get()] {
       raw->probe_loop();
     });
@@ -98,7 +109,11 @@ std::unique_ptr<FleetBackend> FleetBackend::connect(
 }
 
 FleetBackend::~FleetBackend() {
-  stopping_.store(true, std::memory_order_release);
+  {
+    std::lock_guard lock(probe_mutex_);
+    stopping_ = true;
+  }
+  probe_wake_.notify_all();
   if (probe_thread_.joinable()) probe_thread_.join();
 }
 
@@ -121,7 +136,8 @@ std::size_t FleetBackend::alive_count() const noexcept {
 }
 
 const std::string& FleetBackend::home_address() const noexcept {
-  return endpoints_[home_]->address;
+  static const std::string kNone;
+  return endpoints_.empty() ? kNone : endpoints_[home_]->address;
 }
 
 FleetBackend::Stats FleetBackend::stats() const {
@@ -129,18 +145,18 @@ FleetBackend::Stats FleetBackend::stats() const {
   return stats_;
 }
 
-std::shared_ptr<Client> FleetBackend::client_for(std::size_t index) {
+std::shared_ptr<RemoteBackend> FleetBackend::wire_for(std::size_t index) {
   Endpoint& endpoint = *endpoints_[index];
   std::lock_guard lock(endpoint.wire_mutex);
-  return endpoint.client;
+  return endpoint.wire;
 }
 
 void FleetBackend::drain(std::size_t index) {
   Endpoint& endpoint = *endpoints_[index];
   if (!endpoint.alive.exchange(false, std::memory_order_acq_rel)) return;
   // Wake any thread blocked on this endpoint's wire right now.
-  const std::shared_ptr<Client> client = client_for(index);
-  if (client) client->abort();
+  const std::shared_ptr<RemoteBackend> wire = wire_for(index);
+  if (wire) wire->client()->abort();
   std::lock_guard lock(stats_mutex_);
   ++stats_.endpoints_drained;
 }
@@ -200,7 +216,7 @@ void FleetBackend::probe_pass() {
         continue;
       }
       try {
-        client_for(i)->ping();
+        wire_for(i)->client()->ping();
         note_success(i);
       } catch (const std::exception&) {
         {
@@ -224,7 +240,7 @@ void FleetBackend::probe_pass() {
       fresh->ping();
       {
         std::lock_guard lock(endpoint.wire_mutex);
-        endpoint.client = std::move(fresh);
+        endpoint.wire = std::make_shared<RemoteBackend>(std::move(fresh));
       }
       {
         std::lock_guard lock(endpoint.breaker_mutex);
@@ -244,14 +260,56 @@ void FleetBackend::probe_pass() {
 void FleetBackend::probe_loop() {
   const auto interval = std::chrono::duration<double>(
       options_.probe_interval_seconds);
-  auto next = std::chrono::steady_clock::now() + interval;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    // Sleep in small slices so destruction never waits a full period.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    if (std::chrono::steady_clock::now() < next) continue;
-    next = std::chrono::steady_clock::now() + interval;
+  std::unique_lock lock(probe_mutex_);
+  // The destructor wakes the wait, so tearing a fleet down never waits
+  // out a probe period.
+  const auto stopping = [this] { return stopping_; };
+  while (!probe_wake_.wait_for(lock, interval, stopping)) {
+    lock.unlock();
     probe_pass();
+    lock.lock();
   }
+}
+
+bool FleetBackend::falls_back(const ServiceError& error) const noexcept {
+  return options_.fallback_local && degradable(error.code());
+}
+
+void FleetBackend::note_daemons_served() {
+  if (!degraded_last_call_.exchange(false, std::memory_order_acq_rel)) return;
+  {
+    std::lock_guard lock(stats_mutex_);
+    ++stats_.fallback_recoveries;
+  }
+  telemetry::metrics().counter("fleet.fallback.recoveries").add();
+}
+
+core::Evaluator& FleetBackend::local_locked() {
+  if (!local_) {
+    local_ = make_workspace_tuner(connect_options_.workspace);
+    telemetry::metrics().counter("fleet.fallback.engines").add();
+  }
+  return local_->evaluator();
+}
+
+core::EvalBackend::RawResult FleetBackend::run(
+    const compiler::ModuleAssignment& assignment,
+    const machine::RunOptions& options) {
+  try {
+    RawResult result = run_on_daemons(assignment, options);
+    note_daemons_served();
+    return result;
+  } catch (const ServiceError& error) {
+    if (!falls_back(error)) throw;
+  }
+  degraded_last_call_.store(true, std::memory_order_release);
+  {
+    std::lock_guard lock(stats_mutex_);
+    ++stats_.fallback_runs;
+  }
+  telemetry::metrics().counter("fleet.fallback.runs").add();
+  std::lock_guard lock(local_mutex_);
+  return local_locked().raw_run(assignment, options);
 }
 
 std::vector<core::EvalBackend::RawResult> FleetBackend::run_many(
@@ -261,7 +319,36 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many(
     ++stats_.batches_dispatched;
   }
   if (requests.empty()) return {};
+  try {
+    std::vector<RawResult> results = run_many_on_daemons(requests);
+    note_daemons_served();
+    return results;
+  } catch (const ServiceError& error) {
+    if (!falls_back(error)) throw;
+  }
+  // Whole-batch fallback: raw runs are deterministic, so serving the
+  // batch locally yields the same bytes the daemons would have.
+  degraded_last_call_.store(true, std::memory_order_release);
+  {
+    std::lock_guard lock(stats_mutex_);
+    ++stats_.fallback_batches;
+    stats_.fallback_evals += requests.size();
+  }
+  telemetry::metrics().counter("fleet.fallback.batches").add();
+  telemetry::metrics().counter("fleet.fallback.evals").add(requests.size());
+  std::lock_guard lock(local_mutex_);
+  core::Evaluator& evaluator = local_locked();
+  std::vector<RawResult> results;
+  results.reserve(requests.size());
+  for (const core::EvalRequest& request : requests) {
+    results.push_back(
+        evaluator.raw_run(request.assignment, request.run_options()));
+  }
+  return results;
+}
 
+std::vector<core::EvalBackend::RawResult> FleetBackend::run_many_on_daemons(
+    std::span<const core::EvalRequest> requests) {
   // One chunk = one wire frame anywhere in the fleet, so chunks may
   // never exceed the SMALLEST advertised max_batch: any endpoint can
   // then take any chunk, which is what makes stealing and re-dispatch
@@ -270,8 +357,8 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many(
   // load, coarse enough that framing overhead stays negligible.
   std::size_t chunk_limit = requests.size();
   for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    const std::shared_ptr<Client> client = client_for(i);
-    const std::size_t advertised = client ? client->max_batch() : 0;
+    const std::shared_ptr<RemoteBackend> wire = wire_for(i);
+    const std::size_t advertised = wire ? wire->client()->max_batch() : 0;
     if (advertised > 0) chunk_limit = std::min(chunk_limit, advertised);
   }
   const std::size_t alive = std::max<std::size_t>(alive_count(), 1);
@@ -303,7 +390,7 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many(
   std::vector<std::deque<std::size_t>> queues(endpoints_.size());
   std::size_t pending = chunks.size();
   std::exception_ptr fatal;
-  std::vector<core::EvalResponse> responses(requests.size());
+  std::vector<RawResult> results(requests.size());
 
   {
     const int home = next_alive(home_);
@@ -358,16 +445,16 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many(
       endpoint.inflight.fetch_add(1, std::memory_order_acq_rel);
       try {
         // Snapshot the wire: a concurrent breaker reconnect swaps the
-        // endpoint's client, but THIS call finishes on the session it
+        // endpoint's wire, but THIS call finishes on the session it
         // started with.
-        const std::shared_ptr<Client> wire = client_for(self);
-        std::vector<core::EvalResponse> replies = wire->call_many(
-            requests.subspan(chunk.begin, chunk.count));
+        const std::shared_ptr<RemoteBackend> wire = wire_for(self);
+        std::vector<RawResult> replies =
+            wire->run_many(requests.subspan(chunk.begin, chunk.count));
         endpoint.inflight.fetch_sub(1, std::memory_order_acq_rel);
         note_success(self);
         std::lock_guard lock(mutex);
         for (std::size_t i = 0; i < replies.size(); ++i) {
-          responses[chunk.begin + i] = std::move(replies[i]);
+          results[chunk.begin + i] = std::move(replies[i]);
         }
         if (--pending == 0) ready.notify_all();
       } catch (const ServiceError& error) {
@@ -442,34 +529,15 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many(
   if (pending != 0) {
     throw ServiceError("fleet", "batch incomplete: no alive endpoint");
   }
-
-  std::vector<RawResult> results;
-  results.reserve(responses.size());
-  for (const core::EvalResponse& response : responses) {
-    if (!response.ok()) {
-      throw ServiceError("remote_fault",
-                         "daemon-side raw run failed: " +
-                             response.outcome.error.detail);
-    }
-    results.push_back(
-        RawResult{response.outcome.result, response.modules_compiled});
-  }
   return results;
 }
 
-core::EvalBackend::RawResult FleetBackend::run(
+core::EvalBackend::RawResult FleetBackend::run_on_daemons(
     const compiler::ModuleAssignment& assignment,
     const machine::RunOptions& options) {
-  core::EvalRequest request;
-  request.assignment = assignment;
-  request.rep_base = options.rep_base;
-  request.repetitions = options.repetitions;
-  request.instrumented = options.instrumented;
-  request.noise = options.noise;
-  request.aggregate = options.aggregate;
-
   // Home-first failover: walk the endpoints in index order (wrapping
-  // after the last) until one answers. Any of them produces the identical bits.
+  // after the last) until one answers. Any of them produces the
+  // identical bits.
   int index = next_alive(home_);
   for (std::size_t attempt = 0;
        index >= 0 && attempt < endpoints_.size(); ++attempt) {
@@ -477,16 +545,10 @@ core::EvalBackend::RawResult FleetBackend::run(
     Endpoint& endpoint = *endpoints_[self];
     endpoint.inflight.fetch_add(1, std::memory_order_acq_rel);
     try {
-      const std::shared_ptr<Client> wire = client_for(self);
-      const core::EvalResponse response = wire->call(request);
+      RawResult result = wire_for(self)->run(assignment, options);
       endpoint.inflight.fetch_sub(1, std::memory_order_acq_rel);
       note_success(self);
-      if (!response.ok()) {
-        throw ServiceError("remote_fault",
-                           "daemon-side raw run failed: " +
-                               response.outcome.error.detail);
-      }
-      return RawResult{response.outcome.result, response.modules_compiled};
+      return result;
     } catch (const ServiceError& error) {
       endpoint.inflight.fetch_sub(1, std::memory_order_acq_rel);
       if (is_bounce_code(error.code())) {
@@ -504,20 +566,29 @@ core::EvalBackend::RawResult FleetBackend::run(
   throw ServiceError("fleet", "every fleet endpoint is drained");
 }
 
-std::function<std::shared_ptr<core::EvalBackend>(
-    const ir::Program&, const machine::Architecture&,
-    const core::FuncyTunerOptions&)>
-make_fleet_backend_factory(std::vector<std::string> addresses,
-                           FleetOptions options) {
-  return [addresses = std::move(addresses), options](
-             const ir::Program& program,
-             const machine::Architecture& arch,
-             const core::FuncyTunerOptions& cell_options)
-             -> std::shared_ptr<core::EvalBackend> {
-    return FleetBackend::connect(addresses, program.name(), arch.name,
-                                 cell_options, compiler::Personality::kIcc,
-                                 options);
+FleetFactory make_fleet_backend_factory(std::vector<std::string> addresses,
+                                        ConnectOptions options,
+                                        FleetOptions fleet_options) {
+  return [addresses = std::move(addresses), options = std::move(options),
+          fleet_options](const ir::Program& program,
+                         const machine::Architecture& arch,
+                         const core::FuncyTunerOptions& cell_options)
+             -> std::shared_ptr<FleetBackend> {
+    ConnectOptions cell = options;
+    cell.workspace.program = program.name();
+    cell.workspace.arch = arch.name;
+    cell.workspace.options = cell_options;
+    return FleetBackend::connect(addresses, cell, fleet_options);
   };
+}
+
+std::vector<std::string> parse_address_list(const std::string& list) {
+  std::vector<std::string> addresses;
+  for (const std::string& field : support::split(list, ',')) {
+    std::string address = support::trim(field);
+    if (!address.empty()) addresses.push_back(std::move(address));
+  }
+  return addresses;
 }
 
 }  // namespace ft::service

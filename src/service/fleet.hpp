@@ -1,23 +1,39 @@
-// Client-side fleet of ftuned daemons behind one EvalBackend. `ftune
-// --remote addr1,addr2,...` sends evaluation batches first to the
-// workspace's home daemon (rendezvous hash of the workspace
-// fingerprint), rebalances queued chunks by work stealing, health-probes every endpoint with ping/pong, and on a
-// probe failure or transport error drains the dead daemon and
-// re-dispatches its inflight chunks through the survivors. Because
-// every daemon computes the same deterministic raw measurements,
-// WHERE a request runs never changes WHAT it returns - fleet output
-// is bit-identical to a single daemon and to in-process evaluation,
-// including under daemon deaths mid-batch.
+// The one backend `--remote` attaches: a list of ftuned daemons (one
+// address or many) behind one EvalBackend. Every call walks a
+// degradation ladder until a rung answers:
+//   1. the workspace's home daemon (rendezvous hash of the workspace
+//      fingerprint), with queued chunks rebalanced by work stealing;
+//   2. the surviving daemons: a dead daemon is drained and its
+//      inflight chunks are re-dispatched through the others;
+//   3. with FleetOptions::fallback_local, the in-process engine built
+//      by make_workspace_tuner - the function ftuned builds its own
+//      workspaces with.
+// Every rung computes the same deterministic raw measurements, so
+// WHERE a request runs never changes WHAT it returns: fleet output is
+// bit-identical to a single daemon and to in-process evaluation,
+// including under daemon deaths mid-batch. All resilience bookkeeping
+// (retries, faults, caching, journaling) lives in the Evaluator above
+// this backend, so locally served evaluations are journaled like any
+// others.
+//
+// Each endpoint has a circuit breaker. Transport failures open it; a
+// probe thread pings idle endpoints and, once an open breaker's
+// backoff has elapsed, re-dials (half-open) and re-adopts a daemon
+// that answers. An endpoint that is down at connect starts with an
+// open breaker, so a daemon started later still joins the fleet. The
+// fallback is per call, never sticky: every call tries the daemons
+// first, so a recovered fleet resumes service on its own.
 //
 // Heterogeneous fleets: daemons started with `--archs` advertise the
 // architectures they serve in the welcome frame and refuse hellos for
-// the rest, so connect() keeps only the endpoints eligible for this
+// the rest, so connect() excludes the endpoints that cannot serve this
 // workspace's arch. make_fleet_backend_factory() gives Campaign a
 // per-cell factory, pinning each architecture's cells to the daemons
 // that can run them.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -26,24 +42,22 @@
 #include <thread>
 #include <vector>
 
-#include "core/campaign.hpp"
 #include "core/evaluator.hpp"
+#include "ir/program.hpp"
+#include "machine/architecture.hpp"
 #include "service/client.hpp"
 
 namespace ft::service {
 
 struct FleetOptions {
-  /// Transport knobs applied to every per-daemon session.
-  ClientOptions client;
-  /// Framing preference offered to every daemon. Negotiation is
-  /// per-endpoint: a mixed fleet where one daemon lacks binary-crc32
-  /// simply downgrades that one session to plain binary, the rest of
-  /// the fleet keeps the trailer, and the answers are bit-identical
-  /// either way.
-  std::vector<Framing> framings = {Framing::kBinary};
+  /// The ladder's last rung (`--fallback-local`): when no daemon can
+  /// serve a call - every endpoint down or draining, none serving the
+  /// arch - evaluate it in-process instead of throwing.
+  bool fallback_local = false;
   /// Health probe period. Endpoints idle for a full period get a
   /// ping; a failed probe drains the endpoint. <= 0 disables probing
-  /// (transport errors during dispatch still drain).
+  /// (transport errors during dispatch still drain) and with it the
+  /// half-open re-adoption of dead endpoints.
   double probe_interval_seconds = 2.0;
   /// Circuit breaker: this many CONSECUTIVE transport failures open
   /// the breaker; below it, a dead endpoint is retried on the next
@@ -56,12 +70,14 @@ struct FleetOptions {
   double breaker_reopen_max_seconds = 30.0;
 };
 
-/// EvalBackend over N daemon sessions. Thread-safe like the single
-/// RemoteBackend (each endpoint's Client serializes its own wire).
+/// EvalBackend over N daemon sessions (each a RemoteBackend) plus the
+/// optional local engine. Thread-safe: each endpoint's Client
+/// serializes its own wire, and local runs are serialized.
 class FleetBackend final : public core::EvalBackend {
  public:
   /// Everything the tests (and curious operators) may want to assert
-  /// about scheduling. Monotonic over the backend's lifetime.
+  /// about scheduling and degradation. Monotonic over the backend's
+  /// lifetime.
   struct Stats {
     std::size_t batches_dispatched = 0;  ///< run_many() calls
     std::size_t chunks_stolen = 0;       ///< chunk ran off its home queue
@@ -70,20 +86,23 @@ class FleetBackend final : public core::EvalBackend {
     std::size_t endpoints_drained = 0;   ///< endpoints declared dead
     std::size_t breaker_opens = 0;       ///< open spells entered
     std::size_t breaker_recoveries = 0;  ///< half-open probes that healed
+    std::size_t fallback_runs = 0;       ///< single evals served locally
+    std::size_t fallback_batches = 0;    ///< whole batches served locally
+    std::size_t fallback_evals = 0;      ///< evals inside those batches
+    std::size_t fallback_recoveries = 0;  ///< daemons served after a fallback
   };
 
-  /// Connects and handshakes every address for one workspace
-  /// (program, arch, options, personality). Endpoints that refuse the
-  /// arch (`unsupported_architecture` / `unknown_architecture`) are
-  /// skipped - that is the heterogeneous-fleet filter - as are
-  /// endpoints that are down; any OTHER refusal (bad options, version
-  /// skew) rethrows. Throws ServiceError("fleet") when no endpoint
-  /// can serve the workspace.
+  /// Connects and handshakes every address for `options.workspace`.
+  /// Endpoints that refuse the arch (`unsupported_architecture` /
+  /// `unknown_architecture`) are excluded - that is the
+  /// heterogeneous-fleet filter. Endpoints that are down or draining
+  /// stay in the fleet behind an open breaker. Any other refusal (bad
+  /// options, version skew, a bad address) rethrows. Throws
+  /// ServiceError("fleet") when no endpoint can serve the workspace
+  /// right now, unless `fleet_options.fallback_local` is set.
   [[nodiscard]] static std::unique_ptr<FleetBackend> connect(
-      const std::vector<std::string>& addresses, const std::string& program,
-      const std::string& arch, const core::FuncyTunerOptions& options,
-      compiler::Personality personality = compiler::Personality::kIcc,
-      const FleetOptions& fleet_options = {});
+      const std::vector<std::string>& addresses,
+      const ConnectOptions& options, const FleetOptions& fleet_options = {});
 
   ~FleetBackend() override;
   FleetBackend(const FleetBackend&) = delete;
@@ -101,11 +120,12 @@ class FleetBackend final : public core::EvalBackend {
   [[nodiscard]] std::size_t endpoint_count() const noexcept {
     return endpoints_.size();
   }
-  /// Endpoints not yet drained.
+  /// Endpoints currently connected (not drained, breaker closed).
   [[nodiscard]] std::size_t alive_count() const noexcept;
   /// The rendezvous-hash home for this workspace: where all chunks go
-  /// first while the fleet is healthy. Stable across runs, and the
-  /// same for every option set with the same workspace_fingerprint.
+  /// first while it is alive. Stable across runs, and the same for
+  /// every option set with the same workspace_fingerprint. Empty when
+  /// no endpoint serves the arch.
   [[nodiscard]] const std::string& home_address() const noexcept;
   [[nodiscard]] Stats stats() const;
 
@@ -113,13 +133,14 @@ class FleetBackend final : public core::EvalBackend {
   struct Endpoint {
     std::string address;
     ::ft::service::Endpoint dial;  ///< parsed once, for reconnects
-    /// The live wire. Replaced wholesale by a successful half-open
-    /// reconnect; every user takes a shared_ptr SNAPSHOT under
-    /// wire_mutex and works on that, so a reconnect can never pull a
-    /// session out from under a dispatching thread.
-    std::shared_ptr<Client> client;
-    std::mutex wire_mutex;  ///< guards replacement of `client`
-    std::atomic<bool> alive{true};
+    /// The live wire; null until the first successful dial. Replaced
+    /// wholesale by a successful half-open reconnect; every user takes
+    /// a shared_ptr SNAPSHOT under wire_mutex and works on that, so a
+    /// reconnect can never pull a session out from under a
+    /// dispatching thread.
+    std::shared_ptr<RemoteBackend> wire;
+    std::mutex wire_mutex;  ///< guards replacement of `wire`
+    std::atomic<bool> alive{false};
     /// Chunks currently being served by this endpoint's wire.
     std::atomic<std::size_t> inflight{0};
     // --- circuit breaker (guarded by breaker_mutex) ---
@@ -132,11 +153,27 @@ class FleetBackend final : public core::EvalBackend {
 
   FleetBackend() = default;
 
+  /// Rungs 1 and 2: the daemons. Throw ServiceError("fleet") when no
+  /// endpoint is left to serve the call.
+  [[nodiscard]] RawResult run_on_daemons(
+      const compiler::ModuleAssignment& assignment,
+      const machine::RunOptions& options);
+  [[nodiscard]] std::vector<RawResult> run_many_on_daemons(
+      std::span<const core::EvalRequest> requests);
+  /// Rung 3 bookkeeping: true when `error` may be absorbed locally.
+  [[nodiscard]] bool falls_back(const ServiceError& error) const noexcept;
+  /// Counts a fallback recovery when the previous call was local.
+  void note_daemons_served();
+  /// Lazily builds the local engine (the first fallback pays the
+  /// construction cost; healthy runs never do). Caller holds
+  /// local_mutex_.
+  core::Evaluator& local_locked();
+
   /// First alive endpoint at or after `start` in index order
   /// (wrapping); -1 when the whole fleet is dead.
   [[nodiscard]] int next_alive(std::size_t start) const;
-  /// Snapshot of the endpoint's current wire (see Endpoint::client).
-  [[nodiscard]] std::shared_ptr<Client> client_for(std::size_t index);
+  /// Snapshot of the endpoint's current wire (see Endpoint::wire).
+  [[nodiscard]] std::shared_ptr<RemoteBackend> wire_for(std::size_t index);
   void drain(std::size_t index);
   /// Breaker bookkeeping for one transport failure: deactivates the
   /// endpoint and, at the failure threshold, opens the breaker
@@ -158,21 +195,33 @@ class FleetBackend final : public core::EvalBackend {
   FleetOptions options_;
 
   std::thread probe_thread_;
-  std::atomic<bool> stopping_{false};
+  std::mutex probe_mutex_;  ///< guards stopping_
+  std::condition_variable probe_wake_;
+  bool stopping_ = false;
 
   mutable std::mutex stats_mutex_;
   Stats stats_;
+
+  std::mutex local_mutex_;  ///< guards local_ and serializes local runs
+  std::unique_ptr<core::FuncyTuner> local_;
+  std::atomic<bool> degraded_last_call_{false};
 };
 
-/// Adapts a fleet to Campaign: returns a CampaignOptions::backend_factory
-/// that connects a FleetBackend per cell (per program x architecture,
-/// with that cell's effective options and the icc personality Campaign
-/// tunes with), so heterogeneous fleets route each architecture's
-/// cells to the daemons advertising it.
-[[nodiscard]] std::function<std::shared_ptr<core::EvalBackend>(
+/// What Campaign's backend_factory and every `--remote` user call: per
+/// (program, arch, options) it connects a FleetBackend over
+/// `addresses` with `options.workspace` set to that program, arch and
+/// options (its personality is kept). Heterogeneous fleets thereby
+/// route each architecture's cells to the daemons advertising it.
+using FleetFactory = std::function<std::shared_ptr<FleetBackend>(
     const ir::Program&, const machine::Architecture&,
-    const core::FuncyTunerOptions&)>
-make_fleet_backend_factory(std::vector<std::string> addresses,
-                           FleetOptions options = {});
+    const core::FuncyTunerOptions&)>;
+[[nodiscard]] FleetFactory make_fleet_backend_factory(
+    std::vector<std::string> addresses, ConnectOptions options,
+    FleetOptions fleet_options);
+
+/// A comma-separated `--remote` list as fleet addresses: fields are
+/// trimmed and empty ones dropped (so a trailing comma is harmless).
+[[nodiscard]] std::vector<std::string> parse_address_list(
+    const std::string& list);
 
 }  // namespace ft::service

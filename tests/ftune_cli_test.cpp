@@ -76,6 +76,14 @@ TEST(FtuneCli, RefusesUnknownNamesSizesAndKnobs) {
   expect_refused("campaign --programs CL,NOPE --samples 5", "--programs: ");
   expect_refused("campaign --samples 5 --algorithms cfr,bo",
                  "--algorithms: ");
+  // A campaign's cells come from --programs/--archs alone, so the
+  // one-cell flags are unknown there instead of silently ignored.
+  expect_refused(
+      "campaign --program AMG --archs broadwell --algorithms random "
+      "--samples 5",
+      "unknown option: --program");
+  expect_refused("campaign --arch broadwell --programs CL --samples 5",
+                 "unknown option: --arch");
 }
 
 TEST(FtuneCli, TuneAndCampaignHelpListEveryKnob) {

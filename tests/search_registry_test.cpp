@@ -24,7 +24,7 @@
 #include "core/serialization.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
-#include "service/client.hpp"
+#include "service/fleet.hpp"
 #include "service/server.hpp"
 #include "support/rng.hpp"
 
@@ -363,9 +363,11 @@ TEST(SearchRegistryProperty, RemoteBackendIsBitIdenticalToLocal) {
     SCOPED_TRACE(key);
     core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                            options);
-    tuner.evaluator().set_backend(std::make_shared<service::RemoteBackend>(
-        service::Client::connect(server.address().display(), "CL",
-                                 "broadwell", options)));
+    // What `--remote ADDR` attaches: a fleet of one.
+    tuner.evaluator().set_backend(service::make_fleet_backend_factory(
+        {server.address().display()}, {}, {})(tuner.program(),
+                                               tuner.engine().arch(),
+                                               options));
     EXPECT_EQ(result_json(tuner, tuner.run(key)), run_json(key, options));
   }
   server.stop();

@@ -28,7 +28,6 @@
 #include "programs/benchmarks.hpp"
 #include "service/chaos.hpp"
 #include "service/client.hpp"
-#include "service/fallback.hpp"
 #include "service/fleet.hpp"
 #include "service/framing.hpp"
 #include "service/protocol.hpp"
@@ -120,8 +119,31 @@ core::EvalRequest valid_request() {
   return request;
 }
 
-/// Tunes CL on broadwell locally or through `server`, returning the
-/// result JSON (the bit-identity currency of this suite).
+/// The CL/broadwell hello under `options`.
+ConnectOptions cl_workspace(const core::FuncyTunerOptions& options,
+                            const ClientOptions& transport = {}) {
+  ConnectOptions connect_options;
+  connect_options.workspace = WorkspaceSpec{
+      "CL", "broadwell", compiler::Personality::kIcc, options};
+  connect_options.transport = transport;
+  return connect_options;
+}
+
+/// Breaker and probe knobs fast enough for a test to watch a full
+/// open -> backoff -> half-open -> heal cycle.
+FleetOptions hair_trigger(bool fallback_local) {
+  FleetOptions fleet_options;
+  fleet_options.fallback_local = fallback_local;
+  fleet_options.probe_interval_seconds = 0.05;
+  fleet_options.breaker_failure_threshold = 1;
+  fleet_options.breaker_reopen_base_seconds = 0.02;
+  fleet_options.breaker_reopen_max_seconds = 0.2;
+  return fleet_options;
+}
+
+/// Tunes CL on broadwell locally or through `server` (on one
+/// RemoteBackend wire), returning the result JSON (the bit-identity
+/// currency of this suite).
 std::string tune_json(const std::string& algorithm,
                       const core::FuncyTunerOptions& options,
                       const Server* server,
@@ -129,13 +151,9 @@ std::string tune_json(const std::string& algorithm,
   core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
                          options);
   if (server != nullptr) {
-    ConnectOptions connect_options;
-    connect_options.workspace = WorkspaceSpec{
-        "CL", "broadwell", compiler::Personality::kIcc, options};
-    connect_options.transport = client_options;
     tuner.evaluator().set_backend(std::make_shared<RemoteBackend>(
         Client::connect(Endpoint::parse(server->address().display()),
-                        connect_options)));
+                        cl_workspace(options, client_options))));
   }
   const core::TuningResult result = tuner.run(algorithm);
   return core::tuning_result_json(result, tuner.space(), tuner.program());
@@ -528,26 +546,16 @@ TEST(Fleet, ChaosResetsWithLocalFallbackStayBitIdentical) {
   options.seed = 7;
   const std::string local = tune_json("cfr", options, nullptr);
 
-  FleetOptions fleet_options;
-  fleet_options.probe_interval_seconds = 0.05;
-  fleet_options.breaker_failure_threshold = 1;
-  fleet_options.breaker_reopen_base_seconds = 0.02;
-  std::shared_ptr<FleetBackend> fleet_backend = FleetBackend::connect(
-      fleet.addresses, "CL", "broadwell", options,
-      compiler::Personality::kIcc, fleet_options);
-  FleetBackend* raw_fleet = fleet_backend.get();
-  auto backend = std::make_shared<LocalFallbackBackend>(
-      std::move(fleet_backend),
-      WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
-                    options});
+  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
+      fleet.addresses, cl_workspace(options), hair_trigger(true));
   // Re-run the identical tune (same seed => same bytes) until the
   // seeded chaos has demonstrably torn at least one endpoint away;
   // every round must match the clean local run regardless of where
   // its evaluations ended up.
   const auto failed_over = [&] {
-    return raw_fleet->stats().endpoints_drained +
-               backend->stats().fallback_batches +
-               backend->stats().fallback_runs >
+    const FleetBackend::Stats stats = backend->stats();
+    return stats.endpoints_drained + stats.fallback_batches +
+               stats.fallback_runs >
            0;
   };
   for (int round = 0; round < 8 && !(round > 0 && failed_over());
@@ -572,15 +580,8 @@ TEST(Breaker, OpensAfterFailureAndHalfOpenProbeHeals) {
   auto server = std::make_unique<Server>(server_options);
   server->start();
 
-  core::FuncyTunerOptions options;
-  FleetOptions fleet_options;
-  fleet_options.probe_interval_seconds = 0.05;
-  fleet_options.breaker_failure_threshold = 1;
-  fleet_options.breaker_reopen_base_seconds = 0.02;
-  fleet_options.breaker_reopen_max_seconds = 0.2;
   std::shared_ptr<FleetBackend> fleet = FleetBackend::connect(
-      {address}, "CL", "broadwell", options, compiler::Personality::kIcc,
-      fleet_options);
+      {address}, cl_workspace({}), hair_trigger(false));
 
   const core::EvalRequest request = valid_request();
   const core::EvalBackend::RawResult healthy =
@@ -620,37 +621,42 @@ TEST(Fallback, ServesBitIdenticallyWhenTheWholeFleetIsDown) {
 
   auto fleet = std::make_unique<FleetServers>(2);
   FleetOptions fleet_options;
+  fleet_options.fallback_local = true;
   fleet_options.probe_interval_seconds = 0.0;  // nothing to heal to
-  std::shared_ptr<FleetBackend> fleet_backend = FleetBackend::connect(
-      fleet->addresses, "CL", "broadwell", options,
-      compiler::Personality::kIcc, fleet_options);
+  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
+      fleet->addresses, cl_workspace(options), fleet_options);
   fleet.reset();  // every daemon gone before the first evaluation
 
   core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
                          options);
-  auto backend = std::make_shared<LocalFallbackBackend>(
-      std::move(fleet_backend),
-      WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
-                    options});
   tuner.evaluator().set_backend(backend);
   const core::TuningResult result = tuner.run("cfr");
   EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
                                             tuner.program()));
-  const LocalFallbackBackend::Stats stats = backend->stats();
+  const FleetBackend::Stats stats = backend->stats();
   EXPECT_GT(stats.fallback_batches + stats.fallback_runs, 0u);
-  EXPECT_EQ(stats.primary_recoveries, 0u);
+  EXPECT_EQ(stats.fallback_recoveries, 0u);
 }
 
 TEST(Fallback, NullPrimaryIsAlwaysLocalAndBitIdentical) {
+  // No daemon serves the workspace's arch, so the fallback fleet has
+  // no endpoint at all: every call is served by the local rung.
+  ServerOptions server_options = test_server_options();
+  server_options.archs = {"opteron"};
+  Server server(server_options);
+  server.start();
   core::FuncyTunerOptions options;
   options.samples = 15;
   options.seed = 21;
   const std::string local = tune_json("cfr", options, nullptr);
   core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
                          options);
-  auto backend = std::make_shared<LocalFallbackBackend>(
-      nullptr, WorkspaceSpec{"CL", "broadwell",
-                             compiler::Personality::kIcc, options});
+  FleetOptions fleet_options;
+  fleet_options.fallback_local = true;
+  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
+      {server.address().display()}, cl_workspace(options), fleet_options);
+  EXPECT_EQ(backend->endpoint_count(), 0u);
+  EXPECT_EQ(backend->home_address(), "");
   tuner.evaluator().set_backend(backend);
   const core::TuningResult result = tuner.run("cfr");
   EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
@@ -658,6 +664,8 @@ TEST(Fallback, NullPrimaryIsAlwaysLocalAndBitIdentical) {
   EXPECT_GT(backend->stats().fallback_batches +
                 backend->stats().fallback_runs,
             0u);
+  EXPECT_EQ(server.stats().evaluations, 0u);
+  server.stop();
 }
 
 TEST(Fallback, StaysOutOfTheWayWhileThePrimaryIsHealthy) {
@@ -670,23 +678,19 @@ TEST(Fallback, StaysOutOfTheWayWhileThePrimaryIsHealthy) {
 
   core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
                          options);
-  ConnectOptions connect_options;
-  connect_options.workspace = WorkspaceSpec{
-      "CL", "broadwell", compiler::Personality::kIcc, options};
-  auto backend = std::make_shared<LocalFallbackBackend>(
-      std::make_shared<RemoteBackend>(Client::connect(
-          Endpoint::parse(server.address().display()), connect_options)),
-      WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
-                    options});
+  FleetOptions fleet_options;
+  fleet_options.fallback_local = true;
+  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
+      {server.address().display()}, cl_workspace(options), fleet_options);
   tuner.evaluator().set_backend(backend);
   const core::TuningResult result = tuner.run("cfr");
   EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
                                             tuner.program()));
-  const LocalFallbackBackend::Stats stats = backend->stats();
+  const FleetBackend::Stats stats = backend->stats();
   EXPECT_EQ(stats.fallback_runs, 0u);
   EXPECT_EQ(stats.fallback_batches, 0u);
   EXPECT_GT(server.stats().evaluations, 0u)
-      << "the healthy primary should have served everything";
+      << "the healthy daemon should have served everything";
   server.stop();
 }
 
@@ -698,20 +702,8 @@ TEST(Fallback, RecoversToThePrimaryWhenItReturns) {
   auto server = std::make_unique<Server>(server_options);
   server->start();
 
-  core::FuncyTunerOptions options;
-  FleetOptions fleet_options;
-  fleet_options.probe_interval_seconds = 0.05;
-  fleet_options.breaker_failure_threshold = 1;
-  fleet_options.breaker_reopen_base_seconds = 0.02;
-  fleet_options.breaker_reopen_max_seconds = 0.2;
-  std::shared_ptr<FleetBackend> fleet = FleetBackend::connect(
-      {address}, "CL", "broadwell", options, compiler::Personality::kIcc,
-      fleet_options);
-  FleetBackend* raw_fleet = fleet.get();
-  auto backend = std::make_shared<LocalFallbackBackend>(
-      std::move(fleet),
-      WorkspaceSpec{"CL", "broadwell", compiler::Personality::kIcc,
-                    options});
+  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
+      {address}, cl_workspace({}), hair_trigger(true));
 
   const core::EvalRequest request = valid_request();
   const core::EvalBackend::RawResult before =
@@ -728,14 +720,61 @@ TEST(Fallback, RecoversToThePrimaryWhenItReturns) {
   server = std::make_unique<Server>(server_options);
   server->start();
   ASSERT_TRUE(
-      wait_until([&] { return raw_fleet->alive_count() == 1; }, 20.0));
+      wait_until([&] { return backend->alive_count() == 1; }, 20.0));
   const core::EvalBackend::RawResult recovered =
       backend->run(request.assignment, request.run_options());
   EXPECT_EQ(before.result.end_to_end, recovered.result.end_to_end);
-  EXPECT_GE(backend->stats().primary_recoveries, 1u)
-      << "the primary came back but fallback never yielded";
+  EXPECT_GE(backend->stats().fallback_recoveries, 1u)
+      << "the daemon came back but fallback never yielded";
   EXPECT_GT(server->stats().evaluations, 0u);
   server->stop();
+}
+
+TEST(Fallback, AdoptsADaemonThatWasDownAtConnect) {
+  // The only daemon is down when the fleet connects: the run is served
+  // locally, and the endpoint stays behind an open breaker so the
+  // probe adopts the daemon once it starts.
+  const std::string address =
+      "unix:/tmp/ft_adopt_" + std::to_string(::getpid()) + ".sock";
+  core::FuncyTunerOptions options;
+  options.samples = 15;
+  options.seed = 21;
+  const std::string local = tune_json("cfr", options, nullptr);
+
+  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
+      {address}, cl_workspace(options), hair_trigger(true));
+  EXPECT_EQ(backend->endpoint_count(), 1u);
+  EXPECT_EQ(backend->alive_count(), 0u);
+  {
+    core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
+                           options);
+    tuner.evaluator().set_backend(backend);
+    const core::TuningResult result = tuner.run("cfr");
+    EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
+                                              tuner.program()));
+  }
+  EXPECT_GT(backend->stats().fallback_batches +
+                backend->stats().fallback_runs,
+            0u);
+
+  ServerOptions server_options;
+  server_options.listen = address;
+  Server server(server_options);
+  server.start();
+  ASSERT_TRUE(wait_until([&] { return backend->alive_count() == 1; }, 20.0))
+      << "the probe never adopted the daemon";
+  EXPECT_GE(backend->stats().breaker_recoveries, 1u);
+
+  core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
+                         options);
+  tuner.evaluator().set_backend(backend);
+  const core::TuningResult result = tuner.run("cfr");
+  EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
+                                            tuner.program()));
+  EXPECT_GT(server.stats().evaluations, 0u)
+      << "the adopted daemon never served an evaluation";
+  EXPECT_GE(backend->stats().fallback_recoveries, 1u);
+  server.stop();
 }
 
 // --- graceful drain ----------------------------------------------------------
@@ -848,8 +887,8 @@ TEST(Drain, MidTuneFleetReroutesBitIdentically) {
 
   core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
                          options);
-  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
-      fleet.addresses, "CL", "broadwell", options);
+  std::shared_ptr<FleetBackend> backend =
+      FleetBackend::connect(fleet.addresses, cl_workspace(options));
   const std::string home = backend->home_address();
   std::size_t home_index = fleet.addresses.size();
   for (std::size_t i = 0; i < fleet.addresses.size(); ++i) {

@@ -25,7 +25,6 @@
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
 #include "service/client.hpp"
-#include "service/fallback.hpp"
 #include "service/fleet.hpp"
 #include "service/framing.hpp"
 #include "service/protocol.hpp"
@@ -295,6 +294,19 @@ ServerOptions test_server_options() {
   return options;
 }
 
+/// A hello for `program` on `arch` under `options` (icc personality,
+/// binary framing).
+ConnectOptions workspace_hello(const std::string& program,
+                               const std::string& arch,
+                               const core::FuncyTunerOptions& options,
+                               const ClientOptions& transport = {}) {
+  ConnectOptions connect_options;
+  connect_options.workspace =
+      WorkspaceSpec{program, arch, compiler::Personality::kIcc, options};
+  connect_options.transport = transport;
+  return connect_options;
+}
+
 /// Writes `frame`, reads one reply, decodes it as plain binary.
 /// Raw-socket counterpart of Client for the error-path tests.
 AnyFrame roundtrip(int fd, const std::string& frame) {
@@ -524,8 +536,9 @@ TEST(Client, SurfacesServerRefusalsAsServiceErrors) {
   EXPECT_THROW(
       {
         try {
-          (void)Client::connect(server.address().display(),
-                                "no-such-benchmark", "broadwell", options);
+          (void)Client::connect(
+              Endpoint::parse(server.address().display()),
+              workspace_hello("no-such-benchmark", "broadwell", options));
         } catch (const ServiceError& error) {
           EXPECT_EQ(error.code(), "unknown_program");
           throw;
@@ -539,8 +552,9 @@ TEST(Client, PingAndBatchedCalls) {
   Server server(test_server_options());
   server.start();
   core::FuncyTunerOptions options;
-  std::shared_ptr<Client> client = Client::connect(
-      server.address().display(), "CL", "broadwell", options);
+  std::shared_ptr<Client> client =
+      Client::connect(Endpoint::parse(server.address().display()),
+                      workspace_hello("CL", "broadwell", options));
   client->ping();
   EXPECT_GT(client->max_batch(), 0u);
   std::vector<core::EvalRequest> requests(3, valid_request());
@@ -609,9 +623,9 @@ TEST(Client, HandshakeTimesOutAgainstSilentListener) {
   ClientOptions client_options;
   client_options.io_timeout_seconds = 0.2;
   try {
-    (void)Client::connect(listener.address().display(), "CL", "broadwell",
-                          options, compiler::Personality::kIcc,
-                          client_options);
+    (void)Client::connect(
+        Endpoint::parse(listener.address().display()),
+        workspace_hello("CL", "broadwell", options, client_options));
     FAIL() << "handshake against a silent daemon must time out";
   } catch (const ServiceError& error) {
     EXPECT_EQ(error.code(), "timeout");
@@ -640,9 +654,9 @@ TEST(Client, CallTimesOutWhenDaemonGoesSilentMidSession) {
   core::FuncyTunerOptions options;
   ClientOptions client_options;
   client_options.io_timeout_seconds = 0.2;
-  std::shared_ptr<Client> client =
-      Client::connect(listener.address().display(), "CL", "broadwell",
-                      options, compiler::Personality::kIcc, client_options);
+  std::shared_ptr<Client> client = Client::connect(
+      Endpoint::parse(listener.address().display()),
+      workspace_hello("CL", "broadwell", options, client_options));
   try {
     client->ping();
     FAIL() << "ping into the void must time out";
@@ -661,9 +675,9 @@ TEST(Client, OverloadRetryIsBoundedAndSurfacesCleanly) {
   ClientOptions client_options;
   client_options.overload_max_attempts = 3;
   client_options.overload_base_sleep_ms = 1.0;  // keep the test fast
-  std::shared_ptr<Client> client =
-      Client::connect(server.address().display(), "CL", "broadwell",
-                      options, compiler::Personality::kIcc, client_options);
+  std::shared_ptr<Client> client = Client::connect(
+      Endpoint::parse(server.address().display()),
+      workspace_hello("CL", "broadwell", options, client_options));
   const auto start = std::chrono::steady_clock::now();
   try {
     (void)client->call(valid_request());
@@ -688,9 +702,10 @@ std::string tune_json(const std::string& algorithm,
   core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
                          options);
   if (server != nullptr) {
-    tuner.evaluator().set_backend(std::make_shared<RemoteBackend>(
-        Client::connect(server->address().display(), "CL", "broadwell",
-                        options)));
+    // What `--remote ADDR` attaches: a fleet of one.
+    tuner.evaluator().set_backend(
+        FleetBackend::connect({server->address().display()},
+                              workspace_hello("CL", "broadwell", options)));
   }
   const core::TuningResult result = tuner.run(algorithm);
   if (result_out != nullptr) *result_out = result;
@@ -718,9 +733,8 @@ TEST(Service, RemoteTuningIsBitIdenticalToLocal) {
 
 TEST(Fallback, DrainingHelloDegradesToLocalBitIdentically) {
   // Fake daemon mid-drain: it refuses the hello with retryable
-  // "draining". Like a fleet that skips draining endpoints, a single
-  // remote with fallback must degrade to in-process evaluation instead
-  // of failing the run.
+  // "draining". A fleet of one with fallback must degrade to
+  // in-process evaluation instead of failing the run.
   Listener listener = Listener::bind(Address::parse("tcp:127.0.0.1:0"));
   std::thread fake_daemon([&] {
     Socket session = listener.accept_within(5000);
@@ -735,16 +749,14 @@ TEST(Fallback, DrainingHelloDegradesToLocalBitIdentically) {
   core::FuncyTunerOptions options;
   options.samples = 15;
   options.seed = 21;
-  const WorkspaceSpec workspace{"CL", "broadwell",
-                                compiler::Personality::kIcc, options};
-  const auto connect = [&] {
-    ConnectOptions connect_options;
-    connect_options.workspace = workspace;
-    return std::make_shared<RemoteBackend>(Client::connect(
-        Endpoint::parse(listener.address().display()), connect_options));
-  };
-  std::shared_ptr<LocalFallbackBackend> backend;
-  EXPECT_NO_THROW(backend = connect_with_fallback(connect, workspace));
+  FleetOptions fleet_options;
+  fleet_options.fallback_local = true;
+  fleet_options.probe_interval_seconds = 0.0;  // the fake greets once
+  std::shared_ptr<FleetBackend> backend;
+  EXPECT_NO_THROW(backend = FleetBackend::connect(
+                      {listener.address().display()},
+                      workspace_hello("CL", "broadwell", options),
+                      fleet_options));
   fake_daemon.join();
   ASSERT_NE(backend, nullptr);
 
@@ -828,7 +840,7 @@ std::string fleet_tune_json(const std::string& algorithm,
   core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
                          options);
   std::shared_ptr<FleetBackend> fleet = FleetBackend::connect(
-      addresses, "CL", "broadwell", options);
+      addresses, workspace_hello("CL", "broadwell", options));
   FleetBackend* raw = fleet.get();
   tuner.evaluator().set_backend(std::move(fleet));
   const core::TuningResult result = tuner.run(algorithm);
@@ -891,7 +903,7 @@ TEST(Fleet, SurvivesDaemonDeathMidRunBitIdentically) {
   core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
                          options);
   std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
-      fleet.addresses, "CL", "broadwell", options);
+      fleet.addresses, workspace_hello("CL", "broadwell", options));
   // The home endpoint serves first while healthy, so killing it is the
   // worst case: its queue and inflight chunks must all re-dispatch.
   const std::string home = backend->home_address();
@@ -938,8 +950,8 @@ TEST(Fleet, ConnectRequiresAtLeastOneServingEndpoint) {
   FleetServers fleet(1, base);
   core::FuncyTunerOptions options;
   try {
-    (void)FleetBackend::connect(fleet.addresses, "CL", "broadwell",
-                                options);
+    (void)FleetBackend::connect(fleet.addresses,
+                                workspace_hello("CL", "broadwell", options));
     FAIL() << "no endpoint serves broadwell";
   } catch (const ServiceError& error) {
     EXPECT_EQ(error.code(), "fleet");
@@ -961,21 +973,19 @@ TEST(Fleet, TunersSharingAWorkspaceShareAHome) {
   variants[5].retry.max_retries = 5;
   variants[6].retry.eval_timeout_seconds = 100.0;
   variants[7].algorithm_options["cfr"] = {"--top-x=5"};
-  const std::string home =
-      FleetBackend::connect(fleet.addresses, "CL", "broadwell", base)
-          ->home_address();
+  const auto home_of = [&](const std::string& arch,
+                           const core::FuncyTunerOptions& options) {
+    return FleetBackend::connect(fleet.addresses,
+                                 workspace_hello("CL", arch, options))
+        ->home_address();
+  };
+  const std::string home = home_of("broadwell", base);
   for (std::size_t i = 1; i < variants.size(); ++i) {
     SCOPED_TRACE(i);
-    EXPECT_EQ(FleetBackend::connect(fleet.addresses, "CL", "broadwell",
-                                    variants[i])
-                  ->home_address(),
-              home);
+    EXPECT_EQ(home_of("broadwell", variants[i]), home);
   }
   // The CLI key and the display name spell one architecture.
-  EXPECT_EQ(FleetBackend::connect(fleet.addresses, "CL", "Intel Broadwell",
-                                  base)
-                ->home_address(),
-            home);
+  EXPECT_EQ(home_of("Intel Broadwell", base), home);
 }
 
 TEST(Fleet, HeterogeneousCampaignPinsCellsToServingDaemons) {
@@ -997,7 +1007,7 @@ TEST(Fleet, HeterogeneousCampaignPinsCellsToServingDaemons) {
   {
     core::FuncyTunerOptions options;
     std::unique_ptr<FleetBackend> backend = FleetBackend::connect(
-        addresses, "CL", "broadwell", options);
+        addresses, workspace_hello("CL", "broadwell", options));
     EXPECT_EQ(backend->endpoint_count(), 1u);
     EXPECT_EQ(backend->home_address(), addresses[2]);
   }
@@ -1013,7 +1023,8 @@ TEST(Fleet, HeterogeneousCampaignPinsCellsToServingDaemons) {
   core::Campaign local(grid_programs, grid_archs, campaign_options);
   local.run();
 
-  campaign_options.backend_factory = make_fleet_backend_factory(addresses);
+  campaign_options.backend_factory =
+      make_fleet_backend_factory(addresses, {}, {});
   core::Campaign remote(grid_programs, grid_archs, campaign_options);
   remote.run();
 
@@ -1128,8 +1139,9 @@ TEST(ServiceFuzz, ThousandGarbageFramesLeaveTheDaemonServing) {
   // The daemon is still accepting, greeting and evaluating, and
   // stop() joining every session thread proves none leaked.
   core::FuncyTunerOptions options;
-  std::shared_ptr<Client> client = Client::connect(
-      server.address().display(), "CL", "broadwell", options);
+  std::shared_ptr<Client> client =
+      Client::connect(Endpoint::parse(server.address().display()),
+                      workspace_hello("CL", "broadwell", options));
   client->ping();
   const core::EvalResponse response = client->call(valid_request());
   EXPECT_TRUE(response.ok());
@@ -1475,8 +1487,8 @@ TEST(Negotiation, WelcomeNamingUnknownFramingFailsTheHandshake) {
   });
   core::FuncyTunerOptions options;
   try {
-    (void)Client::connect(listener.address().display(), "CL",
-                          "broadwell", options);
+    (void)Client::connect(Endpoint::parse(listener.address().display()),
+                          workspace_hello("CL", "broadwell", options));
     FAIL() << "a welcome naming an unknown framing must be refused";
   } catch (const ServiceError& error) {
     EXPECT_EQ(error.code(), "bad_frame");
@@ -1594,11 +1606,8 @@ TEST(Fleet, MixedFramingFleetDowngradesPerEndpointBitIdentically) {
 
   core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
                          options);
-  FleetOptions fleet_options;
-  fleet_options.framings = connect_options.framings;
-  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
-      addresses, "CL", "broadwell", options,
-      compiler::Personality::kIcc, fleet_options);
+  std::shared_ptr<FleetBackend> backend =
+      FleetBackend::connect(addresses, connect_options);
   EXPECT_EQ(backend->endpoint_count(), 2u);
   tuner.evaluator().set_backend(backend);
   const core::TuningResult result = tuner.run("cfr");

@@ -42,7 +42,6 @@
 #include "core/serialization.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
-#include "service/fallback.hpp"
 #include "service/fleet.hpp"
 #include "support/options.hpp"
 #include "support/string_utils.hpp"
@@ -291,8 +290,14 @@ int main(int argc, char** argv) {
     });
   }
 
+  service::ConnectOptions connect_options;
+  connect_options.transport.io_timeout_seconds = config.io_timeout;
+  if (config.chaos_seed != 0) {
+    connect_options.transport.chaos = service::chaos::ChaosConfig::parse(
+        config.chaos_seed, config.chaos_spec);
+  }
   service::FleetOptions fleet_options;
-  fleet_options.client.io_timeout_seconds = config.io_timeout;
+  fleet_options.fallback_local = true;
   fleet_options.probe_interval_seconds = 0.2;
   // A hair trigger: cells are short-lived, so waiting for 3
   // consecutive failures would never open a breaker - with threshold 1
@@ -300,38 +305,35 @@ int main(int argc, char** argv) {
   // backoff -> half-open -> recover cycle.
   fleet_options.breaker_failure_threshold = 1;
   fleet_options.breaker_reopen_base_seconds = 0.1;
-  if (config.chaos_seed != 0) {
-    fleet_options.client.chaos = service::chaos::ChaosConfig::parse(
-        config.chaos_seed, config.chaos_spec);
-  }
+  const service::FleetFactory fleet = service::make_fleet_backend_factory(
+      addresses, connect_options, fleet_options);
 
   std::size_t mismatches = 0;
-  std::uint64_t fallback_evals = 0;
-  std::uint64_t fallback_batches = 0;
+  std::size_t fallback_evals = 0;
+  std::size_t fallback_batches = 0;
   std::size_t breaker_opens = 0;
   std::size_t breaker_recoveries = 0;
   std::size_t redispatches = 0;
+  std::string refusal;  ///< a connect refusal the fleet must not absorb
   const Clock::time_point chaos_start = Clock::now();
   for (std::size_t i = 0; i < cell_count; ++i) {
     Cell& cell = cells[i];
     core::FuncyTuner tuner(programs::by_name(cell.program),
                            machine::architecture_by_name(cell.arch),
                            cell.options);
-    std::shared_ptr<core::EvalBackend> primary;
-    std::shared_ptr<service::FleetBackend> fleet;
+    // Daemons that are down or mid-restart at connect are the fleet's
+    // to absorb (open breakers, then local fallback); any other
+    // refusal is a fault and fails the soak.
+    std::shared_ptr<service::FleetBackend> backend;
     try {
-      fleet = service::FleetBackend::connect(
-          addresses, cell.program, cell.arch, cell.options,
-          compiler::Personality::kIcc, fleet_options);
-      primary = fleet;
-    } catch (const service::ServiceError&) {
-      // Whole fleet down at connect time (chaos dial failures plus a
-      // mid-restart daemon can line up); the cell runs local-only.
+      backend = fleet(tuner.program(), tuner.engine().arch(), cell.options);
+    } catch (const service::ServiceError& error) {
+      refusal = error.what();
+      std::cerr << "chaos_soak: cell " << i << " (" << cell.program << "/"
+                << cell.arch << ") refused at connect: " << refusal
+                << '\n';
+      break;
     }
-    auto backend = std::make_shared<service::LocalFallbackBackend>(
-        primary, service::WorkspaceSpec{cell.program, cell.arch,
-                                        compiler::Personality::kIcc,
-                                        cell.options});
     tuner.evaluator().set_backend(backend);
     const core::TuningResult result = tuner.run("cfr");
     const std::string chaos_json =
@@ -341,15 +343,12 @@ int main(int argc, char** argv) {
       std::cerr << "chaos_soak: MISMATCH in cell " << i << " ("
                 << cell.program << "/" << cell.arch << ")\n";
     }
-    const service::LocalFallbackBackend::Stats fb = backend->stats();
-    fallback_evals += fb.fallback_evals + fb.fallback_runs;
-    fallback_batches += fb.fallback_batches;
-    if (fleet) {
-      const service::FleetBackend::Stats fs = fleet->stats();
-      breaker_opens += fs.breaker_opens;
-      breaker_recoveries += fs.breaker_recoveries;
-      redispatches += fs.redispatches;
-    }
+    const service::FleetBackend::Stats stats = backend->stats();
+    fallback_evals += stats.fallback_evals + stats.fallback_runs;
+    fallback_batches += stats.fallback_batches;
+    breaker_opens += stats.breaker_opens;
+    breaker_recoveries += stats.breaker_recoveries;
+    redispatches += stats.redispatches;
     if ((i + 1) % 50 == 0) {
       std::cout << "chaos: " << (i + 1) << "/" << cell_count
                 << " cells, " << kills.load() << " daemon kills, "
@@ -415,7 +414,7 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << args.text("json") << '\n';
   }
 
-  if (mismatches != 0) return 1;
+  if (mismatches != 0 || !refusal.empty()) return 1;
   if (config.kill_period > 0 && kills.load() == 0) {
     std::cerr << "chaos_soak: the killer never fired - run too short "
                  "for --kill-period; raise --cells or lower the "

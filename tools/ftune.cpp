@@ -19,9 +19,10 @@
 // table; tune and campaign also list every algorithm's namespaced
 // knobs (`--cfr:top-x`). With --remote ADDR[,ADDR...] the evaluating
 // subcommands (profile, tune, campaign, importance) execute their raw
-// measurements on running `ftuned` daemons - a comma-separated list
-// forms a sharded fleet with health probes and failover; results are
-// bit-identical to in-process runs either way.
+// measurements on running `ftuned` daemons - one address or a
+// comma-separated list, always a fleet with health probes and failover
+// (and, with --fallback-local, the in-process engine as its last
+// rung); results are bit-identical to in-process runs either way.
 // Exit status: 0 on success, 1 on usage errors.
 
 #include <cstdlib>
@@ -38,8 +39,6 @@
 #include "flags/spaces.hpp"
 #include "machine/architecture.hpp"
 #include "programs/benchmarks.hpp"
-#include "service/client.hpp"
-#include "service/fallback.hpp"
 #include "service/fleet.hpp"
 #include "support/options.hpp"
 #include "support/parse_number.hpp"
@@ -78,22 +77,26 @@ void check_algorithm(const std::string& key) {
 }
 
 /// The flag table every evaluating subcommand (profile, tune,
-/// importance) shares. Subcommands chain their extra flags onto the
-/// returned set before parsing.
-support::OptionSet common_options() {
+/// importance, campaign) shares. Subcommands chain their extra flags
+/// onto the returned set before parsing. `--program` and `--arch` name
+/// the one cell profile, tune and importance work on; campaign names
+/// its grid with --programs/--archs and so declares neither.
+support::OptionSet common_options(bool one_cell = true) {
   const core::FuncyTunerOptions defaults;
   support::OptionSet set;
-  set.text("program", "CL", "benchmark name (see `ftune list`)",
-           support::accepted_by(programs::by_name))
-      .text("arch", "broadwell", "opteron|sandybridge|broadwell",
-            support::accepted_by(machine::architecture_by_name))
-      .integer("samples", 1000,
-               "K: pre-sampled CVs, and the fr/cfr budget unless "
-               "--fr:samples / --cfr:samples is given",
-               [](const std::string& raw) {
-                 return raw.empty() || raw[0] == '-' ? "must be positive"
-                                                    : "";
-               })
+  if (one_cell) {
+    set.text("program", "CL", "benchmark name (see `ftune list`)",
+             support::accepted_by(programs::by_name))
+        .text("arch", "broadwell", "opteron|sandybridge|broadwell",
+              support::accepted_by(machine::architecture_by_name));
+  }
+  set.integer("samples", 1000,
+              "K: pre-sampled CVs, and the fr/cfr budget unless "
+              "--fr:samples / --cfr:samples is given",
+              [](const std::string& raw) {
+                return raw.empty() || raw[0] == '-' ? "must be positive"
+                                                   : "";
+              })
       .integer("seed", 42, "master seed")
       .real("hot-threshold", defaults.hot_threshold,
             "outline loops >= this runtime share")
@@ -128,8 +131,8 @@ support::OptionSet common_options() {
             support::accepted_by(support::parse_byte_size))
       .text("remote", "",
             "evaluate via running ftuned daemon(s): comma-separated "
-            "unix:PATH / tcp:host:port endpoints (2+ = fleet with "
-            "failover)")
+            "unix:PATH / tcp:host:port endpoints, served as one fleet "
+            "with failover")
       .real("io-timeout", 30.0,
             "remote per-frame send/recv deadline in seconds (0 = wait "
             "forever)")
@@ -191,83 +194,44 @@ void apply_threads(const support::OptionSet::Parsed& args) {
   }
 }
 
-/// The --remote endpoint list: comma-separated, empty fields dropped
-/// (so a trailing comma is harmless).
-std::vector<std::string> remote_endpoints(
+/// The backend factory --remote asks for, or null without --remote.
+/// One address or many, every list is a FleetBackend per cell; the
+/// daemons only execute compile+link+run, while retries, fault
+/// handling, caching and journaling stay local, so the results are
+/// bit-identical to the in-process path. With --fallback-local the
+/// fleet's last rung is the in-process engine.
+service::FleetFactory remote_factory(
     const support::OptionSet::Parsed& args) {
-  std::vector<std::string> endpoints;
-  for (const std::string& field :
-       support::split(args.text("remote"), ',')) {
-    const std::string address = support::trim(field);
-    if (!address.empty()) endpoints.push_back(address);
+  std::vector<std::string> endpoints =
+      service::parse_address_list(args.text("remote"));
+  if (endpoints.empty()) return nullptr;
+  service::ConnectOptions connect;
+  // connect() appends the binary baseline itself, so "--framing
+  // binary-crc32" means "the CRC trailer where possible".
+  connect.framings = service::parse_framings(args.text("framing"));
+  if (connect.framings.empty()) {
+    connect.framings.push_back(service::Framing::kBinary);
   }
-  return endpoints;
-}
-
-service::ClientOptions client_options_from(
-    const support::OptionSet::Parsed& args) {
-  service::ClientOptions options;
-  options.io_timeout_seconds = args.real("io-timeout");
+  connect.transport.io_timeout_seconds = args.real("io-timeout");
   if (args.given("chaos-seed") || args.given("chaos")) {
-    options.chaos = service::chaos::ChaosConfig::parse(
+    connect.transport.chaos = service::chaos::ChaosConfig::parse(
         static_cast<std::uint64_t>(args.integer("chaos-seed")),
         args.text("chaos"));
   }
-  return options;
+  service::FleetOptions fleet;
+  fleet.fallback_local = args.flag("fallback-local");
+  return service::make_fleet_backend_factory(std::move(endpoints),
+                                             std::move(connect), fleet);
 }
 
-/// The --framing preference list. connect() appends the binary
-/// baseline itself, so "--framing binary-crc32" means "the CRC trailer
-/// where possible".
-std::vector<service::Framing> framings_from(
-    const support::OptionSet::Parsed& args) {
-  std::vector<service::Framing> framings =
-      service::parse_framings(args.text("framing"));
-  if (framings.empty()) framings.push_back(service::Framing::kBinary);
-  return framings;
-}
-
-/// Routes the tuner's raw measurements through ftuned daemon(s) when
-/// --remote was given: one address attaches a plain RemoteBackend, a
-/// comma-separated list a FleetBackend (sharding + failover). The
-/// daemons only execute compile+link+run; retries, fault handling,
-/// caching and journaling stay local, so the results are bit-identical
-/// to the in-process path either way.
+/// Routes the tuner's raw measurements through ftuned when --remote
+/// was given.
 void attach_remote(core::FuncyTuner& tuner,
                    const support::OptionSet::Parsed& args,
                    const core::FuncyTunerOptions& options) {
-  const std::vector<std::string> endpoints = remote_endpoints(args);
-  if (endpoints.empty()) return;
-  const service::WorkspaceSpec workspace{
-      tuner.program().name(), tuner.engine().arch().name,
-      compiler::Personality::kIcc, options};
-  const service::ClientOptions client_options = client_options_from(args);
-  const std::vector<service::Framing> framings = framings_from(args);
-  const auto connect = [&]() -> std::shared_ptr<core::EvalBackend> {
-    if (endpoints.size() == 1) {
-      service::ConnectOptions connect_options;
-      connect_options.workspace = workspace;
-      connect_options.framings = framings;
-      connect_options.transport = client_options;
-      return std::make_shared<service::RemoteBackend>(
-          service::Client::connect(
-              service::Endpoint::parse(endpoints.front()),
-              connect_options));
-    }
-    service::FleetOptions fleet_options;
-    fleet_options.client = client_options;
-    fleet_options.framings = framings;
-    return service::FleetBackend::connect(
-        endpoints, tuner.program().name(), tuner.engine().arch().name,
-        options, compiler::Personality::kIcc, fleet_options);
-  };
-  // With --fallback-local even a remote that is entirely unreachable
-  // at connect time degrades to in-process evaluation.
-  if (args.flag("fallback-local")) {
+  if (const service::FleetFactory factory = remote_factory(args)) {
     tuner.evaluator().set_backend(
-        service::connect_with_fallback(connect, workspace));
-  } else {
-    tuner.evaluator().set_backend(connect());
+        factory(tuner.program(), tuner.engine().arch(), options));
   }
 }
 
@@ -600,7 +564,7 @@ int cmd_tune(int argc, char** argv) {
 }
 
 int cmd_campaign(int argc, char** argv) {
-  support::OptionSet set = common_options();
+  support::OptionSet set = common_options(/*one_cell=*/false);
   set.text("programs", "",
            "comma-separated benchmark names (default: the full suite)",
            each_accepted_by(programs::by_name))
@@ -652,33 +616,10 @@ int cmd_campaign(int argc, char** argv) {
                         const std::string& arch) {
     std::cout << "finished " << program << " on " << arch << '\n';
   };
-  const std::vector<std::string> endpoints = remote_endpoints(args);
-  if (!endpoints.empty()) {
-    // One factory serves homogeneous and heterogeneous fleets alike:
-    // per cell it keeps only the daemons serving that architecture
-    // (single-endpoint --remote is just a fleet of one).
-    service::FleetOptions fleet_options;
-    fleet_options.client = client_options_from(args);
-    fleet_options.framings = framings_from(args);
-    options.backend_factory = service::make_fleet_backend_factory(
-        endpoints, fleet_options);
-    if (args.flag("fallback-local")) {
-      // Per-cell degradation: a cell whose daemons are all down (or
-      // none of which serve its architecture) runs in-process instead
-      // of failing the grid - same bytes either way.
-      options.backend_factory =
-          [fleet_factory = options.backend_factory](
-              const ir::Program& program,
-              const machine::Architecture& arch,
-              const core::FuncyTunerOptions& cell_options)
-          -> std::shared_ptr<core::EvalBackend> {
-        return service::connect_with_fallback(
-            [&] { return fleet_factory(program, arch, cell_options); },
-            service::WorkspaceSpec{program.name(), arch.name,
-                                   compiler::Personality::kIcc,
-                                   cell_options});
-      };
-    }
+  // Per cell, a heterogeneous fleet keeps only the daemons serving
+  // that cell's architecture.
+  if (service::FleetFactory factory = remote_factory(args)) {
+    options.backend_factory = std::move(factory);
   }
 
   core::Campaign campaign(programs, architectures, options);
