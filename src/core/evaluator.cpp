@@ -184,17 +184,6 @@ void Evaluator::note_failure(std::uint64_t key) {
   }
 }
 
-void Evaluator::begin_parallel_region() {
-  promote_quarantines();
-  batch_depth_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Evaluator::end_parallel_region() {
-  if (batch_depth_.fetch_sub(1, std::memory_order_relaxed) == 1) {
-    promote_quarantines();
-  }
-}
-
 void Evaluator::promote_quarantines() {
   std::lock_guard lock(resilience_mutex_);
   for (const std::uint64_t key : pending_quarantine_) {
@@ -504,12 +493,16 @@ std::vector<EvalResponse> Evaluator::evaluate_batch(
     std::iota(firsts.begin(), firsts.end(), std::size_t{0});
   }
   // Quarantines queued by earlier phases take effect at this
-  // deterministic boundary; none are applied mid-batch, so whether an
-  // evaluation is skipped never depends on worker scheduling.
-  begin_parallel_region();
+  // deterministic boundary; none are applied mid-batch (pre_evaluate
+  // skips promotion while batch_depth_ > 0), so whether an evaluation
+  // is skipped never depends on worker scheduling.
+  promote_quarantines();
+  batch_depth_.fetch_add(1, std::memory_order_relaxed);
   dispatch(requests, firsts, &pendings, &responses);
   dispatch(requests, duplicates, &pendings, &responses);
-  end_parallel_region();
+  if (batch_depth_.fetch_sub(1, std::memory_order_relaxed) == 1) {
+    promote_quarantines();
+  }
   return responses;
 }
 

@@ -155,6 +155,20 @@ struct EvalRequest {
     options.aggregate = aggregate;
     return options;
   }
+  /// The request that runs `assignment` under `options`: the inverse of
+  /// run_options(), for backends that serve a run as a request.
+  [[nodiscard]] static EvalRequest of_run(
+      const compiler::ModuleAssignment& assignment,
+      const machine::RunOptions& options) {
+    EvalRequest request;
+    request.assignment = assignment;
+    request.rep_base = options.rep_base;
+    request.repetitions = options.repetitions;
+    request.instrumented = options.instrumented;
+    request.noise = options.noise;
+    request.aggregate = options.aggregate;
+    return request;
+  }
 };
 
 /// How an EvalResponse was produced (diagnostic only; not scored).
@@ -339,13 +353,6 @@ class Evaluator {
 
   [[nodiscard]] bool is_quarantined(
       const compiler::ModuleAssignment& assignment) const;
-
-  /// Marks a caller-managed parallel evaluation region (evaluate_batch
-  /// brackets its own): quarantine promotion is deferred to the region
-  /// boundaries so whether an evaluation is quarantine-skipped never
-  /// depends on worker scheduling.
-  void begin_parallel_region();
-  void end_parallel_region();
 
   [[nodiscard]] ResilienceStats resilience_stats() const;
 

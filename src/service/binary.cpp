@@ -20,13 +20,14 @@
 //    2   welcome       str server, u64 session, u64 max_batch,
 //                      u8 framing, caps
 //    3   error         str code, str detail, u8 retryable, u8 fatal
-//    4   eval          request
 //    5   eval_batch    u32 count, request*
-//    6   result        response
 //    7   result_batch  u32 count, response*
 //    8   ping          -
 //    9   pong          -
 //   10   bye           -
+//
+//   Tags 4 and 6 were protocol 2's single-request eval and result
+//   frames. They are retired, never reused, and decode as unknown.
 //
 //   caps     = u32 protocol, u8 framing_count, u8 framing*
 //              (1 binary, 2 binary-crc32; unknown codes are skipped),
@@ -350,13 +351,6 @@ void encode_error_frame(Framing framing, const ErrorFrame& error,
   seal(framing, out);
 }
 
-void encode_eval_frame(Framing framing, std::uint64_t seq,
-                       const core::EvalRequest& request, std::string* out) {
-  begin_frame(out, FrameKind::kEval, seq);
-  put_request(out, request);
-  seal(framing, out);
-}
-
 void encode_eval_batch_frame(Framing framing, std::uint64_t seq,
                              std::span<const core::EvalRequest> requests,
                              std::string* out) {
@@ -365,14 +359,6 @@ void encode_eval_batch_frame(Framing framing, std::uint64_t seq,
   for (const core::EvalRequest& request : requests) {
     put_request(out, request);
   }
-  seal(framing, out);
-}
-
-void encode_result_frame(Framing framing, std::uint64_t seq,
-                         const core::EvalResponse& response,
-                         std::string* out) {
-  begin_frame(out, FrameKind::kResult, seq);
-  put_response(out, response);
   seal(framing, out);
 }
 
@@ -433,8 +419,9 @@ DecodeStatus decode_frame(Framing framing, std::string_view payload,
     return DecodeStatus::kUnparseable;
   }
   if (tag < static_cast<std::uint8_t>(FrameKind::kHello) ||
-      tag > static_cast<std::uint8_t>(FrameKind::kBye)) {
-    *error = "unknown frame tag " + std::to_string(tag);
+      tag > static_cast<std::uint8_t>(FrameKind::kBye) || tag == 4 ||
+      tag == 6) {
+    *error = "unknown frame type " + std::to_string(tag);
     return DecodeStatus::kUnknownType;
   }
   if (!cursor.u64(&out->seq)) {
@@ -521,13 +508,6 @@ DecodeStatus decode_frame(Framing framing, std::string_view payload,
       out->error.fatal = fatal != 0;
       return DecodeStatus::kOk;
     }
-    case FrameKind::kEval: {
-      out->requests.resize(1);
-      if (!read_request(&cursor, &out->requests[0], error)) {
-        return DecodeStatus::kMalformed;
-      }
-      return DecodeStatus::kOk;
-    }
     case FrameKind::kEvalBatch: {
       std::uint32_t count = 0;
       if (!cursor.u32(&count)) return malformed("truncated eval_batch");
@@ -540,13 +520,6 @@ DecodeStatus decode_frame(Framing framing, std::string_view payload,
         if (!read_request(&cursor, &out->requests[i], error)) {
           return DecodeStatus::kMalformed;
         }
-      }
-      return DecodeStatus::kOk;
-    }
-    case FrameKind::kResult: {
-      out->responses.resize(1);
-      if (!read_response(&cursor, &out->responses[0], error)) {
-        return DecodeStatus::kMalformed;
       }
       return DecodeStatus::kOk;
     }

@@ -90,18 +90,7 @@ void Client::roundtrip_locked() {
 }
 
 core::EvalResponse Client::call(const core::EvalRequest& request) {
-  std::lock_guard lock(mutex_);
-  const std::uint64_t seq = next_seq_++;
-  encode_eval_frame(session_.framing(), seq, request,
-                    &write_buffer_.payload);
-  roundtrip_locked();
-  if (reply_.kind != FrameKind::kResult || reply_.responses.size() != 1) {
-    throw ServiceError("bad_frame", "malformed result from ftuned");
-  }
-  if (reply_.seq != seq) {
-    throw ServiceError("bad_frame", "result sequence mismatch");
-  }
-  return std::move(reply_.responses.front());
+  return std::move(call_many({&request, 1}).front());
 }
 
 std::vector<core::EvalResponse> Client::call_many(
@@ -161,14 +150,8 @@ core::EvalBackend::RawResult raw_result(const core::EvalResponse& response) {
 core::EvalBackend::RawResult RemoteBackend::run(
     const compiler::ModuleAssignment& assignment,
     const machine::RunOptions& options) {
-  core::EvalRequest request;
-  request.assignment = assignment;
-  request.rep_base = options.rep_base;
-  request.repetitions = options.repetitions;
-  request.instrumented = options.instrumented;
-  request.noise = options.noise;
-  request.aggregate = options.aggregate;
-  return raw_result(client_->call(request));
+  return raw_result(
+      client_->call(core::EvalRequest::of_run(assignment, options)));
 }
 
 std::vector<core::EvalBackend::RawResult> RemoteBackend::run_many(

@@ -46,11 +46,11 @@ class Client {
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// One evaluation round-trip.
+  /// One evaluation round-trip: call_many of one request.
   [[nodiscard]] core::EvalResponse call(
       const core::EvalRequest& request);
   /// Batched round-trip; result[i] answers requests[i]. Transparently
-  /// splits into max_batch()-sized frames.
+  /// splits into max_batch()-sized eval_batch frames.
   [[nodiscard]] std::vector<core::EvalResponse> call_many(
       std::span<const core::EvalRequest> requests);
   /// Liveness probe; throws ServiceError when the daemon is gone.

@@ -295,21 +295,11 @@ core::Evaluator& FleetBackend::local_locked() {
 core::EvalBackend::RawResult FleetBackend::run(
     const compiler::ModuleAssignment& assignment,
     const machine::RunOptions& options) {
-  try {
-    RawResult result = run_on_daemons(assignment, options);
-    note_daemons_served();
-    return result;
-  } catch (const ServiceError& error) {
-    if (!falls_back(error)) throw;
-  }
-  degraded_last_call_.store(true, std::memory_order_release);
-  {
-    std::lock_guard lock(stats_mutex_);
-    ++stats_.fallback_runs;
-  }
-  telemetry::metrics().counter("fleet.fallback.runs").add();
-  std::lock_guard lock(local_mutex_);
-  return local_locked().raw_run(assignment, options);
+  // A single evaluation is a batch of one: it takes the same failover,
+  // redispatch and fallback path, and as one chunk it spawns no thread.
+  const core::EvalRequest request =
+      core::EvalRequest::of_run(assignment, options);
+  return std::move(run_many({&request, 1}).front());
 }
 
 std::vector<core::EvalBackend::RawResult> FleetBackend::run_many(
@@ -388,26 +378,44 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many_on_daemons(
   std::mutex mutex;
   std::condition_variable ready;
   std::vector<std::deque<std::size_t>> queues(endpoints_.size());
+  std::vector<bool> manned(endpoints_.size(), false);  // has a worker
   std::size_t pending = chunks.size();
   std::exception_ptr fatal;
   std::vector<RawResult> results(requests.size());
 
-  {
-    const int home = next_alive(home_);
-    if (home < 0) {
-      throw ServiceError("fleet", "every fleet endpoint is drained");
-    }
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      queues[static_cast<std::size_t>(home)].push_back(c);
-    }
+  const int home_index = next_alive(home_);
+  if (home_index < 0) {
+    throw ServiceError("fleet", "every fleet endpoint is drained");
   }
+  const auto home = static_cast<std::size_t>(home_index);
+  for (std::size_t c = 0; c < chunks.size(); ++c) queues[home].push_back(c);
 
+  // Serves endpoint `self` until the batch settles. A worker whose
+  // endpoint dies, or that bounced a chunk to an endpoint nobody
+  // serves, moves on to the next alive endpoint without a worker (and
+  // stops when there is none): that is how the calling thread, the
+  // only worker of a one-chunk batch, follows its chunk.
   auto worker = [&](std::size_t self) {
-    Endpoint& endpoint = *endpoints_[self];
+    // Re-points `self` at the next alive endpoint without a worker;
+    // false when there is none. Caller holds `mutex`.
+    const auto move_on = [&] {
+      manned[self] = false;
+      for (std::size_t step = 1; step < endpoints_.size(); ++step) {
+        const std::size_t next = (self + step) % endpoints_.size();
+        if (!manned[next] &&
+            endpoints_[next]->alive.load(std::memory_order_acquire)) {
+          manned[next] = true;
+          self = next;
+          return true;
+        }
+      }
+      return false;
+    };
     while (true) {
       std::size_t chunk_index = 0;
       {
         std::unique_lock lock(mutex);
+        Endpoint& endpoint = *endpoints_[self];
         ready.wait(lock, [&] {
           if (pending == 0 || fatal) return true;
           if (!endpoint.alive.load(std::memory_order_acquire)) return true;
@@ -418,7 +426,10 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many_on_daemons(
           return false;  // everything is inflight on other endpoints
         });
         if (pending == 0 || fatal) return;
-        if (!endpoint.alive.load(std::memory_order_acquire)) return;
+        if (!endpoint.alive.load(std::memory_order_acquire)) {
+          if (move_on()) continue;
+          return;
+        }
         if (!queues[self].empty()) {
           chunk_index = queues[self].front();
           queues[self].pop_front();
@@ -441,6 +452,7 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many_on_daemons(
         }
       }
 
+      Endpoint& endpoint = *endpoints_[self];
       Chunk& chunk = chunks[chunk_index];
       endpoint.inflight.fetch_add(1, std::memory_order_acq_rel);
       try {
@@ -505,7 +517,10 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many_on_daemons(
           queues[static_cast<std::size_t>(target)].push_back(orphan);
         }
         ready.notify_all();
-        if (transport) return;  // this endpoint is gone; worker exits
+        if ((transport || !manned[static_cast<std::size_t>(target)]) &&
+            !move_on()) {
+          return;
+        }
       } catch (...) {
         endpoint.inflight.fetch_sub(1, std::memory_order_acq_rel);
         std::lock_guard lock(mutex);
@@ -516,54 +531,34 @@ std::vector<core::EvalBackend::RawResult> FleetBackend::run_many_on_daemons(
     }
   };
 
-  std::vector<std::thread> workers;
-  workers.reserve(endpoints_.size());
-  for (std::size_t i = 0; i < endpoints_.size(); ++i) {
-    if (endpoints_[i]->alive.load(std::memory_order_acquire)) {
-      workers.emplace_back(worker, i);
+  // The calling thread works the home endpoint. Other alive endpoints
+  // get a thread only when there is more than one chunk to share, so
+  // a run() or a one-chunk batch spawns none.
+  std::vector<std::thread> helpers;
+  {
+    std::lock_guard lock(mutex);  // workers read `manned` under it
+    manned[home] = true;
+    for (std::size_t i = 0; i < endpoints_.size() && chunks.size() > 1;
+         ++i) {
+      if (i == home || !endpoints_[i]->alive.load(std::memory_order_acquire)) {
+        continue;
+      }
+      manned[i] = true;
+      helpers.emplace_back(worker, i);
     }
   }
-  for (std::thread& thread : workers) thread.join();
+  if (!helpers.empty()) {
+    std::lock_guard lock(stats_mutex_);
+    stats_.helper_threads += helpers.size();
+  }
+  worker(home);
+  for (std::thread& thread : helpers) thread.join();
 
   if (fatal) std::rethrow_exception(fatal);
   if (pending != 0) {
     throw ServiceError("fleet", "batch incomplete: no alive endpoint");
   }
   return results;
-}
-
-core::EvalBackend::RawResult FleetBackend::run_on_daemons(
-    const compiler::ModuleAssignment& assignment,
-    const machine::RunOptions& options) {
-  // Home-first failover: walk the endpoints in index order (wrapping
-  // after the last) until one answers. Any of them produces the
-  // identical bits.
-  int index = next_alive(home_);
-  for (std::size_t attempt = 0;
-       index >= 0 && attempt < endpoints_.size(); ++attempt) {
-    const std::size_t self = static_cast<std::size_t>(index);
-    Endpoint& endpoint = *endpoints_[self];
-    endpoint.inflight.fetch_add(1, std::memory_order_acq_rel);
-    try {
-      RawResult result = wire_for(self)->run(assignment, options);
-      endpoint.inflight.fetch_sub(1, std::memory_order_acq_rel);
-      note_success(self);
-      return result;
-    } catch (const ServiceError& error) {
-      endpoint.inflight.fetch_sub(1, std::memory_order_acq_rel);
-      if (is_bounce_code(error.code())) {
-        // Backpressure/deadline: the endpoint is healthy, this
-        // request just needs to land somewhere with headroom.
-        index = next_alive(self + 1);
-        if (index == static_cast<int>(self)) break;  // nowhere else
-        continue;
-      }
-      if (!is_transport_code(error.code())) throw;
-      note_transport_failure(self);
-      index = next_alive(self + 1);
-    }
-  }
-  throw ServiceError("fleet", "every fleet endpoint is drained");
 }
 
 FleetFactory make_fleet_backend_factory(std::vector<std::string> addresses,

@@ -79,15 +79,19 @@ class FleetBackend final : public core::EvalBackend {
   /// about scheduling and degradation. Monotonic over the backend's
   /// lifetime.
   struct Stats {
-    std::size_t batches_dispatched = 0;  ///< run_many() calls
+    /// run() and run_many() calls: a run() is a batch of one.
+    std::size_t batches_dispatched = 0;
+    /// Threads a batch spawned beside its calling thread, which works
+    /// the home endpoint itself: 0 for a run() or a one-chunk batch.
+    std::size_t helper_threads = 0;
     std::size_t chunks_stolen = 0;       ///< chunk ran off its home queue
     std::size_t redispatches = 0;        ///< chunk re-queued after a death
     std::size_t probe_failures = 0;      ///< pings that found a dead daemon
     std::size_t endpoints_drained = 0;   ///< endpoints declared dead
     std::size_t breaker_opens = 0;       ///< open spells entered
     std::size_t breaker_recoveries = 0;  ///< half-open probes that healed
-    std::size_t fallback_runs = 0;       ///< single evals served locally
-    std::size_t fallback_batches = 0;    ///< whole batches served locally
+    /// Batches served locally; a local run() counts as a batch of one.
+    std::size_t fallback_batches = 0;
     std::size_t fallback_evals = 0;      ///< evals inside those batches
     std::size_t fallback_recoveries = 0;  ///< daemons served after a fallback
   };
@@ -108,6 +112,7 @@ class FleetBackend final : public core::EvalBackend {
   FleetBackend(const FleetBackend&) = delete;
   FleetBackend& operator=(const FleetBackend&) = delete;
 
+  /// run_many() of one request: the same ladder, and no extra thread.
   [[nodiscard]] RawResult run(const compiler::ModuleAssignment& assignment,
                               const machine::RunOptions& options) override;
   [[nodiscard]] std::vector<RawResult> run_many(
@@ -153,11 +158,9 @@ class FleetBackend final : public core::EvalBackend {
 
   FleetBackend() = default;
 
-  /// Rungs 1 and 2: the daemons. Throw ServiceError("fleet") when no
-  /// endpoint is left to serve the call.
-  [[nodiscard]] RawResult run_on_daemons(
-      const compiler::ModuleAssignment& assignment,
-      const machine::RunOptions& options);
+  /// Rungs 1 and 2: the daemons. The calling thread serves the home
+  /// endpoint; helper threads join only for a batch of several chunks.
+  /// Throws ServiceError("fleet") when no endpoint is left to serve it.
   [[nodiscard]] std::vector<RawResult> run_many_on_daemons(
       std::span<const core::EvalRequest> requests);
   /// Rung 3 bookkeeping: true when `error` may be absorbed locally.

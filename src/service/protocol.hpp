@@ -16,10 +16,11 @@
 //
 // Frame inventory (client -> server / server -> client):
 //   hello       -> welcome | error      session setup + negotiation
-//   eval        -> result | error       one raw evaluation
-//   eval_batch  -> result_batch | error coalesced batch
+//   eval_batch  -> result_batch | error one or more raw evaluations
 //   ping        -> pong                 liveness probe
 //   bye         -> (close)              orderly shutdown
+// A single evaluation is an eval_batch of one; there is no separate
+// single-request frame.
 //
 // An error frame carries a stable code, the offending seq (0 for
 // session-level errors), and retryable/fatal bits. After a fatal
@@ -45,8 +46,9 @@ namespace ft::service {
 /// The version leads the hello payload, so that refusal holds however
 /// the rest of a skewed peer's hello is laid out. Version 1 (JSON
 /// frames) is gone: its hellos start with '{' and are refused the
-/// same way.
-inline constexpr int kProtocolVersion = 2;
+/// same way. Version 2 also had single-request eval/result frames
+/// (tags 4 and 6); version 3 carries every evaluation in eval_batch.
+inline constexpr int kProtocolVersion = 3;
 
 /// Payload encodings a session can speak. binary is mandatory on every
 /// implementation (it carries the handshake); binary-crc32 is binary
@@ -151,13 +153,13 @@ struct ErrorFrame {
 
 // --- unified decode --------------------------------------------------------
 
+/// Tags 4 and 6 (protocol 2's eval/result) are retired, never reused,
+/// and decode as kUnknownType.
 enum class FrameKind : std::uint8_t {
   kHello = 1,
   kWelcome = 2,
   kError = 3,
-  kEval = 4,
   kEvalBatch = 5,
-  kResult = 6,
   kResultBatch = 7,
   kPing = 8,
   kPong = 9,
@@ -173,8 +175,8 @@ struct AnyFrame {
   HelloFrame hello;
   WelcomeFrame welcome;
   ErrorFrame error;
-  std::vector<core::EvalRequest> requests;    ///< eval / eval_batch
-  std::vector<core::EvalResponse> responses;  ///< result / result_batch
+  std::vector<core::EvalRequest> requests;    ///< eval_batch
+  std::vector<core::EvalResponse> responses;  ///< result_batch
   void reset();
 };
 
@@ -202,14 +204,9 @@ void encode_welcome_frame(Framing framing, const WelcomeFrame& welcome,
                           std::string* out);
 void encode_error_frame(Framing framing, const ErrorFrame& error,
                         std::string* out);
-void encode_eval_frame(Framing framing, std::uint64_t seq,
-                       const core::EvalRequest& request, std::string* out);
 void encode_eval_batch_frame(Framing framing, std::uint64_t seq,
                              std::span<const core::EvalRequest> requests,
                              std::string* out);
-void encode_result_frame(Framing framing, std::uint64_t seq,
-                         const core::EvalResponse& response,
-                         std::string* out);
 void encode_result_batch_frame(
     Framing framing, std::uint64_t seq,
     std::span<const core::EvalResponse> responses, std::string* out);

@@ -34,9 +34,7 @@ const char* frame_kind_name(FrameKind kind) {
     case FrameKind::kHello: return "hello";
     case FrameKind::kWelcome: return "welcome";
     case FrameKind::kError: return "error";
-    case FrameKind::kEval: return "eval";
     case FrameKind::kEvalBatch: return "eval_batch";
-    case FrameKind::kResult: return "result";
     case FrameKind::kResultBatch: return "result_batch";
     case FrameKind::kPing: return "ping";
     case FrameKind::kPong: return "pong";
@@ -841,7 +839,7 @@ void Server::run_job(Job job) {
     return;
   }
   if (status != DecodeStatus::kOk) {
-    // kUnknownType keeps the decoder's "unknown frame type 'x'" text.
+    // kUnknownType keeps the decoder's "unknown frame type N" text.
     post(error_completion(sid, framing,
                           ErrorFrame{"bad_request", error, frame.seq,
                                      false, false}));
@@ -863,13 +861,12 @@ void Server::run_job(Job job) {
       post(std::move(completion));
       return;
     }
-    case FrameKind::kEval:
     case FrameKind::kEvalBatch:
       break;
     default:
-      // A decodable frame only a server may send (welcome, result,
-      // pong, ...) or a second hello: a protocol violation, but a
-      // recoverable one.
+      // A decodable frame only a server may send (welcome,
+      // result_batch, pong, ...) or a second hello: a protocol
+      // violation, but a recoverable one.
       post(error_completion(
           sid, framing,
           ErrorFrame{"bad_request",
@@ -880,7 +877,6 @@ void Server::run_job(Job job) {
   }
 
   const std::uint64_t seq = frame.seq;
-  const bool batch = frame.kind == FrameKind::kEvalBatch;
   const std::vector<core::EvalRequest>& requests = frame.requests;
   if (draining_.load(std::memory_order_acquire)) {
     // Inflight work finishes; NEW evaluations are refused retryably so
@@ -913,9 +909,7 @@ void Server::run_job(Job job) {
     stats_.cancelled_jobs.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  if (chaos_ != nullptr && chaos_->should_refuse_overloaded() &&
-      (frame.kind == FrameKind::kEval ||
-       frame.kind == FrameKind::kEvalBatch)) {
+  if (chaos_ != nullptr && chaos_->should_refuse_overloaded()) {
     // Injected spurious backpressure: exercises client retry/backoff
     // paths without the daemon actually being saturated.
     stats_.overloads.fetch_add(1, std::memory_order_relaxed);
@@ -958,18 +952,10 @@ void Server::run_job(Job job) {
   try {
     const std::vector<core::EvalResponse> responses =
         serve_requests(*job.workspace, requests);
-    if (batch) {
-      encode_result_batch_frame(framing, seq, responses,
-                                &completion.reply);
-    } else {
-      encode_result_frame(framing, seq, responses.front(),
-                          &completion.reply);
-    }
+    encode_result_batch_frame(framing, seq, responses, &completion.reply);
     stats_.frames_served.fetch_add(1, std::memory_order_relaxed);
     stats_.evaluations.fetch_add(admitted, std::memory_order_relaxed);
-    if (batch) {
-      stats_.batch_frames.fetch_add(1, std::memory_order_relaxed);
-    }
+    stats_.batch_frames.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& reason) {
     completion = error_completion(sid, framing,
                                   ErrorFrame{"bad_request",
@@ -1046,14 +1032,10 @@ std::vector<core::EvalResponse> Server::serve_requests(
     Workspace& workspace,
     const std::vector<core::EvalRequest>& requests) {
   std::vector<core::EvalResponse> responses(requests.size());
-  if (requests.size() == 1) {
-    responses[0] = serve_one(workspace, requests[0]);
-    return responses;
-  }
   // One task-group submission for the whole frame: this is the
   // "batched worker shards" half of the coalescing bargain (the client
   // coalesced N evaluations into one frame; the server fans them back
-  // out across the shared pool).
+  // out across the shared pool). A frame of one runs inline.
   support::parallel_for(requests.size(), [&](std::size_t i) {
     responses[i] = serve_one(workspace, requests[i]);
   });

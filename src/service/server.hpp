@@ -120,7 +120,7 @@ class Server {
     std::size_t sessions_accepted = 0;
     std::size_t frames_served = 0;
     std::size_t evaluations = 0;
-    std::size_t batch_frames = 0;
+    std::size_t batch_frames = 0;  ///< eval_batch frames answered
     std::size_t cache_hits = 0;
     std::size_t errors_sent = 0;
     std::size_t overloads = 0;
@@ -284,7 +284,7 @@ class Server {
                               const ErrorFrame& error);
   Completion serve_hello(const Job& job);
 
-  /// Serves one eval/eval_batch frame worth of requests as a single
+  /// Serves one eval_batch frame worth of requests as a single
   /// parallel submission; results are in request order.
   [[nodiscard]] std::vector<core::EvalResponse> serve_requests(
       Workspace& workspace,

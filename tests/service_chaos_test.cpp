@@ -99,9 +99,10 @@ std::string cl_hello() {
   return out;
 }
 
+/// A single evaluation on the wire: an eval_batch of one.
 std::string eval_frame(std::uint64_t seq, const core::EvalRequest& request) {
   std::string out;
-  encode_eval_frame(Framing::kBinary, seq, request, &out);
+  encode_eval_batch_frame(Framing::kBinary, seq, {&request, 1}, &out);
   return out;
 }
 
@@ -236,8 +237,9 @@ TEST(BinaryCrc, FramesRoundTripAndCarryTheTrailer) {
   response.modules_compiled = 3;
 
   std::string plain, sealed;
-  encode_result_frame(Framing::kBinary, 42, response, &plain);
-  encode_result_frame(Framing::kBinaryCrc, 42, response, &sealed);
+  encode_result_batch_frame(Framing::kBinary, 42, {&response, 1}, &plain);
+  encode_result_batch_frame(Framing::kBinaryCrc, 42, {&response, 1},
+                            &sealed);
   ASSERT_EQ(sealed.size(), plain.size() + 4)
       << "binary-crc32 must be the binary encoding plus a 4-byte trailer";
   EXPECT_EQ(sealed.substr(0, plain.size()), plain);
@@ -247,7 +249,7 @@ TEST(BinaryCrc, FramesRoundTripAndCarryTheTrailer) {
   ASSERT_EQ(decode_frame(Framing::kBinaryCrc, sealed, &decoded, &error),
             DecodeStatus::kOk)
       << error;
-  ASSERT_EQ(decoded.kind, FrameKind::kResult);
+  ASSERT_EQ(decoded.kind, FrameKind::kResultBatch);
   ASSERT_EQ(decoded.responses.size(), 1u);
   EXPECT_EQ(decoded.seq, 42u);
   EXPECT_EQ(decoded.responses[0].outcome.result.end_to_end,
@@ -265,7 +267,7 @@ TEST(BinaryCrc, FramesRoundTripAndCarryTheTrailer) {
 TEST(BinaryCrc, EverySingleBitFlipIsDetected) {
   core::EvalRequest request = valid_request();
   std::string sealed;
-  encode_eval_frame(Framing::kBinaryCrc, 9, request, &sealed);
+  encode_eval_batch_frame(Framing::kBinaryCrc, 9, {&request, 1}, &sealed);
   AnyFrame decoded;
   std::string error;
   ASSERT_EQ(decode_frame(Framing::kBinaryCrc, sealed, &decoded, &error),
@@ -554,9 +556,7 @@ TEST(Fleet, ChaosResetsWithLocalFallbackStayBitIdentical) {
   // its evaluations ended up.
   const auto failed_over = [&] {
     const FleetBackend::Stats stats = backend->stats();
-    return stats.endpoints_drained + stats.fallback_batches +
-               stats.fallback_runs >
-           0;
+    return stats.endpoints_drained + stats.fallback_batches > 0;
   };
   for (int round = 0; round < 8 && !(round > 0 && failed_over());
        ++round) {
@@ -634,7 +634,7 @@ TEST(Fallback, ServesBitIdenticallyWhenTheWholeFleetIsDown) {
   EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
                                             tuner.program()));
   const FleetBackend::Stats stats = backend->stats();
-  EXPECT_GT(stats.fallback_batches + stats.fallback_runs, 0u);
+  EXPECT_GT(stats.fallback_batches, 0u);
   EXPECT_EQ(stats.fallback_recoveries, 0u);
 }
 
@@ -661,9 +661,7 @@ TEST(Fallback, NullPrimaryIsAlwaysLocalAndBitIdentical) {
   const core::TuningResult result = tuner.run("cfr");
   EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
                                             tuner.program()));
-  EXPECT_GT(backend->stats().fallback_batches +
-                backend->stats().fallback_runs,
-            0u);
+  EXPECT_GT(backend->stats().fallback_batches, 0u);
   EXPECT_EQ(server.stats().evaluations, 0u);
   server.stop();
 }
@@ -687,8 +685,8 @@ TEST(Fallback, StaysOutOfTheWayWhileThePrimaryIsHealthy) {
   EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
                                             tuner.program()));
   const FleetBackend::Stats stats = backend->stats();
-  EXPECT_EQ(stats.fallback_runs, 0u);
   EXPECT_EQ(stats.fallback_batches, 0u);
+  EXPECT_EQ(stats.fallback_evals, 0u);
   EXPECT_GT(server.stats().evaluations, 0u)
       << "the healthy daemon should have served everything";
   server.stop();
@@ -715,7 +713,7 @@ TEST(Fallback, RecoversToThePrimaryWhenItReturns) {
       backend->run(request.assignment, request.run_options());
   EXPECT_EQ(before.result.end_to_end, degraded.result.end_to_end)
       << "fallback served different bytes than the daemon";
-  EXPECT_GE(backend->stats().fallback_runs, 1u);
+  EXPECT_GE(backend->stats().fallback_batches, 1u);  // a batch of one
 
   server = std::make_unique<Server>(server_options);
   server->start();
@@ -728,6 +726,50 @@ TEST(Fallback, RecoversToThePrimaryWhenItReturns) {
       << "the daemon came back but fallback never yielded";
   EXPECT_GT(server->stats().evaluations, 0u);
   server->stop();
+}
+
+TEST(Fallback, OverloadedLoneDaemonDegradesASingleRunBitIdentically) {
+  // A lone daemon that refuses every frame with `overloaded`: a run()
+  // is a one-chunk batch, so its chunk is re-sent to the same endpoint
+  // (there is nowhere else) until the redispatch budget is spent, each
+  // send through the client's full overload backoff, and only then
+  // does the local rung answer it - with the same bits.
+  ServerOptions server_options = test_server_options();
+  server_options.chaos =
+      chaos::ChaosConfig::parse(19, only("overload=1"));
+  Server server(server_options);
+  server.start();
+  ClientOptions transport;
+  transport.overload_max_attempts = 2;  // keep the backoff short
+  transport.overload_base_sleep_ms = 1.0;
+  FleetOptions fleet_options;
+  fleet_options.fallback_local = true;
+  fleet_options.probe_interval_seconds = 0.0;
+  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
+      {server.address().display()}, cl_workspace({}, transport),
+      fleet_options);
+
+  const core::EvalRequest request = valid_request();
+  const core::EvalBackend::RawResult degraded =
+      backend->run(request.assignment, request.run_options());
+  core::FuncyTuner tuner(programs::by_name("CL"), machine::broadwell(),
+                         core::FuncyTunerOptions{});
+  const core::EvalBackend::RawResult local =
+      tuner.evaluator().raw_run(request.assignment, request.run_options());
+  EXPECT_EQ(local.result.end_to_end, degraded.result.end_to_end);
+  EXPECT_EQ(local.result.loop_seconds, degraded.result.loop_seconds);
+
+  const FleetBackend::Stats stats = backend->stats();
+  EXPECT_EQ(stats.redispatches, 8u);  // the whole redispatch budget
+  EXPECT_EQ(stats.fallback_batches, 1u);
+  EXPECT_EQ(stats.fallback_evals, 1u);
+  EXPECT_EQ(stats.helper_threads, 0u);
+  EXPECT_EQ(stats.endpoints_drained, 0u);  // a bounce is not a death
+  // Nine dispatches (the first and eight re-sends), each refused once
+  // per client attempt.
+  EXPECT_EQ(server.stats().overloads, 9u * 2u);
+  EXPECT_EQ(server.stats().evaluations, 0u);
+  server.stop();
 }
 
 TEST(Fallback, AdoptsADaemonThatWasDownAtConnect) {
@@ -753,9 +795,7 @@ TEST(Fallback, AdoptsADaemonThatWasDownAtConnect) {
     EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
                                               tuner.program()));
   }
-  EXPECT_GT(backend->stats().fallback_batches +
-                backend->stats().fallback_runs,
-            0u);
+  EXPECT_GT(backend->stats().fallback_batches, 0u);
 
   ServerOptions server_options;
   server_options.listen = address;
@@ -838,7 +878,7 @@ TEST(Drain, RefusesNewWorkFinishesInflightAndSaysBye) {
       break;
     }
     const AnyFrame frame = decode_ok(payload);
-    if (frame.kind == FrameKind::kResult) {
+    if (frame.kind == FrameKind::kResultBatch) {
       EXPECT_EQ(frame.seq, 5u);
       saw_result = true;
     } else if (frame.kind == FrameKind::kError) {
@@ -900,6 +940,9 @@ TEST(Drain, MidTuneFleetReroutesBitIdentically) {
 
   std::atomic<bool> drained{false};
   std::thread drainer([&] {
+    // The home is guaranteed a batch frame: a run's first frame (the
+    // one-request O3 baseline, one chunk) is sent by the calling
+    // thread, which always works the home endpoint first.
     const auto deadline = Clock::now() + std::chrono::seconds(30);
     while (fleet.servers[home_index]->stats().batch_frames == 0) {
       if (Clock::now() > deadline) return;

@@ -61,9 +61,17 @@ std::string welcome_frame(const WelcomeFrame& welcome) {
   return out;
 }
 
+/// A single evaluation on the wire: an eval_batch of one.
 std::string eval_frame(std::uint64_t seq, const core::EvalRequest& request) {
   std::string out;
-  encode_eval_frame(Framing::kBinary, seq, request, &out);
+  encode_eval_batch_frame(Framing::kBinary, seq, {&request, 1}, &out);
+  return out;
+}
+
+std::string result_frame(std::uint64_t seq,
+                         const core::EvalResponse& response) {
+  std::string out;
+  encode_result_batch_frame(Framing::kBinary, seq, {&response, 1}, &out);
   return out;
 }
 
@@ -174,7 +182,8 @@ TEST(Protocol, DecodersRejectMalformedFrames) {
                 std::string("\x05\0\0\0clang", 9));
   expect_malformed(clang, "hello with an unknown personality");
 
-  // An eval whose request stops inside its loop CVs.
+  // An eval whose request stops inside its loop CVs (header, batch
+  // count, loop count, then two bytes of the first CV's length).
   const std::string eval = eval_frame(1, make_request());
   expect_malformed(eval.substr(0, 9 + 4 + 4 + 2), "truncated loop CV");
   // A request whose aggregation byte names no aggregation.
@@ -183,15 +192,14 @@ TEST(Protocol, DecodersRejectMalformedFrames) {
   expect_malformed(bad_agg, "unknown aggregation");
 
   // A result flagged ok that carries no measurements.
-  std::string result;
-  encode_result_frame(Framing::kBinary, 1, make_ok_response(), &result);
-  expect_malformed(result.substr(0, 9 + 1 + 4 + 8 + 1),
+  std::string result = result_frame(1, make_ok_response());
+  expect_malformed(result.substr(0, 9 + 4 + 1 + 4 + 8 + 1),
                    "ok result without measurements");
   // A failed result naming a fault kind this build does not know.
   core::EvalResponse failed;
   failed.outcome.error.kind = core::EvalFault::kCompileFailure;
   failed.outcome.error.detail = "x";
-  encode_result_frame(Framing::kBinary, 1, failed, &result);
+  result = result_frame(1, failed);
   const std::string kind(core::to_string(failed.outcome.error.kind));
   const std::size_t at = result.find(kind);
   ASSERT_NE(at, std::string::npos);
@@ -391,6 +399,23 @@ TEST(Server, RejectsUnsupportedProtocolVersion) {
   server.stop();
 }
 
+TEST(Server, RefusesAProtocolTwoHello) {
+  // Protocol 2 still had single-request eval/result frames; a peer
+  // speaking it must be refused at the handshake, not mid-run.
+  Server server(test_server_options());
+  server.start();
+  Socket socket = Socket::connect(server.address());
+  HelloFrame hello;
+  hello.workspace.program = "CL";
+  hello.workspace.arch = "broadwell";
+  hello.caps.protocol = 2;
+  const AnyFrame reply = roundtrip(socket.fd(), hello_frame(hello));
+  ASSERT_EQ(reply.kind, FrameKind::kError);
+  EXPECT_EQ(reply.error.code, "unsupported_version");
+  EXPECT_TRUE(reply.error.fatal);
+  server.stop();
+}
+
 TEST(Server, JsonHelloFromAProtocolOnePeerGetsAFatalErrorAndAClose) {
   // What a peer from before the binary handshake sends: a JSON hello.
   // It must earn a structured refusal and a hangup, not a hang.
@@ -508,7 +533,7 @@ TEST(Server, ServesEvalAndBatchFrames) {
   server.start();
   Socket socket = greet(server);
   const AnyFrame single = roundtrip(socket.fd(), eval_frame(1, valid_request()));
-  ASSERT_EQ(single.kind, FrameKind::kResult);
+  ASSERT_EQ(single.kind, FrameKind::kResultBatch);
   ASSERT_EQ(single.responses.size(), 1u);
   EXPECT_TRUE(single.responses[0].ok());
   EXPECT_GT(single.responses[0].seconds(), 0.0);
@@ -525,7 +550,7 @@ TEST(Server, ServesEvalAndBatchFrames) {
             responses[1].outcome.result.end_to_end);
   const Server::Stats stats = server.stats();
   EXPECT_EQ(stats.evaluations, 5u);
-  EXPECT_EQ(stats.batch_frames, 1u);
+  EXPECT_EQ(stats.batch_frames, 2u);  // the single eval is a batch of one
   server.stop();
 }
 
@@ -727,7 +752,10 @@ TEST(Service, RemoteTuningIsBitIdenticalToLocal) {
   EXPECT_EQ(local_result.evaluations, remote_result.evaluations);
   const Server::Stats stats = server.stats();
   EXPECT_GT(stats.evaluations, 0u);
-  EXPECT_GT(stats.batch_frames, 0u);  // coalescing actually happened
+  EXPECT_GT(stats.batch_frames, 0u);
+  // Coalescing actually happened: some frame carried several requests
+  // (a lone evaluation is a frame of its own).
+  EXPECT_LT(stats.batch_frames, stats.evaluations);
   server.stop();
 }
 
@@ -766,9 +794,7 @@ TEST(Fallback, DrainingHelloDegradesToLocalBitIdentically) {
   const core::TuningResult result = tuner.run("cfr");
   EXPECT_EQ(tune_json("cfr", options, nullptr),
             core::tuning_result_json(result, tuner.space(), tuner.program()));
-  EXPECT_GT(backend->stats().fallback_batches +
-                backend->stats().fallback_runs,
-            0u);
+  EXPECT_GT(backend->stats().fallback_batches, 0u);
 }
 
 TEST(Service, RemoteTuningIsBitIdenticalUnderFaultInjection) {
@@ -864,8 +890,11 @@ TEST(Fleet, ThreeDaemonsAreBitIdenticalToOneAndToLocal) {
   EXPECT_EQ(local, single);
   EXPECT_EQ(local, sharded);
   EXPECT_GT(stats.batches_dispatched, 0u);
-  // With chunks queued on one home endpoint and three workers, the
-  // other endpoints must have pulled work over.
+  // Some batch spanned several chunks, so the other endpoints got
+  // worker threads beside the caller's...
+  EXPECT_GT(stats.helper_threads, 0u);
+  // ...and with every chunk queued on the home endpoint, they must
+  // have pulled work over.
   EXPECT_GT(stats.chunks_stolen, 0u);
   EXPECT_EQ(stats.endpoints_drained, 0u);
 }
@@ -916,11 +945,10 @@ TEST(Fleet, SurvivesDaemonDeathMidRunBitIdentically) {
 
   std::atomic<bool> killed{false};
   std::thread killer([&] {
-    // Wait until the home daemon is demonstrably serving BATCHES, then
-    // yank it. (Waiting merely for evaluations > 0 used to fire during
-    // the single-request baseline phase, whose failover path drains
-    // without re-dispatching a chunk - the epoll server is fast enough
-    // to make that race real.)
+    // Wait until the home daemon has served a frame, then yank it.
+    // Every evaluation, the one-request O3 baseline included, travels
+    // as a chunk of an eval_batch, so a death at any later point
+    // re-dispatches at least one chunk.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(30);
     while (fleet.servers[home_index]->stats().batch_frames == 0) {
@@ -942,6 +970,50 @@ TEST(Fleet, SurvivesDaemonDeathMidRunBitIdentically) {
   EXPECT_GT(fleet.servers[(home_index + 1) % 3]->stats().evaluations +
                 fleet.servers[(home_index + 2) % 3]->stats().evaluations,
             0u);
+}
+
+TEST(Fleet, SingleRunFailsOverFromAStoppedHomeBitIdentically) {
+  FleetServers fleet(3);
+  core::FuncyTunerOptions options;
+  FleetOptions fleet_options;
+  // No probe: the stopped home must be found by the run itself, so the
+  // failover goes through chunk re-dispatch.
+  fleet_options.probe_interval_seconds = 0.0;
+  std::shared_ptr<FleetBackend> backend = FleetBackend::connect(
+      fleet.addresses, workspace_hello("CL", "broadwell", options),
+      fleet_options);
+  std::size_t home_index = fleet.addresses.size();
+  for (std::size_t i = 0; i < fleet.addresses.size(); ++i) {
+    if (fleet.addresses[i] == backend->home_address()) home_index = i;
+  }
+  ASSERT_LT(home_index, fleet.addresses.size());
+
+  const core::EvalRequest request = valid_request();
+  const core::EvalBackend::RawResult healthy =
+      backend->run(request.assignment, request.run_options());
+  EXPECT_EQ(fleet.servers[home_index]->stats().evaluations, 1u);
+
+  fleet.servers[home_index]->stop();
+  const core::EvalBackend::RawResult survived =
+      backend->run(request.assignment, request.run_options());
+  EXPECT_EQ(healthy.result.end_to_end, survived.result.end_to_end);
+  EXPECT_EQ(healthy.result.loop_seconds, survived.result.loop_seconds);
+  EXPECT_EQ(fleet.total_evaluations(), 2u);
+
+  const FleetBackend::Stats stats = backend->stats();
+  EXPECT_GE(stats.redispatches, 1u);
+  EXPECT_GE(stats.endpoints_drained, 1u);
+  EXPECT_EQ(stats.fallback_batches, 0u);
+  EXPECT_EQ(stats.fallback_evals, 0u);
+  // A single evaluation is served by the calling thread alone, failover
+  // included.
+  EXPECT_EQ(stats.helper_threads, 0u);
+
+  // A batch of several chunks does share the work with helper threads.
+  std::vector<core::EvalRequest> batch(8, request);
+  for (std::size_t i = 0; i < batch.size(); ++i) batch[i].rep_base = i;
+  EXPECT_EQ(backend->run_many(batch).size(), batch.size());
+  EXPECT_GT(backend->stats().helper_threads, 0u);
 }
 
 TEST(Fleet, ConnectRequiresAtLeastOneServingEndpoint) {
@@ -1255,10 +1327,9 @@ TEST(Binary, ErrorRoundTrip) {
 
 TEST(Binary, EvalAndBatchRoundTrip) {
   const core::EvalRequest request = make_request();
-  std::string payload;
-  encode_eval_frame(Framing::kBinary, 17, request, &payload);
+  std::string payload = eval_frame(17, request);
   AnyFrame frame = decode_ok(payload);
-  ASSERT_EQ(frame.kind, FrameKind::kEval);
+  ASSERT_EQ(frame.kind, FrameKind::kEvalBatch);
   EXPECT_EQ(frame.seq, 17u);
   ASSERT_EQ(frame.requests.size(), 1u);
   expect_request_eq(frame.requests[0], request);
@@ -1280,10 +1351,8 @@ TEST(Binary, EvalAndBatchRoundTrip) {
 
 TEST(Binary, ResultRoundTripIsBitExact) {
   const core::EvalResponse response = make_ok_response();
-  std::string payload;
-  encode_result_frame(Framing::kBinary, 3, response, &payload);
-  const AnyFrame frame = decode_ok(payload);
-  ASSERT_EQ(frame.kind, FrameKind::kResult);
+  const AnyFrame frame = decode_ok(result_frame(3, response));
+  ASSERT_EQ(frame.kind, FrameKind::kResultBatch);
   EXPECT_EQ(frame.seq, 3u);
   ASSERT_EQ(frame.responses.size(), 1u);
   const core::EvalResponse& out = frame.responses[0];
@@ -1341,6 +1410,25 @@ TEST(Binary, PingPongByeRoundTrip) {
   encode_bye_frame(Framing::kBinary, &payload);
   frame = decode_ok(payload);
   EXPECT_EQ(frame.kind, FrameKind::kBye);
+}
+
+/// What a protocol-2 peer sent for one evaluation (tag 4) or one
+/// result (tag 6): the one-element batch frame without its count.
+std::string retired_frame(char tag, std::string batch_of_one) {
+  batch_of_one[0] = tag;
+  return batch_of_one.erase(9, 4);
+}
+
+TEST(Binary, RetiredEvalAndResultTagsDecodeAsUnknownType) {
+  for (const std::string& payload :
+       {retired_frame('\x04', eval_frame(1, make_request())),
+        retired_frame('\x06', result_frame(1, make_ok_response()))}) {
+    AnyFrame frame;
+    std::string error;
+    EXPECT_EQ(decode_frame(Framing::kBinary, payload, &frame, &error),
+              DecodeStatus::kUnknownType);
+    EXPECT_NE(error.find("unknown frame type"), std::string::npos) << error;
+  }
 }
 
 TEST(Binary, DecoderSurvivesGarbageTruncationsAndForgedCounts) {
@@ -1507,7 +1595,7 @@ TEST(Binary, LiveSessionServesEvalAndSurvivesGarbage) {
 
   // A real binary eval round-trip.
   AnyFrame frame = roundtrip(socket.fd(), eval_frame(21, valid_request()));
-  ASSERT_EQ(frame.kind, FrameKind::kResult);
+  ASSERT_EQ(frame.kind, FrameKind::kResultBatch);
   EXPECT_EQ(frame.seq, 21u);
   ASSERT_EQ(frame.responses.size(), 1u);
   EXPECT_TRUE(frame.responses[0].ok());
@@ -1542,6 +1630,29 @@ TEST(Binary, LiveSessionServesEvalAndSurvivesGarbage) {
   server.stop();
 }
 
+TEST(Server, RetiredTagsAreRefusedWithoutClosingTheSession) {
+  Server server(test_server_options());
+  server.start();
+  Socket socket = greet(server);
+  for (const std::string& payload :
+       {retired_frame('\x04', eval_frame(3, valid_request())),
+        retired_frame('\x06', result_frame(4, make_ok_response()))}) {
+    const AnyFrame reply = roundtrip(socket.fd(), payload);
+    ASSERT_EQ(reply.kind, FrameKind::kError);
+    EXPECT_EQ(reply.error.code, "bad_request");
+    EXPECT_NE(reply.error.detail.find("unknown frame type"),
+              std::string::npos)
+        << reply.error.detail;
+    EXPECT_FALSE(reply.error.fatal);
+  }
+  // The session survives and still evaluates.
+  const AnyFrame result = roundtrip(socket.fd(), eval_frame(5, valid_request()));
+  ASSERT_EQ(result.kind, FrameKind::kResultBatch);
+  EXPECT_EQ(result.seq, 5u);
+  EXPECT_EQ(server.stats().evaluations, 1u);
+  server.stop();
+}
+
 TEST(Service, BinaryRemoteTuningIsBitIdenticalToLocal) {
   Server server(test_server_options());
   server.start();
@@ -1566,7 +1677,9 @@ TEST(Service, BinaryRemoteTuningIsBitIdenticalToLocal) {
   // identical bits.
   EXPECT_EQ(local, core::tuning_result_json(result, tuner.space(),
                                             tuner.program()));
-  EXPECT_GT(server.stats().batch_frames, 0u);
+  const Server::Stats stats = server.stats();
+  EXPECT_GT(stats.batch_frames, 0u);
+  EXPECT_LT(stats.batch_frames, stats.evaluations);  // frames coalesced
   server.stop();
 }
 

@@ -344,7 +344,7 @@ int main(int argc, char** argv) {
                 << cell.program << "/" << cell.arch << ")\n";
     }
     const service::FleetBackend::Stats stats = backend->stats();
-    fallback_evals += stats.fallback_evals + stats.fallback_runs;
+    fallback_evals += stats.fallback_evals;
     fallback_batches += stats.fallback_batches;
     breaker_opens += stats.breaker_opens;
     breaker_recoveries += stats.breaker_recoveries;
