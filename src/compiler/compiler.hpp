@@ -1,11 +1,13 @@
-// Compiler façade: "icc"/"gcc" driver plus "xild"-style linking, with a
-// thread-safe object cache (the tuner compiles the same module with the
-// same CV thousands of times across search iterations).
+// Compiler façade: "icc"/"gcc" driver plus "xild"-style linking over one
+// immutable object table per compiler. The tuner compiles the same
+// module with the same CV thousands of times across search iterations
+// (CFR's collection phase builds the object pool; every search variant
+// then only links it), so an object is compiled once, kept for the
+// compiler's lifetime and linked by reference (DESIGN.md §16).
 #pragma once
 
+#include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "compiler/linker.hpp"
@@ -31,6 +33,7 @@ class Compiler {
   /// architecture; both must outlive it.
   Compiler(const flags::FlagSpace& space, machine::Architecture arch,
            Personality personality = Personality::kIcc);
+  ~Compiler();
 
   [[nodiscard]] const machine::Architecture& arch() const noexcept {
     return arch_;
@@ -42,7 +45,8 @@ class Compiler {
     return *space_;
   }
 
-  /// Compiles one module (cached by module name + CV + PGO validity).
+  /// Compiles one module through the object table (keyed by the
+  /// module's name, kind and features, the full CV and PGO validity).
   [[nodiscard]] CompiledModule compile(const ir::LoopModule& module,
                                        const flags::CompilationVector& cv,
                                        const PgoProfile* pgo = nullptr);
@@ -72,31 +76,25 @@ class Compiler {
     return link_options_;
   }
 
-  /// Number of pipeline executions that were served from the cache.
-  [[nodiscard]] std::size_t cache_hits() const noexcept {
-    return cache_hits_;
-  }
-  [[nodiscard]] std::size_t cache_misses() const noexcept {
-    return cache_misses_;
-  }
+  /// Module lookups (compile() calls and each build's own modules)
+  /// served from the object table / that put an object in it. IPO
+  /// re-optimization reads in link are neither.
+  [[nodiscard]] std::size_t cache_hits() const noexcept;
+  [[nodiscard]] std::size_t cache_misses() const noexcept;
+
+  /// Empties the object table. Builds read objects by reference after
+  /// releasing the table's lock, so this must not run concurrently with
+  /// compile() or build().
   void clear_cache();
 
  private:
-  /// compile() that also reports whether this call put the object in
-  /// the cache (a miss).
-  [[nodiscard]] CompiledModule compile(const ir::LoopModule& module,
-                                       const flags::CompilationVector& cv,
-                                       const PgoProfile* pgo, bool& compiled);
+  class ObjectTable;
 
   const flags::FlagSpace* space_;
   machine::Architecture arch_;
   Personality personality_;
   LinkOptions link_options_;
-
-  mutable std::mutex cache_mutex_;
-  std::unordered_map<std::uint64_t, CompiledModule> cache_;
-  std::size_t cache_hits_ = 0;
-  std::size_t cache_misses_ = 0;
+  std::unique_ptr<ObjectTable> table_;
 };
 
 }  // namespace ft::compiler

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "compiler/pipeline.hpp"
@@ -61,7 +62,34 @@ struct LinkOptions {
   }
 };
 
+/// One module's object as link() reads it: borrowed references into
+/// the compiler's object table (or into a caller's CompiledModule),
+/// never copies. The module's name comes from the Program.
+struct ObjectView {
+  const flags::CompilationVector* cv = nullptr;
+  const flags::SemanticSettings* settings = nullptr;
+  const LoopCodeGen* codegen = nullptr;
+  /// Loops only: the same loop compiled under the driver's (non-loop)
+  /// CV, when the caller holds that object. IPO re-optimization of a
+  /// loop whose CV differs from the driver's reads it instead of
+  /// re-running the pipeline; null means link() runs it.
+  const LoopCodeGen* under_driver_cv = nullptr;
+};
+
 /// Links loop objects (program loop order) plus the non-loop object.
+/// Every object must have been compiled with `pgo`: a loop whose CV
+/// equals the driver's is re-optimized by reusing its own codegen,
+/// which is then exactly what re-running the pipeline would produce.
+[[nodiscard]] Executable link(const ir::Program& program,
+                              std::span<const ObjectView> loop_objects,
+                              const ObjectView& nonloop_object,
+                              const machine::Architecture& arch,
+                              Personality personality,
+                              const PgoProfile* pgo = nullptr,
+                              const LinkOptions& options = {});
+
+/// link() over owned objects, e.g. from compile_module(): the uncached
+/// reference path the object table is tested against.
 [[nodiscard]] Executable link(const ir::Program& program,
                               const std::vector<CompiledModule>& loop_objects,
                               const CompiledModule& nonloop_object,

@@ -81,16 +81,23 @@ CompiledModule compile_module(const ir::LoopModule& module,
                               const machine::Architecture& arch,
                               Personality personality,
                               const PgoProfile* pgo) {
-  const ir::LoopFeatures& f = module.features;
-  const bool dynamic_info = pgo != nullptr && pgo->valid;
-
   CompiledModule object;
   object.module_name = module.name;
   object.cv = cv;
   object.settings = settings;
+  object.codegen = generate_code(module, settings, arch, personality, pgo);
   object.is_loop = module.is_loop;
+  return object;
+}
 
-  LoopCodeGen& g = object.codegen;
+LoopCodeGen generate_code(const ir::LoopModule& module,
+                          const flags::SemanticSettings& settings,
+                          const machine::Architecture& arch,
+                          Personality personality, const PgoProfile* pgo) {
+  const ir::LoopFeatures& f = module.features;
+  const bool dynamic_info = pgo != nullptr && pgo->valid;
+
+  LoopCodeGen g;
   g.opt_level = settings.get(SemanticFlag::kOptLevel);
 
   // ---- optimization level -------------------------------------------------
@@ -331,7 +338,7 @@ CompiledModule compile_module(const ir::LoopModule& module,
   g.code_size =
       f.body_size * unroll_growth * vec_growth * mv_growth * g.inline_growth;
 
-  return object;
+  return g;
 }
 
 }  // namespace ft::compiler

@@ -51,6 +51,16 @@ struct CompiledModule {
     const machine::Architecture& arch, Personality personality,
     const PgoProfile* pgo = nullptr);
 
+/// The pipeline's decisions alone: compile_module()'s codegen, without
+/// copying the module name, CV and settings into an object. It depends
+/// only on the module's features and kind, the settings, the
+/// architecture, the personality and PGO validity.
+[[nodiscard]] LoopCodeGen generate_code(const ir::LoopModule& module,
+                                        const flags::SemanticSettings& settings,
+                                        const machine::Architecture& arch,
+                                        Personality personality,
+                                        const PgoProfile* pgo = nullptr);
+
 /// Register-spill severity for a (features, unroll, width) combination
 /// under a register-allocation strategy; used by the pipeline and by
 /// the linker when IPO re-transforms already-transformed code.

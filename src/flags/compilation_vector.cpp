@@ -2,15 +2,16 @@
 
 namespace ft::flags {
 
-std::uint64_t CompilationVector::hash() const noexcept {
+std::uint64_t CompilationVector::content_hash(
+    const std::vector<std::uint8_t>& choices) noexcept {
   // FNV-1a over option bytes plus the length, so prefixes don't collide.
   std::uint64_t h = 0xcbf29ce484222325ULL;
   auto mix = [&h](std::uint8_t byte) {
     h ^= byte;
     h *= 0x100000001b3ULL;
   };
-  for (const std::uint8_t c : choices_) mix(c);
-  mix(static_cast<std::uint8_t>(choices_.size()));
+  for (const std::uint8_t c : choices) mix(c);
+  mix(static_cast<std::uint8_t>(choices.size()));
   return h;
 }
 

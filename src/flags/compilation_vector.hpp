@@ -15,11 +15,15 @@ class FlagSpace;
 /// Option indices, one per flag, parallel to FlagSpace::specs().
 /// Index 0 is always the flag's default option, so the all-zero CV is
 /// the plain `-O3` baseline of its space.
+///
+/// The content hash is computed when the choices change (construction
+/// and set()), never on read: one build reads it ~40 times (object
+/// table, fingerprint, evaluation keys), and a copy carries it along.
 class CompilationVector {
  public:
-  CompilationVector() = default;
+  CompilationVector() : hash_(content_hash({})) {}
   explicit CompilationVector(std::vector<std::uint8_t> choices)
-      : choices_(std::move(choices)) {}
+      : choices_(std::move(choices)), hash_(content_hash(choices_)) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return choices_.size(); }
   [[nodiscard]] bool empty() const noexcept { return choices_.empty(); }
@@ -29,6 +33,7 @@ class CompilationVector {
   }
   void set(std::size_t i, std::uint8_t option) noexcept {
     choices_[i] = option;
+    hash_ = content_hash(choices_);
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& choices() const noexcept {
@@ -37,7 +42,7 @@ class CompilationVector {
 
   /// Stable 64-bit content hash (used for compile caching and for
   /// keying deterministic measurement noise).
-  [[nodiscard]] std::uint64_t hash() const noexcept;
+  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
 
   /// Number of flags where the two vectors differ (Hamming distance).
   [[nodiscard]] std::size_t distance(const CompilationVector& other)
@@ -45,7 +50,7 @@ class CompilationVector {
 
   friend bool operator==(const CompilationVector& a,
                          const CompilationVector& b) noexcept {
-    return a.choices_ == b.choices_;
+    return a.hash_ == b.hash_ && a.choices_ == b.choices_;
   }
   friend bool operator!=(const CompilationVector& a,
                          const CompilationVector& b) noexcept {
@@ -53,7 +58,11 @@ class CompilationVector {
   }
 
  private:
+  [[nodiscard]] static std::uint64_t content_hash(
+      const std::vector<std::uint8_t>& choices) noexcept;
+
   std::vector<std::uint8_t> choices_;
+  std::uint64_t hash_;
 };
 
 }  // namespace ft::flags

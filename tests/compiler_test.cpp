@@ -1,12 +1,22 @@
 // Tests for the compiler simulator's pass pipeline: vectorizer
 // legality/heuristics, unroller, spills, streaming stores, PGO-informed
-// decisions, personalities, and the compile cache.
+// decisions, personalities, and the object table (checked against an
+// uncached compile_module + link oracle, serially and concurrently).
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <set>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "compiler/compiler.hpp"
 #include "compiler/pipeline.hpp"
 #include "flags/spaces.hpp"
 #include "machine/architecture.hpp"
+#include "programs/benchmarks.hpp"
 #include "support/rng.hpp"
 
 namespace ft::compiler {
@@ -360,6 +370,251 @@ TEST(Compiler, BuildRejectsWrongAssignmentSize) {
   EXPECT_THROW((void)compiler.build(program, assignment),
                std::invalid_argument);
 }
+
+TEST(Compiler, ClearCacheEmptiesTheTable) {
+  const flags::FlagSpace space = flags::icc_space();
+  Compiler compiler(space, machine::broadwell());
+  const ir::Program program = programs::cloverleaf();
+  const Executable before = compiler.build_baseline(program);
+  compiler.clear_cache();
+  std::size_t compiled = 0;
+  const Executable after =
+      compiler.build(program,
+                     ModuleAssignment::uniform(space.default_cv(),
+                                               program.loops().size()),
+                     nullptr, &compiled);
+  EXPECT_EQ(compiled, program.loops().size() + 1);
+  EXPECT_EQ(after.fingerprint, before.fingerprint);
+}
+
+// ------------------------------------------------- object table vs oracle ----
+
+void expect_same_codegen(const LoopCodeGen& a, const LoopCodeGen& b,
+                         const std::string& where) {
+  EXPECT_EQ(a.vector_width, b.vector_width) << where;
+  EXPECT_EQ(a.unroll, b.unroll) << where;
+  EXPECT_EQ(a.aggressive_isel, b.aggressive_isel) << where;
+  EXPECT_EQ(a.sched_reordered, b.sched_reordered) << where;
+  EXPECT_EQ(a.spill_severity, b.spill_severity) << where;
+  EXPECT_EQ(a.streaming_stores, b.streaming_stores) << where;
+  EXPECT_EQ(a.prefetch, b.prefetch) << where;
+  EXPECT_EQ(a.tile, b.tile) << where;
+  EXPECT_EQ(a.fma, b.fma) << where;
+  EXPECT_EQ(a.sw_pipelined, b.sw_pipelined) << where;
+  EXPECT_EQ(a.multi_versioned, b.multi_versioned) << where;
+  EXPECT_EQ(a.opt_level, b.opt_level) << where;
+  EXPECT_EQ(a.compute_mult, b.compute_mult) << where;
+  EXPECT_EQ(a.mem_mult, b.mem_mult) << where;
+  EXPECT_EQ(a.overhead_mult, b.overhead_mult) << where;
+  EXPECT_EQ(a.code_size, b.code_size) << where;
+  EXPECT_EQ(a.inline_growth, b.inline_growth) << where;
+}
+
+void expect_same_linked(const LinkedLoop& a, const LinkedLoop& b,
+                        const std::string& where) {
+  EXPECT_EQ(a.name, b.name) << where;
+  expect_same_codegen(a.codegen, b.codegen, where + " " + a.name);
+  EXPECT_EQ(a.settings.values, b.settings.values) << where << " " << a.name;
+  EXPECT_EQ(a.interference_mult, b.interference_mult) << where << " " << a.name;
+  EXPECT_EQ(a.ipo_reoptimized, b.ipo_reoptimized) << where << " " << a.name;
+}
+
+void expect_same_executable(const Executable& a, const Executable& b,
+                            const std::string& where) {
+  ASSERT_EQ(a.loops.size(), b.loops.size()) << where;
+  for (std::size_t j = 0; j < a.loops.size(); ++j) {
+    expect_same_linked(a.loops[j], b.loops[j], where);
+  }
+  expect_same_linked(a.nonloop, b.nonloop, where);
+  EXPECT_EQ(a.global_mult, b.global_mult) << where;
+  EXPECT_EQ(a.uniform, b.uniform) << where;
+  EXPECT_EQ(a.fingerprint, b.fingerprint) << where;
+}
+
+/// The uncached reference: every module through compile_module with a
+/// fresh decode, then link over the owned objects (which re-runs the
+/// pipeline for every IPO re-optimization).
+Executable oracle_build(const flags::FlagSpace& space,
+                        const ir::Program& program,
+                        const ModuleAssignment& assignment,
+                        const machine::Architecture& arch,
+                        Personality personality, const PgoProfile* pgo) {
+  std::vector<CompiledModule> loops;
+  for (std::size_t j = 0; j < program.loops().size(); ++j) {
+    const flags::CompilationVector& cv = assignment.loop_cvs[j];
+    loops.push_back(compile_module(program.loops()[j], cv, space.decode(cv),
+                                   arch, personality, pgo));
+  }
+  const CompiledModule nonloop =
+      compile_module(program.nonloop(), assignment.nonloop_cv,
+                     space.decode(assignment.nonloop_cv), arch, personality,
+                     pgo);
+  return link(program, loops, nonloop, arch, personality, pgo);
+}
+
+/// One build request of the property tests: which program, and a
+/// uniform or mixed assignment drawn from a small CV pool, so CVs and
+/// whole objects repeat across builds and (loop, driver CV) objects are
+/// sometimes in the table and sometimes not.
+struct BuildCase {
+  std::size_t program = 0;
+  ModuleAssignment assignment;
+};
+
+std::vector<BuildCase> build_cases(const flags::FlagSpace& space,
+                                   const std::vector<ir::Program>& programs,
+                                   std::uint64_t seed, std::size_t count) {
+  support::Rng rng(seed);
+  std::vector<flags::CompilationVector> pool;
+  for (int i = 0; i < 6; ++i) pool.push_back(space.sample(rng));
+  const auto pick = [&]() -> const flags::CompilationVector& {
+    return pool[rng.next_below(pool.size())];
+  };
+  std::vector<BuildCase> cases;
+  for (std::size_t i = 0; i < count; ++i) {
+    BuildCase c;
+    c.program = rng.next_below(programs.size());
+    const std::size_t loops = programs[c.program].loops().size();
+    if (rng.next_below(3) == 0) {
+      c.assignment = ModuleAssignment::uniform(pick(), loops);
+    } else {
+      for (std::size_t j = 0; j < loops; ++j) {
+        c.assignment.loop_cvs.push_back(pick());
+      }
+      c.assignment.nonloop_cv = pick();
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+/// Distinct (program module, CV) pairs the cases compile.
+std::size_t distinct_objects(const std::vector<ir::Program>& programs,
+                             const std::vector<BuildCase>& cases) {
+  std::set<std::tuple<std::size_t, std::size_t, std::vector<std::uint8_t>>>
+      objects;
+  for (const BuildCase& c : cases) {
+    const std::size_t loops = programs[c.program].loops().size();
+    for (std::size_t j = 0; j < loops; ++j) {
+      objects.emplace(c.program, j, c.assignment.loop_cvs[j].choices());
+    }
+    objects.emplace(c.program, loops, c.assignment.nonloop_cv.choices());
+  }
+  return objects.size();
+}
+
+struct OracleParam {
+  Personality personality;
+  bool pgo;
+  friend void PrintTo(const OracleParam& param, std::ostream* os) {
+    *os << personality_name(param.personality)
+        << (param.pgo ? " with PGO" : " without PGO");
+  }
+};
+
+class ObjectTableOracle : public ::testing::TestWithParam<OracleParam> {
+ protected:
+  ObjectTableOracle()
+      : space_(GetParam().personality == Personality::kIcc
+                   ? flags::icc_space()
+                   : flags::gcc_space()),
+        // Two programs on one compiler: every program names its
+        // non-loop module "nonloop", so the table must key modules by
+        // more than their name.
+        programs_{programs::cloverleaf(), programs::lulesh()} {
+    profile_.valid = true;
+  }
+
+  const PgoProfile* pgo() const { return GetParam().pgo ? &profile_ : nullptr; }
+
+  flags::FlagSpace space_;
+  std::vector<ir::Program> programs_;
+  machine::Architecture arch_ = machine::broadwell();
+  PgoProfile profile_;
+};
+
+TEST_P(ObjectTableOracle, BuildEqualsUncachedCompileAndLink) {
+  Compiler compiler(space_, arch_, GetParam().personality);
+  const std::vector<BuildCase> cases = build_cases(space_, programs_, 17, 120);
+  std::size_t reoptimized = 0;
+  std::size_t compiled_total = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const ir::Program& program = programs_[cases[i].program];
+    std::size_t compiled = 0;
+    const Executable exe =
+        compiler.build(program, cases[i].assignment, pgo(), &compiled);
+    compiled_total += compiled;
+    expect_same_executable(
+        exe,
+        oracle_build(space_, program, cases[i].assignment, arch_,
+                     GetParam().personality, pgo()),
+        "build " + std::to_string(i) + " of " + program.name());
+    for (const LinkedLoop& loop : exe.loops) {
+      reoptimized += loop.ipo_reoptimized ? 1 : 0;
+    }
+  }
+  // The IPO re-optimization path was exercised, and every distinct
+  // object was compiled exactly once.
+  EXPECT_GT(reoptimized, 0u);
+  EXPECT_EQ(compiler.cache_misses(), distinct_objects(programs_, cases));
+  EXPECT_EQ(compiled_total, compiler.cache_misses());
+  std::size_t modules = 0;
+  for (const BuildCase& c : cases) {
+    modules += programs_[c.program].loops().size() + 1;
+  }
+  EXPECT_EQ(compiler.cache_hits() + compiler.cache_misses(), modules);
+}
+
+TEST_P(ObjectTableOracle, ConcurrentBuildsAreBitIdenticalToSerial) {
+  const std::vector<BuildCase> cases = build_cases(space_, programs_, 29, 160);
+  Compiler serial_compiler(space_, arch_, GetParam().personality);
+  std::vector<Executable> serial;
+  for (const BuildCase& c : cases) {
+    serial.push_back(
+        serial_compiler.build(programs_[c.program], c.assignment, pgo()));
+  }
+
+  // Four threads over overlapping halves of the cases, two forward and
+  // two backward, racing on shared objects.
+  Compiler compiler(space_, arch_, GetParam().personality);
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::vector<std::pair<std::size_t, Executable>>> built(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::size_t n = cases.size();
+      for (std::size_t step = 0; step < n / 2; ++step) {
+        const std::size_t i =
+            t % 2 == 0 ? (t * n / 4 + step) % n : (n + t * n / 4 - step) % n;
+        built[t].emplace_back(
+            i, compiler.build(programs_[cases[i].program],
+                              cases[i].assignment, pgo()));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  // Threads 0 and 2 between them build every case.
+  for (const auto& results : built) {
+    for (const auto& [i, exe] : results) {
+      expect_same_executable(exe, serial[i], "case " + std::to_string(i));
+    }
+  }
+  const std::size_t distinct = distinct_objects(programs_, cases);
+  EXPECT_EQ(serial_compiler.cache_misses(), distinct);
+  EXPECT_EQ(compiler.cache_misses(), distinct);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PersonalitiesAndPgo, ObjectTableOracle,
+    ::testing::Values(OracleParam{Personality::kIcc, false},
+                      OracleParam{Personality::kIcc, true},
+                      OracleParam{Personality::kGcc, false},
+                      OracleParam{Personality::kGcc, true}),
+    [](const ::testing::TestParamInfo<OracleParam>& info) {
+      return std::string(personality_name(info.param.personality)) +
+             (info.param.pgo ? "_Pgo" : "_NoPgo");
+    });
 
 }  // namespace
 }  // namespace ft::compiler
