@@ -41,11 +41,7 @@ struct BenchConfig {
     support::OptionSet set;
     set.integer("samples", 1000,
                 "pre-sampled CV count / search iterations",
-                [](const std::string& raw) {
-                  return raw.empty() || raw[0] == '-'
-                             ? "must be positive"
-                             : "";
-                })
+                support::at_least(1))
         .integer("seed", 42, "top-level seed")
         .flag("csv", false, "additionally emit CSV rows for plotting")
         .flag("pool-stats", false, "append thread-pool counters")

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <numeric>
 
 #include "core/checkpoint.hpp"
 #include "core/eval_cache.hpp"
@@ -206,32 +205,13 @@ bool Evaluator::pre_evaluate(const EvalRequest& request, EvalResponse* out,
                              PendingRun* pending) {
   pending->options = request.run_options();
   const machine::RunOptions& options = pending->options;
-  const bool resilient = engine_->fault_model().enabled() ||
-                         journal_ != nullptr || cache_ != nullptr ||
-                         retry_policy_.eval_timeout_seconds > 0.0 ||
-                         has_quarantine_.load(std::memory_order_acquire);
-  if (!resilient) {
-    // Fast path: bit-identical to the pre-resilience pipeline.
-    pending->fast = true;
-    pending->needs_run = true;
-    return false;
-  }
-
-  // Quarantine promotion is deferred to deterministic points: between
-  // batches (evaluate_batch promotes before dispatching) and, for
-  // sequential callers, before every evaluation.
-  if (batch_depth_.load(std::memory_order_relaxed) == 0) {
-    promote_quarantines();
-  }
-
-  if (!pending->keyed) pending->key = assignment_key(request.assignment);
   // Quarantined assignments bypass the cache: a cache-off run would
   // quarantine-skip them (charging nothing), and replaying the cached
   // pre-quarantine outcome instead would break the charged + saved ==
   // cache-off invariant. plan_attempts produces the identical skip.
-  // The key (and its fingerprint hash) is built only when a cache
-  // tier exists: with both tiers off the resilient path must spend
-  // nothing on cache bookkeeping and emit no cache.* telemetry.
+  // The cache key is built only when a cache tier exists: with both
+  // tiers off an evaluation spends nothing on cache bookkeeping and
+  // emits no cache.* telemetry.
   if (cache_ && !is_quarantined(request.assignment)) {
     const EvalCache::Key cache_key{pending->key, options.rep_base,
                                    cache_salt_, options.repetitions,
@@ -272,7 +252,7 @@ bool Evaluator::pre_evaluate(const EvalRequest& request, EvalResponse* out,
   if (pending->needs_run) return false;
 
   // Served without a real run (quarantine skip / injected permanent
-  // failure): record it exactly as the monolithic path did.
+  // failure): journal it like a measured one.
   out->outcome = pending->outcome;
   out->served_by = EvalServedBy::kRun;
   store(*pending, out->outcome);
@@ -395,11 +375,6 @@ void Evaluator::post_evaluate(PendingRun* pending,
   account(raw.modules_compiled, raw.result.end_to_end, options.repetitions);
   out->modules_compiled = raw.modules_compiled;
   out->served_by = EvalServedBy::kRun;
-  if (pending->fast) {
-    out->outcome.result = raw.result;
-    return;
-  }
-
   out->outcome.result = raw.result;
   out->outcome.attempts = pending->prior_attempts + 1;
   // A re-run charges no compile time (objects pooled) but still pays
@@ -421,16 +396,6 @@ void Evaluator::post_evaluate(PendingRun* pending,
   store(*pending, out->outcome);
 }
 
-EvalResponse Evaluator::evaluate_one(const EvalRequest& request,
-                                     PendingRun* pending) {
-  EvalResponse response;
-  if (pre_evaluate(request, &response, pending)) return response;
-  const EvalBackend::RawResult raw =
-      raw_run(request.assignment, pending->options);
-  post_evaluate(pending, raw, &response);
-  return response;
-}
-
 EvalResponse Evaluator::evaluate(const EvalRequest& request,
                                  const EvalTrace& trace) {
   telemetry::Span span;
@@ -441,8 +406,9 @@ EvalResponse Evaluator::evaluate(const EvalRequest& request,
     span.attr("rep_base", request.rep_base)
         .attr("instrumented", std::int64_t{request.instrumented});
   }
+  EvalResponse response;
   PendingRun pending;
-  const EvalResponse response = evaluate_one(request, &pending);
+  settle({&request, 1}, {&pending, 1}, {&response, 1});
   if (span) {
     span.attr("seconds", response.seconds());
     if (!response.ok()) {
@@ -453,7 +419,7 @@ EvalResponse Evaluator::evaluate(const EvalRequest& request,
 }
 
 std::vector<EvalResponse> Evaluator::evaluate_batch(
-    const std::vector<EvalRequest>& requests, const EvalTrace& trace) {
+    std::span<const EvalRequest> requests, const EvalTrace& trace) {
   // One batch-level span from the calling thread: per-evaluation spans
   // inside the pool would interleave non-deterministically.
   telemetry::Span span;
@@ -471,53 +437,52 @@ std::vector<EvalResponse> Evaluator::evaluate_batch(
   }
   std::vector<EvalResponse> responses(requests.size());
   std::vector<PendingRun> pendings(requests.size());
-  std::vector<std::size_t> firsts;
-  std::vector<std::size_t> duplicates;
-  if (cache_) {
-    // A duplicate is a hit only if it starts after its first copy was
-    // inserted, so duplicates wait for a second pass. (A fingerprint
-    // collision only defers a request; results never depend on it.)
-    std::unordered_set<std::uint64_t> seen;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const EvalRequest& request = requests[i];
-      PendingRun& pending = pendings[i];
-      pending.key = assignment_key(request.assignment);
-      pending.keyed = true;
-      const EvalCache::Key key{pending.key, request.rep_base, cache_salt_,
-                               request.repetitions, request.instrumented};
-      (seen.insert(key.fingerprint()).second ? firsts : duplicates)
-          .push_back(i);
-    }
-  } else {
-    firsts.resize(requests.size());
-    std::iota(firsts.begin(), firsts.end(), std::size_t{0});
-  }
-  // Quarantines queued by earlier phases take effect at this
-  // deterministic boundary; none are applied mid-batch (pre_evaluate
-  // skips promotion while batch_depth_ > 0), so whether an evaluation
-  // is skipped never depends on worker scheduling.
-  promote_quarantines();
-  batch_depth_.fetch_add(1, std::memory_order_relaxed);
-  dispatch(requests, firsts, &pendings, &responses);
-  dispatch(requests, duplicates, &pendings, &responses);
-  if (batch_depth_.fetch_sub(1, std::memory_order_relaxed) == 1) {
-    promote_quarantines();
-  }
+  settle(requests, pendings, responses);
   return responses;
 }
 
-void Evaluator::dispatch(const std::vector<EvalRequest>& requests,
-                         std::span<const std::size_t> indices,
-                         std::vector<PendingRun>* pendings,
-                         std::vector<EvalResponse>* responses) {
+void Evaluator::settle(std::span<const EvalRequest> requests,
+                       std::span<PendingRun> pendings,
+                       std::span<EvalResponse> responses) {
+  // With a cache, a duplicate is a hit only if it starts after its
+  // first copy was inserted, so duplicates wait for a second pass. (A
+  // fingerprint collision only defers a request.)
+  bool any_duplicate = false;
+  std::unordered_set<std::uint64_t> seen;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const EvalRequest& request = requests[i];
+    PendingRun& pending = pendings[i];
+    pending.key = assignment_key(request.assignment);
+    if (!cache_) continue;
+    pending.duplicate =
+        !seen.insert(EvalCache::Key{pending.key, request.rep_base,
+                                    cache_salt_, request.repetitions,
+                                    request.instrumented}
+                         .fingerprint())
+             .second;
+    any_duplicate |= pending.duplicate;
+  }
+  // Queued quarantines take effect at batch boundaries, never
+  // mid-batch, so no skip depends on worker scheduling.
+  promote_quarantines();
+  dispatch(requests, pendings, responses, /*duplicates=*/false);
+  if (any_duplicate) dispatch(requests, pendings, responses, true);
+  promote_quarantines();
+}
+
+void Evaluator::dispatch(std::span<const EvalRequest> requests,
+                         std::span<PendingRun> pendings,
+                         std::span<EvalResponse> responses,
+                         bool duplicates) {
   if (backend_ && backend_->batches_remotely()) {
     // Coalesced path: the sequential pre-pass resolves replays and
     // injected faults locally, then every evaluation that still needs
     // a real measurement rides a single run_many() wire call.
     std::vector<std::size_t> to_run;
     std::vector<EvalRequest> raw_requests;
-    for (const std::size_t i : indices) {
-      if (!pre_evaluate(requests[i], &(*responses)[i], &(*pendings)[i])) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      if (pendings[i].duplicate != duplicates) continue;
+      if (!pre_evaluate(requests[i], &responses[i], &pendings[i])) {
         to_run.push_back(i);
         raw_requests.push_back(requests[i]);
       }
@@ -527,17 +492,20 @@ void Evaluator::dispatch(const std::vector<EvalRequest>& requests,
         backend_->run_many(raw_requests);
     for (std::size_t j = 0; j < to_run.size(); ++j) {
       const std::size_t i = to_run[j];
-      post_evaluate(&(*pendings)[i], raws[j], &(*responses)[i]);
+      post_evaluate(&pendings[i], raws[j], &responses[i]);
     }
     return;
   }
-  support::parallel_for(indices.size(), [&](std::size_t k) {
+  support::parallel_for(requests.size(), [&](std::size_t i) {
     // Every variant usually shares the batch's rep_base: noise keys
     // mix in the executable fingerprint, so distinct variants stay
     // decorrelated while duplicate assignments measure identically
     // (the property the EvalCache's bit-identity contract rests on).
-    const std::size_t i = indices[k];
-    (*responses)[i] = evaluate_one(requests[i], &(*pendings)[i]);
+    PendingRun& pending = pendings[i];
+    if (pending.duplicate != duplicates) return;
+    if (pre_evaluate(requests[i], &responses[i], &pending)) return;
+    post_evaluate(&pending, raw_run(requests[i].assignment, pending.options),
+                  &responses[i]);
   });
 }
 

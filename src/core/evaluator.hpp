@@ -1,9 +1,9 @@
-// Evaluator: compile + link + run one candidate configuration, with a
-// parallel batch path for the 1000-variant sweeps. Evaluation is the
-// unit the paper counts when reporting tuning overhead, so the
+// Evaluator: compile + link + run candidate configurations. Evaluation
+// is the unit the paper counts when reporting tuning overhead, so the
 // evaluator tracks both the count and the modeled wall-clock cost
 // (compile time + run time) each evaluation would have taken on the
-// paper's testbed.
+// paper's testbed. A single evaluation is a batch of one: CFR's
+// sweep and a sequential search's next step settle the same way.
 //
 // The request/response pair below is the *only* evaluation currency:
 // every search, baseline and bench tool submits EvalRequest and gets
@@ -254,25 +254,27 @@ class Evaluator {
 
   // --- the unified request/response API ------------------------------------
 
-  /// Evaluates one request: quarantine check, cache replay,
-  /// fault injection and retries, then (at most) one raw backend run.
-  /// Never throws on evaluation failure - the fault is classified in
-  /// the response.
+  /// Evaluates one request as a batch of one (see evaluate_batch), but
+  /// emits only the EvalTrace::leaf_spans span, no batch span. Never
+  /// throws on evaluation failure - the fault is classified in the
+  /// response.
   [[nodiscard]] EvalResponse evaluate(const EvalRequest& request,
                                       const EvalTrace& trace = {});
 
   /// Evaluates a batch concurrently; result[i] answers requests[i].
-  /// Deterministic for fixed requests: quarantine promotion happens
-  /// only at the batch boundary, and noise keys are content-addressed,
-  /// so results are independent of worker scheduling. With a remote
-  /// backend, all raw runs the batch needs coalesce into a single
-  /// run_many() wire call. With an EvalCache attached, the first
+  /// Deterministic for fixed requests: quarantines queued by failures
+  /// are promoted only at batch boundaries (before dispatch and after
+  /// the last response), and noise keys are content-addressed, so
+  /// results are independent of worker scheduling. For a sequential
+  /// caller that is one rule: what call k queued skips call k+1. With a
+  /// remote backend, all raw runs the batch needs coalesce into a
+  /// single run_many() wire call. With an EvalCache attached, the first
   /// occurrence of every cache key is dispatched before its in-batch
   /// duplicates, so each duplicate is a hit whatever the schedule.
   /// Emits one batch-level span (from the calling thread, so traces
   /// stay deterministic under any pool schedule).
   [[nodiscard]] std::vector<EvalResponse> evaluate_batch(
-      const std::vector<EvalRequest>& requests, const EvalTrace& trace = {});
+      std::span<const EvalRequest> requests, const EvalTrace& trace = {});
 
   /// Substitutes the raw measurement executor (e.g. the service
   /// client). Pass nullptr to return to inline local execution.
@@ -360,21 +362,25 @@ class Evaluator {
   /// State carried from the pre-run phase of one evaluation to its
   /// post-run phase. When `needs_run` is false the response was fully
   /// served (replay, quarantine skip, injected failure) and no raw
-  /// backend run happens; otherwise exactly one raw_run() settles it.
+  /// backend run happens; otherwise exactly one raw run settles it.
   struct PendingRun {
     machine::RunOptions options;
-    std::uint64_t key = 0;
-    bool keyed = false;      ///< `key` already computed by the caller
-    bool fast = false;       ///< non-resilient fast path
+    std::uint64_t key = 0;   ///< assignment_key, computed once per batch
+    bool duplicate = false;  ///< in-batch repeat of a cache key (cache on)
     bool needs_run = false;
     int prior_attempts = 0;  ///< injected faults burned before the run
     double rerun_cost = 0.0;
-    EvalOutcome outcome;     ///< valid when !needs_run (and not fast)
+    EvalOutcome outcome;     ///< valid when !needs_run
   };
 
-  /// Everything before the (at most one) raw run: fast-path check,
-  /// quarantine promotion at depth 0, cache replay, fault plan.
-  /// Returns true when `out` is complete and no run is needed.
+  /// The one settle path behind evaluate and evaluate_batch: key every
+  /// request once, mark duplicates, promote quarantines, dispatch first
+  /// occurrences then duplicates, promote again.
+  void settle(std::span<const EvalRequest> requests,
+              std::span<PendingRun> pendings,
+              std::span<EvalResponse> responses);
+  /// Everything before the (at most one) raw run: cache replay, fault
+  /// plan. Returns true when `out` is complete and no run is needed.
   [[nodiscard]] bool pre_evaluate(const EvalRequest& request,
                                   EvalResponse* out, PendingRun* pending);
   /// Settles a pending evaluation with its raw measurement: overhead
@@ -384,16 +390,12 @@ class Evaluator {
   /// Journals a completed evaluation and caches it (quarantine skips
   /// are never cached).
   void store(const PendingRun& pending, const EvalOutcome& outcome);
-  /// pre_evaluate → raw_run → post_evaluate for one request.
-  [[nodiscard]] EvalResponse evaluate_one(const EvalRequest& request,
-                                          PendingRun* pending);
-  /// Settles requests[i] for every i in `indices`: local batches fan
-  /// out over the pool, a remote backend gets every raw run in one
-  /// run_many() call.
-  void dispatch(const std::vector<EvalRequest>& requests,
-                std::span<const std::size_t> indices,
-                std::vector<PendingRun>* pendings,
-                std::vector<EvalResponse>* responses);
+  /// Settles every request whose `duplicate` mark equals `duplicates`:
+  /// local batches fan out over the pool, a remote backend gets every
+  /// raw run in one run_many() call.
+  void dispatch(std::span<const EvalRequest> requests,
+                std::span<PendingRun> pendings,
+                std::span<EvalResponse> responses, bool duplicates);
   /// Loads a resumed journal's records into the cache (creating a
   /// memory-only one when none is attached).
   void load_journal();
@@ -418,9 +420,9 @@ class Evaluator {
   /// Registers one fully-failed evaluation of `key`; queues the key
   /// for quarantine once it reaches kQuarantineAfter failures.
   void note_failure(std::uint64_t key);
-  /// Applies queued quarantines. Called only at deterministic points
-  /// (outside batches / between batches) so that whether an evaluation
-  /// is quarantine-skipped never depends on worker scheduling.
+  /// Applies queued quarantines. Called only at batch boundaries so
+  /// that whether an evaluation is quarantine-skipped never depends on
+  /// worker scheduling.
   void promote_quarantines();
 
   machine::ExecutionEngine* engine_;
@@ -437,7 +439,6 @@ class Evaluator {
   std::atomic<std::size_t> cache_hits_{0};
   std::atomic<std::size_t> cache_misses_{0};
   std::uint64_t context_hash_ = 0;  ///< program/input/arch mix
-  std::atomic<int> batch_depth_{0};
   std::atomic<bool> has_quarantine_{false};
 
   mutable std::mutex resilience_mutex_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -162,6 +163,9 @@ TuningResult function_random_search(
 TuningResult greedy_combination(Evaluator& evaluator, const Outline& outline,
                                 const Collection& collection,
                                 double baseline_seconds) {
+  if (collection.cvs.empty()) {
+    throw std::invalid_argument("greedy combination needs a collection");
+  }
   TuningResult result;
   result.algorithm = "G.realized";
   telemetry::Span span = telemetry::tracer().begin("search:Greedy");
@@ -207,6 +211,10 @@ TuningResult greedy_combination(Evaluator& evaluator, const Outline& outline,
 
 std::vector<std::vector<std::size_t>> prune_top_x(
     const Collection& collection, std::size_t top_x) {
+  // An empty candidate set would leave a module nothing to draw.
+  if (top_x == 0 || collection.cvs.empty()) {
+    throw std::invalid_argument("prune_top_x: top_x 0 or no collection");
+  }
   // Failed evaluations (+inf rows) must never occupy top-X slots; they
   // only survive when a module has fewer than top_x valid rows, and
   // even then only as a last-resort non-empty candidate set.

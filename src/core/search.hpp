@@ -88,6 +88,7 @@ struct TuningResult {
 /// Greedy combination from collected per-loop runtimes: the realized
 /// result, with the §3.4 no-interference bound (G.Independent) in
 /// extras under kExtraIndependentSeconds / kExtraIndependentSpeedup.
+/// Throws std::invalid_argument on an empty collection.
 [[nodiscard]] TuningResult greedy_combination(Evaluator& evaluator,
                                               const Outline& outline,
                                               const Collection& collection,
@@ -114,7 +115,8 @@ struct CfrOptions {
 
 /// Pruned candidate indices per module (top-X smallest measured times;
 /// exposed for tests of Algorithm 1's pruning step). The last entry is
-/// the rest module.
+/// the rest module. Throws std::invalid_argument when `top_x` is 0 or
+/// the collection is empty, so cfr_search and retune_search do too.
 [[nodiscard]] std::vector<std::vector<std::size_t>> prune_top_x(
     const Collection& collection, std::size_t top_x);
 

@@ -100,7 +100,8 @@ class FrAlgorithm final : public SearchAlgorithm {
   std::string display_name() const override { return "FR"; }
   support::OptionSet options() const override {
     support::OptionSet set;
-    set.integer("samples", 0, "evaluation budget").default_from("samples");
+    set.integer("samples", 0, "evaluation budget", support::at_least(1))
+        .default_from("samples");
     return set;
   }
   TuningResult run(SearchContext& context) const override {
@@ -131,8 +132,10 @@ class CfrAlgorithm final : public SearchAlgorithm {
   std::string display_name() const override { return "CFR"; }
   support::OptionSet options() const override {
     support::OptionSet set;
-    set.integer("top-x", 10, "pruned space size X per module")
-        .integer("samples", 0, "evaluation budget K of Algorithm 1")
+    set.integer("top-x", 10, "pruned space size X per module",
+                support::at_least(1))
+        .integer("samples", 0, "evaluation budget K of Algorithm 1",
+                 support::at_least(1))
         .default_from("samples")
         .integer("patience", 0, "early-stop patience; 0 = fixed budget");
     return set;
@@ -160,7 +163,8 @@ class RetuneAlgorithm final : public SearchAlgorithm {
     support::OptionSet set;
     set.integer("iterations", 0, "evaluation budget, the seed costs one")
         .default_from("samples")
-        .integer("top-x", 10, "pruned candidate space per module")
+        .integer("top-x", 10, "pruned candidate space per module",
+                 support::at_least(1))
         .integer("patience", 0, "early-stop patience; 0 = fixed budget");
     return set;
   }

@@ -297,4 +297,12 @@ std::string OptionSet::help(const std::string& usage_line) const {
   return out.str();
 }
 
+OptionSet::Validator at_least(std::int64_t minimum) {
+  return [minimum](const std::string& raw) -> std::string {
+    std::int64_t value = 0;
+    if (!parse_int64(raw, &value) || value >= minimum) return "";
+    return "must be at least " + std::to_string(minimum) + ", got " + raw;
+  };
+}
+
 }  // namespace ft::support

@@ -33,7 +33,7 @@ class CliError : public std::runtime_error {
 class OptionSet {
  public:
   /// Returns "" when the raw value is acceptable, else a message that
-  /// is appended to the CliError ("--samples: must be positive").
+  /// is appended to the CliError ("--samples: must be at least 1").
   using Validator = std::function<std::string(const std::string&)>;
 
   /// Parse result: every declared option resolved to its typed value.
@@ -151,5 +151,10 @@ template <typename Decode>
     }
   };
 }
+
+/// A Validator for an integer option that refuses values below
+/// `minimum` ("must be at least 1, got 0"). Text that is no integer
+/// passes here and is refused by the option's own type check.
+[[nodiscard]] OptionSet::Validator at_least(std::int64_t minimum);
 
 }  // namespace ft::support

@@ -130,9 +130,10 @@ void parallel_for(std::size_t count,
                   ThreadPool* pool, TaskGroup::Stats* group_stats) {
   if (group_stats) *group_stats = TaskGroup::Stats{};
   if (count == 0) return;
+  if (count == 1) return body(0);  // on the caller; the pool stays cold
   ThreadPool& target = pool ? *pool : global_pool();
   const std::size_t threads = target.thread_count();
-  if (count == 1 || threads == 1) {
+  if (threads == 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
     return;
   }

@@ -162,6 +162,39 @@ TEST_F(CoreTest, PruneOrderedAscending) {
 
 // ------------------------------------------------------------ algorithms ----
 
+TEST_F(CoreTest, SearchesRefuseEmptyCandidateSets) {
+  // An empty top-X or collection would leave a module no CV to draw:
+  // refused up front instead of indexing an empty set.
+  Evaluator& evaluator = tuner_.evaluator();
+  const Outline& outline = tuner_.outline();
+  const Collection& collection = tuner_.collection();
+  const double baseline = tuner_.baseline_seconds();
+  const std::size_t evaluations = evaluator.evaluations();
+  EXPECT_THROW((void)prune_top_x(collection, 0), std::invalid_argument);
+  CfrOptions cfr;
+  cfr.top_x = 0;
+  EXPECT_THROW((void)cfr_search(evaluator, outline, collection, cfr, baseline),
+               std::invalid_argument);
+  RetuneOptions retune;
+  retune.top_x = 0;
+  const compiler::ModuleAssignment seed = compiler::ModuleAssignment::uniform(
+      evaluator.engine().compiler().space().default_cv(),
+      tuner_.program().loops().size());
+  EXPECT_THROW((void)retune_search(evaluator, outline, collection, seed,
+                                   retune, baseline),
+               std::invalid_argument);
+  const Collection empty;
+  EXPECT_THROW(
+      (void)greedy_combination(evaluator, outline, empty, baseline),
+      std::invalid_argument);
+  EXPECT_THROW((void)cfr_search(evaluator, outline, empty, CfrOptions{},
+                                baseline),
+               std::invalid_argument);
+  EXPECT_THROW((void)prune_top_x(empty, 10), std::invalid_argument);
+  // Every refusal came before the first evaluation.
+  EXPECT_EQ(evaluator.evaluations(), evaluations);
+}
+
 TEST_F(CoreTest, RandomSearchInvariants) {
   const TuningResult result = tuner_.run("random");
   EXPECT_EQ(result.algorithm, "Random");

@@ -84,6 +84,26 @@ TEST(FtuneCli, RefusesUnknownNamesSizesAndKnobs) {
       "unknown option: --program");
   expect_refused("campaign --arch broadwell --programs CL --samples 5",
                  "unknown option: --arch");
+  // Out-of-range sizes and knobs: refused at parse time, not a crash
+  // (or a silent fallback) later.
+  expect_refused("tune --samples 5 --cfr:top-x 0",
+                 "--cfr:top-x: must be at least 1");
+  expect_refused("tune --samples 5 --algorithm retune --retune:top-x 0",
+                 "--retune:top-x: must be at least 1");
+  expect_refused("tune --samples 5 --cfr:samples 0",
+                 "--cfr:samples: must be at least 1");
+  expect_refused("tune --samples 5 --fr:samples 0",
+                 "--fr:samples: must be at least 1");
+  expect_refused("tune --samples 0 --algorithm greedy",
+                 "--samples: must be at least 1");
+  expect_refused("campaign --samples 0 --algorithms greedy",
+                 "--samples: must be at least 1");
+  expect_refused("tune --samples 5 --threads -3",
+                 "--threads: must be at least 0");
+  expect_refused("tune --samples 5 --final-reps 0",
+                 "--final-reps: must be at least 1");
+  expect_refused("tune --samples 5 --final-reps -2",
+                 "--final-reps: must be at least 1");
 }
 
 TEST(FtuneCli, TuneAndCampaignHelpListEveryKnob) {

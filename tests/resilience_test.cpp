@@ -269,6 +269,178 @@ TEST(Resilience, OutlierSpikeCannotFlipFinalScoring) {
   EXPECT_NEAR(robust_baseline, clean_baseline, 0.05 * clean_baseline);
 }
 
+// ----------------------------------------------------- one settle path ----
+
+/// A fixed request list over `presampled`: uniform and mixed
+/// assignments, exact in-batch duplicates, the same assignment under a
+/// second rep_base, and an instrumented multi-rep request.
+std::vector<EvalRequest> settle_requests(
+    const std::vector<flags::CompilationVector>& presampled,
+    std::size_t loop_count) {
+  std::vector<EvalRequest> requests;
+  for (std::size_t i = 0; i < 16; ++i) {
+    EvalRequest request;
+    request.assignment =
+        compiler::ModuleAssignment::uniform(presampled[i], loop_count);
+    request.rep_base = rep_streams::kRandom;
+    if (i % 4 == 3) {
+      request.assignment.loop_cvs[0] = presampled[i + 20];
+      request.assignment.nonloop_cv = presampled[i + 30];
+    }
+    requests.push_back(request);
+  }
+  for (const std::size_t i : {0, 3, 5, 0, 9}) requests.push_back(requests[i]);
+  EvalRequest other_phase = requests[2];
+  other_phase.rep_base = rep_streams::kCfr;
+  requests.push_back(other_phase);
+  EvalRequest instrumented = requests[6];
+  instrumented.instrumented = true;
+  instrumented.repetitions = 3;
+  requests.push_back(instrumented);
+  requests.push_back(instrumented);
+  return requests;
+}
+
+/// Everything a run of single evaluations leaves behind.
+struct SettleRun {
+  std::vector<EvalResponse> responses;
+  ResilienceStats stats;
+  std::size_t evaluations = 0;
+  double charged = 0.0;
+  double saved = 0.0;
+  std::string journal;  ///< the journal's bytes; empty without one
+};
+
+/// Settles `requests` one at a time on a fresh tuner, as evaluate()
+/// calls or as one-element evaluate_batch() calls.
+SettleRun settle_one_by_one(FuncyTunerOptions options, bool cache,
+                            bool journal, bool as_batches,
+                            const std::vector<EvalRequest>& requests) {
+  options.eval_cache = cache;
+  FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(), options);
+  Evaluator& evaluator = tuner.evaluator();
+  const std::string path = testing::TempDir() + "ft_settle_" +
+                           std::to_string(int{cache}) +
+                           std::to_string(int{as_batches}) + ".ftj";
+  if (journal) {
+    evaluator.set_journal(
+        EvalJournal::create(path, options_fingerprint(options)));
+  }
+  SettleRun run;
+  for (const EvalRequest& request : requests) {
+    run.responses.push_back(
+        as_batches ? std::move(evaluator.evaluate_batch({&request, 1})[0])
+                   : evaluator.evaluate(request));
+  }
+  run.stats = evaluator.resilience_stats();
+  run.evaluations = evaluator.evaluations();
+  run.charged = evaluator.modeled_overhead_seconds();
+  run.saved = evaluator.saved_overhead_seconds();
+  if (journal) run.journal = read_file(path);
+  return run;
+}
+
+void expect_same_response(const EvalResponse& a, const EvalResponse& b) {
+  EXPECT_EQ(a.outcome.result.end_to_end, b.outcome.result.end_to_end);
+  EXPECT_EQ(a.outcome.result.loop_seconds, b.outcome.result.loop_seconds);
+  EXPECT_EQ(a.outcome.result.derived_nonloop_seconds,
+            b.outcome.result.derived_nonloop_seconds);
+  EXPECT_EQ(a.outcome.result.stddev, b.outcome.result.stddev);
+  EXPECT_EQ(a.outcome.error.kind, b.outcome.error.kind);
+  EXPECT_EQ(a.outcome.error.detail, b.outcome.error.detail);
+  EXPECT_EQ(a.outcome.attempts, b.outcome.attempts);
+  EXPECT_EQ(a.served_by, b.served_by);
+  EXPECT_EQ(a.modules_compiled, b.modules_compiled);
+}
+
+void expect_same_stats(const ResilienceStats& a, const ResilienceStats& b) {
+  EXPECT_EQ(a.compile_failures, b.compile_failures);
+  EXPECT_EQ(a.run_crashes, b.run_crashes);
+  EXPECT_EQ(a.run_timeouts, b.run_timeouts);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.failed_evaluations, b.failed_evaluations);
+  EXPECT_EQ(a.quarantine_hits, b.quarantine_hits);
+  EXPECT_EQ(a.quarantined, b.quarantined);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.cache_saved_seconds, b.cache_saved_seconds);
+}
+
+TEST(SettlePath, EvaluateEqualsABatchOfOneInEveryConfiguration) {
+  FuncyTunerOptions options = faulty_options(0.4);
+  options.faults.compile_share = 0.25;
+  options.faults.crash_share = 0.5;
+  FuncyTuner source(programs::cloverleaf(), machine::broadwell(), options);
+  const std::vector<EvalRequest> requests = settle_requests(
+      source.presampled(), source.program().loops().size());
+  for (const bool cache : {false, true}) {
+    for (const bool journal : {false, true}) {
+      SCOPED_TRACE("cache " + std::to_string(cache) + ", journal " +
+                   std::to_string(journal));
+      const SettleRun single =
+          settle_one_by_one(options, cache, journal, false, requests);
+      const SettleRun batched =
+          settle_one_by_one(options, cache, journal, true, requests);
+      ASSERT_EQ(single.responses.size(), requests.size());
+      ASSERT_EQ(batched.responses.size(), requests.size());
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(i));
+        expect_same_response(single.responses[i], batched.responses[i]);
+      }
+      expect_same_stats(single.stats, batched.stats);
+      EXPECT_EQ(single.evaluations, batched.evaluations);
+      EXPECT_EQ(single.charged, batched.charged);
+      EXPECT_EQ(single.saved, batched.saved);
+      EXPECT_EQ(single.journal, batched.journal);
+      EXPECT_EQ(single.journal.empty(), !journal);
+      // The list exercises what it claims to: injected ICEs and
+      // crashes, quarantine skips, and (cache on) duplicate replays.
+      EXPECT_GT(single.stats.compile_failures, 0u);
+      EXPECT_GT(single.stats.run_crashes, 0u);
+      EXPECT_GT(single.stats.quarantine_hits, 0u);
+      EXPECT_EQ(single.stats.cache_hits > 0, cache);
+    }
+  }
+}
+
+TEST(SettlePath, QuarantinesArePromotedAtBatchBoundaries) {
+  // Every measured run overruns this budget, so each evaluation of the
+  // assignment fails, and the second failure queues its quarantine.
+  FuncyTunerOptions options = fast_options();
+  options.retry.eval_timeout_seconds = 1e-9;
+  FuncyTuner sequential(programs::cloverleaf(), machine::broadwell(), options);
+  std::vector<EvalRequest> requests(3);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].assignment = compiler::ModuleAssignment::uniform(
+        sequential.space().default_cv(),
+        sequential.program().loops().size());
+    requests[i].rep_base = rep_streams::kRandom + i;
+  }
+
+  // Sequential callers: what call 2 queued skips call 3.
+  std::vector<EvalFault> faults;
+  for (const EvalRequest& request : requests) {
+    faults.push_back(
+        sequential.evaluator().evaluate(request).outcome.error.kind);
+  }
+  EXPECT_EQ(faults, (std::vector<EvalFault>{EvalFault::kRunTimeout,
+                                            EvalFault::kRunTimeout,
+                                            EvalFault::kQuarantined}));
+
+  // One batch of three: no promotion mid-batch, so all three run and
+  // fail; the quarantine takes effect at the batch's end.
+  FuncyTuner batched(programs::cloverleaf(), machine::broadwell(), options);
+  for (const EvalResponse& response :
+       batched.evaluator().evaluate_batch(requests)) {
+    EXPECT_EQ(response.outcome.error.kind, EvalFault::kRunTimeout);
+  }
+  EXPECT_EQ(batched.evaluator().resilience_stats().quarantined, 1u);
+  EXPECT_EQ(batched.evaluator().evaluate(requests[0]).outcome.error.kind,
+            EvalFault::kQuarantined);
+  EXPECT_EQ(sequential.evaluator().resilience_stats().quarantine_hits, 1u);
+  EXPECT_EQ(batched.evaluator().resilience_stats().quarantine_hits, 1u);
+}
+
 // ----------------------------------------------------- journal encoding ----
 
 /// A successful record whose every field differs from its default.

@@ -630,11 +630,7 @@ TEST(ThreadPool, BusySecondsAccumulate) {
 
 OptionSet demo_options() {
   OptionSet set;
-  set.integer("samples", 1000, "iteration budget",
-              [](const std::string& raw) {
-                return raw.empty() || raw[0] == '-' ? "must be positive"
-                                                   : "";
-              })
+  set.integer("samples", 1000, "iteration budget", at_least(1))
       .real("sigma", 0.008, "noise sigma")
       .text("out", "", "output path")
       .flag("csv", false, "emit CSV")
@@ -680,6 +676,28 @@ TEST(OptionSet, RejectsMalformedValues) {
   EXPECT_THROW((void)demo_options().parse({"--csv", "maybe"}), CliError);
   // Validator veto: well-formed integer, refused value.
   EXPECT_THROW((void)demo_options().parse({"--samples", "-5"}), CliError);
+}
+
+TEST(OptionSet, AtLeastRefusesValuesBelowItsMinimum) {
+  const OptionSet set = demo_options();
+  EXPECT_EQ(set.parse({"--samples", "1"}).integer("samples"), 1);
+  for (const char* raw : {"0", "-3"}) {
+    try {
+      (void)set.parse({"--samples", raw});
+      ADD_FAILURE() << raw << " accepted";
+    } catch (const CliError& error) {
+      EXPECT_EQ(std::string(error.what()),
+                std::string("--samples: must be at least 1, got ") + raw);
+    }
+  }
+  // Text that is no integer is left to the type check.
+  try {
+    (void)set.parse({"--samples", "1x"});
+    ADD_FAILURE() << "1x accepted";
+  } catch (const CliError& error) {
+    EXPECT_NE(std::string(error.what()).find("not an integer"),
+              std::string::npos);
+  }
 }
 
 TEST(OptionSet, UndeclaredAccessIsALogicError) {

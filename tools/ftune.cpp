@@ -93,21 +93,19 @@ support::OptionSet common_options(bool one_cell = true) {
   set.integer("samples", 1000,
               "K: pre-sampled CVs, and the fr/cfr budget unless "
               "--fr:samples / --cfr:samples is given",
-              [](const std::string& raw) {
-                return raw.empty() || raw[0] == '-' ? "must be positive"
-                                                   : "";
-              })
+              support::at_least(1))
       .integer("seed", 42, "master seed")
       .real("hot-threshold", defaults.hot_threshold,
             "outline loops >= this runtime share")
       .integer("final-reps", defaults.final_reps,
-               "reps for baseline/final measurement")
+               "reps for baseline/final measurement", support::at_least(1))
       .real("noise-sigma", defaults.noise_sigma_rel,
             "relative run-to-run noise sigma")
       .real("attribution-sigma", defaults.attribution_sigma,
             "extra per-region Caliper error")
       .integer("threads", 0,
-               "evaluation pool size (sets FT_THREADS; 0 = auto)")
+               "evaluation pool size (sets FT_THREADS; 0 = auto)",
+               support::at_least(0))
       .real("fault-rate", 0.0,
             "injected fault probability per evaluation")
       .integer("fault-seed",
