@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   for (const std::string name : {"CL", "AMG", "LULESH"}) {
     core::FuncyTuner tuner(programs::by_name(name), machine::broadwell(),
                            config.tuner_options());
-    const double baseline = tuner.baseline_seconds();
     std::vector<std::string> row = {name};
     for (const std::size_t x : xs) {
       core::CfrOptions cfr_options;
@@ -33,7 +32,7 @@ int main(int argc, char** argv) {
       cfr_options.seed = config.seed + x;
       const core::TuningResult result =
           cfr_search(tuner.evaluator(), tuner.outline(),
-                     tuner.collection(), cfr_options, baseline);
+                     tuner.collection(), cfr_options);
       row.push_back(support::Table::num(result.speedup));
     }
     table.add_row(row);

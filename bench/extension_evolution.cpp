@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   for (const auto& name : bench::benchmark_names()) {
     core::FuncyTuner tuner(programs::by_name(name), machine::broadwell(),
                            config.tuner_options());
-    const double baseline = tuner.baseline_seconds();
     cfr_speedups.push_back(tuner.run("cfr").speedup);
 
     core::EvolutionOptions evolution;
@@ -32,7 +31,7 @@ int main(int argc, char** argv) {
     evolution.seed = config.seed;
     evo_speedups.push_back(
         core::evolutionary_search(tuner.evaluator(), tuner.outline(),
-                                  tuner.collection(), evolution, baseline)
+                                  tuner.collection(), evolution)
             .speedup);
   }
   bench::add_gm_row(table, "CFR", cfr_speedups);

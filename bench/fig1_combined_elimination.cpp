@@ -24,10 +24,9 @@ int main(int argc, char** argv) {
       core::FuncyTuner tuner(programs::by_name(name),
                              machine::broadwell(),
                              config.tuner_options(), personality);
-      const baselines::CeResult ce = baselines::combined_elimination(
-          tuner.evaluator(), tuner.space(), tuner.baseline_seconds(),
-          config.seed);
-      row.push_back(support::Table::num(ce.speedup));
+      const baselines::CeResult ce =
+          baselines::combined_elimination(tuner.evaluator(), tuner.space());
+      row.push_back(support::Table::num(ce.tuning.speedup));
     }
     table.add_row(row);
   }

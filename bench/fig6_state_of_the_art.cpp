@@ -41,23 +41,19 @@ int main(int argc, char** argv) {
   for (const auto& name : names) {
     core::FuncyTuner tuner(programs::by_name(name), machine::broadwell(),
                            config.tuner_options());
-    const double baseline = tuner.baseline_seconds();
 
     cobayn_static.push_back(
-        cobayn.infer(tuner.evaluator(), baselines::CobaynModel::kStatic,
-                     baseline)
+        cobayn.infer(tuner.evaluator(), baselines::CobaynModel::kStatic)
             .speedup);
     cobayn_dynamic.push_back(
-        cobayn.infer(tuner.evaluator(), baselines::CobaynModel::kDynamic,
-                     baseline)
+        cobayn.infer(tuner.evaluator(), baselines::CobaynModel::kDynamic)
             .speedup);
     cobayn_hybrid.push_back(
-        cobayn.infer(tuner.evaluator(), baselines::CobaynModel::kHybrid,
-                     baseline)
+        cobayn.infer(tuner.evaluator(), baselines::CobaynModel::kHybrid)
             .speedup);
 
     const baselines::PgoResult pgo_result =
-        baselines::pgo_tune(tuner.evaluator(), baseline);
+        baselines::pgo_tune(tuner.evaluator());
     pgo.push_back(pgo_result.tuning.speedup);
     if (pgo_result.instrumentation_failed) {
       pgo_notes.push_back(name);
@@ -68,7 +64,7 @@ int main(int argc, char** argv) {
     ot_options.seed = config.seed;
     opentuner.push_back(
         baselines::opentuner_search(tuner.evaluator(), tuner.space(),
-                                    ot_options, baseline)
+                                    ot_options)
             .tuning.speedup);
 
     cfr.push_back(tuner.run("cfr").speedup);

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
   for (const auto& name : bench::benchmark_names()) {
     core::FuncyTuner tuner(programs::by_name(name), machine::broadwell(),
                            config.tuner_options());
-    const double baseline = tuner.baseline_seconds();
     const auto small = tuner.program().input("small");
     const auto large = tuner.program().input("large");
 
@@ -50,18 +49,17 @@ int main(int argc, char** argv) {
     assignments.push_back(tuner.run("greedy").best_assignment);
     assignments.push_back(
         cobayn
-            .infer(tuner.evaluator(), baselines::CobaynModel::kStatic,
-                   baseline)
+            .infer(tuner.evaluator(), baselines::CobaynModel::kStatic)
             .best_assignment);
     // PGO has no assignment: evaluate O3 (failure) or the PGO binary.
     const baselines::PgoResult pgo_result =
-        baselines::pgo_tune(tuner.evaluator(), baseline);
+        baselines::pgo_tune(tuner.evaluator());
     baselines::OpenTunerOptions ot_options;
     ot_options.iterations = config.samples;
     ot_options.seed = config.seed;
     assignments.push_back(
         baselines::opentuner_search(tuner.evaluator(), tuner.space(),
-                                    ot_options, baseline)
+                                    ot_options)
             .tuning.best_assignment);
     assignments.push_back(tuner.run("cfr").best_assignment);
 

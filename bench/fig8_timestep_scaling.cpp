@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
 
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          config.tuner_options());
-  const double baseline = tuner.baseline_seconds();
 
   struct Row {
     std::string algorithm;
@@ -34,14 +33,14 @@ int main(int argc, char** argv) {
   };
   const auto random = tuner.run("random");
   const auto greedy = tuner.run("greedy");
-  const auto cobayn_result = cobayn.infer(
-      tuner.evaluator(), baselines::CobaynModel::kStatic, baseline);
-  const auto pgo_result = baselines::pgo_tune(tuner.evaluator(), baseline);
+  const auto cobayn_result =
+      cobayn.infer(tuner.evaluator(), baselines::CobaynModel::kStatic);
+  const auto pgo_result = baselines::pgo_tune(tuner.evaluator());
   baselines::OpenTunerOptions ot_options;
   ot_options.iterations = config.samples;
   ot_options.seed = config.seed;
   const auto opentuner_result = baselines::opentuner_search(
-      tuner.evaluator(), tuner.space(), ot_options, baseline);
+      tuner.evaluator(), tuner.space(), ot_options);
   const auto cfr = tuner.run("cfr");
 
   const std::vector<Row> rows = {

@@ -64,8 +64,7 @@ int main(int argc, char** argv) {
     options.iterations = config.samples;
     options.seed = config.seed;
     (void)baselines::opentuner_search(tuner.evaluator(), tuner.space(),
-                                      options,
-                                      tuner.baseline_seconds());
+                                      options);
     add_overhead_row(table, "OpenTuner", tuner.evaluator());
   }
   // CFR: collection (1000 uniform) + 1000 assembled variants.
@@ -96,8 +95,7 @@ int main(int argc, char** argv) {
     options.evaluations = config.samples;
     options.seed = config.seed;
     (void)core::evolutionary_search(tuner.evaluator(), tuner.outline(),
-                                    tuner.collection(), options,
-                                    tuner.baseline_seconds());
+                                    tuner.collection(), options);
     add_overhead_row(table, "EvoCFR", tuner.evaluator());
 
     bench::BenchConfig cached_config = config;
@@ -105,8 +103,7 @@ int main(int argc, char** argv) {
     core::FuncyTuner cached(programs::cloverleaf(), machine::broadwell(),
                             cached_config.tuner_options());
     (void)core::evolutionary_search(cached.evaluator(), cached.outline(),
-                                    cached.collection(), options,
-                                    cached.baseline_seconds());
+                                    cached.collection(), options);
     add_overhead_row(table, "EvoCFR + eval cache", cached.evaluator());
     evo_hits = cached.evaluator().resilience_stats().cache_hits;
   }
@@ -120,9 +117,7 @@ int main(int argc, char** argv) {
     cobayn.train();
     core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                            config.tuner_options());
-    (void)cobayn.infer(tuner.evaluator(),
-                       baselines::CobaynModel::kStatic,
-                       tuner.baseline_seconds());
+    (void)cobayn.infer(tuner.evaluator(), baselines::CobaynModel::kStatic);
     const double corpus_cost =
         static_cast<double>(options.corpus_size *
                             options.corpus_samples) *

@@ -48,12 +48,11 @@ int main(int argc, char** argv) {
   {
     core::FuncyTuner tuner(programs::by_name(program_name),
                            machine::broadwell(), options);
-    const auto ce = baselines::combined_elimination(
-        tuner.evaluator(), tuner.space(), tuner.baseline_seconds(),
-        options.seed);
+    const auto ce =
+        baselines::combined_elimination(tuner.evaluator(), tuner.space());
     table.add_row({"Combined Elimination",
-                   support::Table::num(ce.speedup),
-                   std::to_string(ce.evaluations),
+                   support::Table::num(ce.tuning.speedup),
+                   std::to_string(ce.tuning.evaluations),
                    cost_days(tuner.evaluator())});
   }
   // OpenTuner ensemble.
@@ -64,7 +63,7 @@ int main(int argc, char** argv) {
     ot.iterations = options.samples;
     ot.seed = options.seed;
     const auto result = baselines::opentuner_search(
-        tuner.evaluator(), tuner.space(), ot, tuner.baseline_seconds());
+        tuner.evaluator(), tuner.space(), ot);
     table.add_row({"OpenTuner",
                    support::Table::num(result.tuning.speedup),
                    std::to_string(result.tuning.evaluations),
@@ -85,8 +84,7 @@ int main(int argc, char** argv) {
           baselines::CobaynModel::kHybrid}) {
       core::FuncyTuner tuner(programs::by_name(program_name),
                              machine::broadwell(), options);
-      const auto result = cobayn.infer(tuner.evaluator(), model,
-                                       tuner.baseline_seconds());
+      const auto result = cobayn.infer(tuner.evaluator(), model);
       table.add_row({result.algorithm,
                      support::Table::num(result.speedup),
                      std::to_string(result.evaluations),
@@ -97,8 +95,7 @@ int main(int argc, char** argv) {
   {
     core::FuncyTuner tuner(programs::by_name(program_name),
                            machine::broadwell(), options);
-    const auto result =
-        baselines::pgo_tune(tuner.evaluator(), tuner.baseline_seconds());
+    const auto result = baselines::pgo_tune(tuner.evaluator());
     table.add_row({result.instrumentation_failed ? "PGO (instr. FAILED)"
                                                  : "PGO",
                    support::Table::num(result.tuning.speedup),

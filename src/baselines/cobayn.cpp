@@ -264,8 +264,7 @@ const std::vector<std::vector<double>>& Cobayn::cluster_probs(
 }
 
 core::TuningResult Cobayn::infer(core::Evaluator& evaluator,
-                                 CobaynModel model,
-                                 double baseline_seconds) {
+                                 CobaynModel model) {
   const ir::Program& program = evaluator.engine().program();
   const std::vector<double> features = features_for(program, model);
   const ModelData& m = data(model);
@@ -323,9 +322,7 @@ core::TuningResult Cobayn::infer(core::Evaluator& evaluator,
   result.search_best_seconds = best;
   result.best_assignment = compiler::ModuleAssignment::uniform(
       candidates[support::argmin(seconds)], loop_count);
-  result.tuned_seconds = evaluator.final_seconds(result.best_assignment);
-  result.baseline_seconds = baseline_seconds;
-  result.speedup = baseline_seconds / result.tuned_seconds;
+  evaluator.finish(result);
   return result;
 }
 

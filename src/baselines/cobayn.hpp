@@ -62,8 +62,7 @@ class Cobayn {
   /// `inference_samples` CVs from the matched cluster's posterior,
   /// evaluates them, reports the best (paper protocol).
   [[nodiscard]] core::TuningResult infer(core::Evaluator& evaluator,
-                                         CobaynModel model,
-                                         double baseline_seconds);
+                                         CobaynModel model);
 
   /// Milepost-like static features (weighted by O3 runtime shares).
   [[nodiscard]] static std::vector<double> static_features(

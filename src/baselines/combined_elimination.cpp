@@ -17,11 +17,7 @@ flags::CompilationVector widen(const flags::CompilationVector& cv) {
 }  // namespace
 
 CeResult combined_elimination(core::Evaluator& evaluator,
-                              const flags::FlagSpace& space,
-                              double baseline_seconds, std::uint64_t seed) {
-  // Noise streams are content-addressed now; the seed only kept the old
-  // per-call rep counter distinct and no longer influences results.
-  (void)seed;
+                              const flags::FlagSpace& space) {
   const flags::FlagSpace binary = space.binarized();
   const std::size_t flag_count = binary.flag_count();
   const std::size_t loop_count =
@@ -38,7 +34,7 @@ CeResult combined_elimination(core::Evaluator& evaluator,
   };
 
   CeResult result;
-  result.baseline_seconds = baseline_seconds;
+  result.tuning.algorithm = "CE";
 
   // B = all binary flags at their non-default ("on") option.
   flags::CompilationVector current(
@@ -93,10 +89,11 @@ CeResult combined_elimination(core::Evaluator& evaluator,
   }
 
   result.best_cv = current;
-  result.evaluations = evaluations;
-  result.tuned_seconds = evaluator.final_seconds(
-      compiler::ModuleAssignment::uniform(widen(current), loop_count));
-  result.speedup = baseline_seconds / result.tuned_seconds;
+  result.tuning.best_assignment =
+      compiler::ModuleAssignment::uniform(widen(current), loop_count);
+  result.tuning.search_best_seconds = current_seconds;
+  result.tuning.evaluations = evaluations;
+  evaluator.finish(result.tuning);
   for (std::size_t i = 0; i < flag_count; ++i) {
     if (current[i] != 0) {
       result.enabled_flags.push_back(binary.specs()[i].name);

@@ -7,21 +7,18 @@
 // paper observes CE stalls in local minima on these codes.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/evaluator.hpp"
+#include "core/search.hpp"
 #include "flags/flag_space.hpp"
 
 namespace ft::baselines {
 
 struct CeResult {
   flags::CompilationVector best_cv;  ///< in the binarized space
-  double tuned_seconds = 0.0;
-  double baseline_seconds = 0.0;
-  double speedup = 0.0;
-  std::size_t evaluations = 0;
+  core::TuningResult tuning;         ///< algorithm = "CE"
   /// Names of flags CE left enabled (non-default).
   std::vector<std::string> enabled_flags;
 };
@@ -29,8 +26,6 @@ struct CeResult {
 /// Runs CE on the binarized view of `space` (CE reasons about on/off
 /// decisions only). Evaluation is uniform per-program compilation.
 [[nodiscard]] CeResult combined_elimination(core::Evaluator& evaluator,
-                                            const flags::FlagSpace& space,
-                                            double baseline_seconds,
-                                            std::uint64_t seed = 42);
+                                            const flags::FlagSpace& space);
 
 }  // namespace ft::baselines

@@ -11,8 +11,7 @@ namespace ft::baselines {
 
 OpenTunerResult opentuner_search(core::Evaluator& evaluator,
                                  const flags::FlagSpace& space,
-                                 const OpenTunerOptions& options,
-                                 double baseline_seconds) {
+                                 const OpenTunerOptions& options) {
   constexpr std::size_t kBanditWindow = 50;  // sliding window for AUC credit
   constexpr double kExploration = 1.4;       // UCB exploration constant
   support::Rng rng(options.seed);
@@ -90,10 +89,7 @@ OpenTunerResult opentuner_search(core::Evaluator& evaluator,
       compiler::ModuleAssignment::uniform(best_cv, loop_count);
   result.tuning.search_best_seconds = best_seconds;
   result.tuning.evaluations = options.iterations;
-  result.tuning.tuned_seconds =
-      evaluator.final_seconds(result.tuning.best_assignment);
-  result.tuning.baseline_seconds = baseline_seconds;
-  result.tuning.speedup = baseline_seconds / result.tuning.tuned_seconds;
+  evaluator.finish(result.tuning);
   for (const auto& technique : techniques) {
     result.technique_names.emplace_back(technique->name());
   }

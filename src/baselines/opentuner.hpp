@@ -47,7 +47,6 @@ struct OpenTunerResult {
 /// Runs the ensemble for `options.iterations` evaluations.
 [[nodiscard]] OpenTunerResult opentuner_search(core::Evaluator& evaluator,
                                                const flags::FlagSpace& space,
-                                               const OpenTunerOptions& options,
-                                               double baseline_seconds);
+                                               const OpenTunerOptions& options);
 
 }  // namespace ft::baselines

@@ -2,20 +2,17 @@
 
 namespace ft::baselines {
 
-PgoResult pgo_tune(core::Evaluator& evaluator, double baseline_seconds) {
+PgoResult pgo_tune(core::Evaluator& evaluator) {
   PgoResult result;
   machine::ExecutionEngine& engine = evaluator.engine();
   const ir::Program& program = engine.program();
   result.tuning.algorithm = "PGO";
-  result.tuning.baseline_seconds = baseline_seconds;
 
   if (program.pgo_instrumentation_fails()) {
     // -prof-gen build crashes (as the paper observed for LULESH and
     // Optewe): fall back to the O3 binary.
     result.instrumentation_failed = true;
-    result.tuning.tuned_seconds = baseline_seconds;
-    result.tuning.speedup = 1.0;
-    result.tuning.evaluations = 0;
+    evaluator.finish(result.tuning, evaluator.baseline_seconds());
     return result;
   }
 
@@ -34,13 +31,11 @@ PgoResult pgo_tune(core::Evaluator& evaluator, double baseline_seconds) {
   profile.valid = true;
   const compiler::Executable optimized =
       compiler.build_uniform(program, o3, &profile);
-  machine::RunOptions final_run;
-  final_run.repetitions = 10;
-  final_run.rep_base = 1u << 20;
-  result.tuning.tuned_seconds =
-      engine.run(optimized, evaluator.input(), final_run).end_to_end;
-  result.tuning.speedup = baseline_seconds / result.tuning.tuned_seconds;
+  const double tuned_seconds =
+      engine.run(optimized, evaluator.input(), evaluator.final_run_options())
+          .end_to_end;
   result.tuning.evaluations = 1;
+  evaluator.finish(result.tuning, tuned_seconds);
   return result;
 }
 

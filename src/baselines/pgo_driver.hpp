@@ -16,7 +16,9 @@ struct PgoResult {
   core::TuningResult tuning;  ///< speedup == 1 when instrumentation fails
 };
 
-[[nodiscard]] PgoResult pgo_tune(core::Evaluator& evaluator,
-                                 double baseline_seconds);
+/// The profiled build's final run goes straight to the engine (the
+/// profile is not part of an EvalRequest) under the evaluator's
+/// final_run_options().
+[[nodiscard]] PgoResult pgo_tune(core::Evaluator& evaluator);
 
 }  // namespace ft::baselines

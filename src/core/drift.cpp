@@ -165,6 +165,7 @@ OnlineReport OnlineTuner::run(const compiler::ModuleAssignment& initial) {
     const ir::InputSpec& input = inputs.back();
     Evaluator evaluator(tuner.engine(), input);
     evaluator.set_retry_policy(tuner.options().retry);
+    evaluator.set_final_reps(tuner.options().final_reps);
     if (tuner.eval_cache() != nullptr) {
       evaluator.set_eval_cache(tuner.eval_cache(),
                                options_fingerprint(tuner.options()));
@@ -201,15 +202,13 @@ OnlineReport OnlineTuner::run(const compiler::ModuleAssignment& initial) {
 
     if (state == DriftState::kRetuning) {
       // Incremental re-tune on the drifted input, seeded from the
-      // degraded incumbent, against the O3 runtime just measured here.
+      // degraded incumbent. Its speedup is against the O3 runtime just
+      // observed here, not the retune's own final-protocol baseline.
       FuncyTunerOptions retune_options = tuner.options();
       retune_options.samples = options_.retune_samples;
       SearchContext context = tuner.search_context();
       context.provide_evaluator(&evaluator);
       context.provide_options(&retune_options);
-      const double segment_baseline = o3_obs.end_to_end;
-      context.provide_baseline_seconds(
-          [segment_baseline] { return segment_baseline; });
       context.provide_seed_assignment(&current);
       const TuningResult result =
           SearchRegistry::global().create("retune")->run(context);
@@ -217,7 +216,7 @@ OnlineReport OnlineTuner::run(const compiler::ModuleAssignment& initial) {
       segment.retuned = true;
       segment.retune_evaluations = result.evaluations;
       segment.retuned_seconds = result.tuned_seconds;
-      segment.retuned_speedup = result.speedup;
+      segment.retuned_speedup = o3_obs.end_to_end / result.tuned_seconds;
       if (result.tuned_seconds < tuned_obs.end_to_end) {
         current = result.best_assignment;  // hot swap
         segment.swapped = true;

@@ -128,7 +128,7 @@ struct DriftSegmentReport {
   bool retuned = false;          ///< a re-tune ran
   bool swapped = false;          ///< ...and its winner was hot-swapped
   double retuned_seconds = 0.0;  ///< post-swap incumbent (if retuned)
-  double retuned_speedup = 0.0;
+  double retuned_speedup = 0.0;  ///< o3_seconds / retuned_seconds
   std::size_t retune_evaluations = 0;
 };
 

@@ -6,6 +6,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/eval_cache.hpp"
+#include "core/search.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
@@ -559,19 +560,51 @@ ResilienceStats Evaluator::resilience_stats() const {
   return stats;
 }
 
-double Evaluator::final_seconds(const compiler::ModuleAssignment& assignment,
-                                int reps) {
-  EvalRequest request;
-  request.assignment = assignment;
-  request.repetitions = reps;
-  request.rep_base = rep_streams::kFinal;  // fresh noise vs. search runs
+machine::RunOptions Evaluator::final_run_options() const noexcept {
+  machine::RunOptions options;
+  options.repetitions = final_reps_;
+  options.rep_base = rep_streams::kFinal;  // fresh noise vs. search runs
   if (engine_->fault_model().enabled()) {
     // Outlier spikes are in play: score with the trimmed mean so one
     // contaminated rep cannot flip a winner (plain mean otherwise, the
     // paper's protocol - keeps fault-free results bit-identical).
-    request.aggregate = machine::Aggregation::kTrimmedMean;
+    options.aggregate = machine::Aggregation::kTrimmedMean;
   }
-  return evaluate(request).outcome.seconds_or(kInvalidSeconds);
+  return options;
+}
+
+double Evaluator::final_seconds(
+    const compiler::ModuleAssignment& assignment) {
+  return evaluate(EvalRequest::of_run(assignment, final_run_options()))
+      .outcome.seconds_or(kInvalidSeconds);
+}
+
+double Evaluator::baseline_seconds() {
+  if (!baseline_seconds_) {
+    telemetry::Span span = telemetry::tracer().begin("baseline");
+    baseline_seconds_ = final_seconds(compiler::ModuleAssignment::uniform(
+        engine_->compiler().space().default_cv(),
+        engine_->program().loops().size()));
+    if (span) span.attr("seconds", *baseline_seconds_);
+  }
+  return *baseline_seconds_;
+}
+
+void Evaluator::finish(TuningResult& result,
+                       std::optional<double> tuned_seconds) {
+  // First, so the baseline span never nests in final_measure (it is
+  // memoized already when FuncyTuner::run started the search).
+  result.baseline_seconds = baseline_seconds();
+  telemetry::Span span = telemetry::tracer().begin("final_measure");
+  result.tuned_seconds = tuned_seconds
+                             ? *tuned_seconds
+                             : final_seconds(result.best_assignment);
+  result.speedup = result.baseline_seconds / result.tuned_seconds;
+  if (span) {
+    span.attr("algorithm", result.algorithm)
+        .attr("tuned_seconds", result.tuned_seconds)
+        .attr("speedup", result.speedup);
+  }
 }
 
 }  // namespace ft::core

@@ -20,6 +20,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -34,6 +35,7 @@ namespace ft::core {
 
 class EvalCache;
 class EvalJournal;
+struct TuningResult;
 
 /// Disjoint noise-stream offsets, one per measurement phase. Every
 /// phase keys its measurements at its own offset, so two phases that
@@ -59,7 +61,7 @@ inline constexpr std::uint64_t kCombinedElimination = 8ull << 16;  ///< CE
 inline constexpr std::uint64_t kFlagElimination = 9ull << 16;      ///< FE
 inline constexpr std::uint64_t kRetune = 10ull << 16;       ///< online re-tune
 inline constexpr std::uint64_t kDriftMonitor = 11ull << 16; ///< drift probes
-inline constexpr std::uint64_t kFinal = 1ull << 20;         ///< final_seconds
+inline constexpr std::uint64_t kFinal = 1ull << 20;         ///< final protocol
 inline constexpr std::uint64_t kCrossInput = 1ull << 21;    ///< other inputs
 }  // namespace rep_streams
 
@@ -289,10 +291,35 @@ class Evaluator {
       const compiler::ModuleAssignment& assignment,
       const machine::RunOptions& options);
 
-  /// Re-measures an assignment with fresh noise, averaged over `reps`
-  /// (the paper's 10-experiment reporting protocol, §4.1).
+  // --- the final-measurement protocol (§4.1) -------------------------------
+  // The O3 baseline and every tuned result are measured alike.
+
+  /// Repetitions of every final measurement (paper: 10). Setting it
+  /// forgets a memoized baseline.
+  void set_final_reps(int reps) noexcept {
+    final_reps_ = reps;
+    baseline_seconds_.reset();
+  }
+
+  /// One final measurement: final reps on the kFinal noise stream, the
+  /// trimmed mean when faults are on. Public for a run that cannot go
+  /// through evaluate() (PGO's profiled build).
+  [[nodiscard]] machine::RunOptions final_run_options() const noexcept;
+
+  /// Re-measures an assignment under the final protocol (fresh noise).
   [[nodiscard]] double final_seconds(
-      const compiler::ModuleAssignment& assignment, int reps = 10);
+      const compiler::ModuleAssignment& assignment);
+
+  /// The O3 assignment's final measurement, memoized (a "baseline"
+  /// span the first time).
+  [[nodiscard]] double baseline_seconds();
+
+  /// Settles a search's result: fills baseline_seconds, tuned_seconds
+  /// (result.best_assignment re-measured, unless the caller measured it
+  /// under final_run_options() itself) and speedup, in a
+  /// "final_measure" span.
+  void finish(TuningResult& result,
+              std::optional<double> tuned_seconds = std::nullopt);
 
   /// Total single-run evaluations so far (cache hits included: a hit
   /// satisfies the same logical evaluation a re-run would have).
@@ -432,6 +459,8 @@ class Evaluator {
   std::atomic<double> modeled_overhead_{0.0};
 
   RetryPolicy retry_policy_;
+  int final_reps_ = 10;
+  std::optional<double> baseline_seconds_;
   std::shared_ptr<EvalJournal> journal_;
   std::shared_ptr<EvalCache> cache_;
   std::uint64_t cache_salt_ = 0;

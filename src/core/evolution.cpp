@@ -28,8 +28,7 @@ struct Individual {
 TuningResult evolutionary_search(Evaluator& evaluator,
                                  const Outline& outline,
                                  const Collection& collection,
-                                 const EvolutionOptions& options,
-                                 double baseline_seconds) {
+                                 const EvolutionOptions& options) {
   TuningResult result;
   result.algorithm = "EvoCFR";
 
@@ -142,9 +141,7 @@ TuningResult evolutionary_search(Evaluator& evaluator,
   result.best_assignment = make_assignment(population[best].genome);
   result.search_best_seconds = population[best].seconds;
   result.evaluations = result.history.size();
-  result.tuned_seconds = evaluator.final_seconds(result.best_assignment);
-  result.baseline_seconds = baseline_seconds;
-  result.speedup = baseline_seconds / result.tuned_seconds;
+  evaluator.finish(result);
   return result;
 }
 

@@ -33,7 +33,6 @@ struct EvolutionOptions {
 [[nodiscard]] TuningResult evolutionary_search(Evaluator& evaluator,
                                                const Outline& outline,
                                                const Collection& collection,
-                                               const EvolutionOptions& options,
-                                               double baseline_seconds);
+                                               const EvolutionOptions& options);
 
 }  // namespace ft::core

@@ -4,7 +4,6 @@
 #include "core/eval_cache.hpp"
 #include "core/persistent_cache.hpp"
 #include "support/rng.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace ft::core {
 
@@ -28,6 +27,7 @@ FuncyTuner::FuncyTuner(ir::Program program, machine::Architecture arch,
     engine_->set_fault_model(machine::FaultModel(options_.faults));
   }
   evaluator_->set_retry_policy(options_.retry);
+  evaluator_->set_final_reps(options_.final_reps);
   if (options_.eval_cache || !options_.eval_cache_dir.empty()) {
     auto cache = std::make_shared<EvalCache>(
         options_.eval_cache_entries != 0 ? options_.eval_cache_entries
@@ -75,17 +75,6 @@ const Collection& FuncyTuner::collection() {
   return *collection_;
 }
 
-double FuncyTuner::baseline_seconds() {
-  if (!baseline_seconds_) {
-    telemetry::Span span = telemetry::tracer().begin("baseline");
-    const compiler::ModuleAssignment o3 = compiler::ModuleAssignment::uniform(
-        space_.default_cv(), program_.loops().size());
-    baseline_seconds_ = evaluator_->final_seconds(o3, options_.final_reps);
-    if (span) span.attr("seconds", *baseline_seconds_);
-  }
-  return *baseline_seconds_;
-}
-
 SearchContext FuncyTuner::search_context() {
   SearchContext context;
   context.provide_evaluator(evaluator_.get());
@@ -95,7 +84,6 @@ SearchContext FuncyTuner::search_context() {
   context.provide_outline([this]() -> decltype(auto) { return outline(); });
   context.provide_collection(
       [this]() -> decltype(auto) { return collection(); });
-  context.provide_baseline_seconds([this] { return baseline_seconds(); });
   return context;
 }
 
@@ -103,6 +91,10 @@ TuningResult FuncyTuner::run(const std::string& algorithm) {
   const std::unique_ptr<SearchAlgorithm> search =
       SearchRegistry::global().create(algorithm);
   SearchContext context = search_context();
+  // The baseline is the first phase of every run (before the outline
+  // and the collection): span, journal and quarantine order depend on
+  // it.
+  (void)baseline_seconds();
   return search->run(context);
 }
 
@@ -132,19 +124,17 @@ std::vector<std::string> FuncyTuner::per_loop_decisions(
 }
 
 double FuncyTuner::seconds_on(const ir::InputSpec& input,
-                              const compiler::ModuleAssignment& assignment,
-                              int reps) {
+                              const compiler::ModuleAssignment& assignment) {
   const compiler::Executable exe = compiler_.build(program_, assignment);
   machine::RunOptions options;
-  options.repetitions = reps;
+  options.repetitions = options_.final_reps;
   options.rep_base = rep_streams::kCrossInput;
   return engine_->run(exe, input, options).end_to_end;
 }
 
-double FuncyTuner::baseline_seconds_on(const ir::InputSpec& input,
-                                       int reps) {
+double FuncyTuner::baseline_seconds_on(const ir::InputSpec& input) {
   machine::RunOptions options;
-  options.repetitions = reps;
+  options.repetitions = options_.final_reps;
   options.rep_base = rep_streams::kCrossInput;
   return engine_->run(engine_->baseline(), input, options).end_to_end;
 }

@@ -28,7 +28,9 @@ struct FuncyTunerOptions {
   std::size_t samples = 1000;
   std::uint64_t seed = 42;
   double hot_threshold = 0.01;  ///< outline loops >= 1% of runtime
-  int final_reps = 10;          ///< reporting protocol (§4.1)
+  /// Repetitions of every final measurement: the O3 baseline, each
+  /// tuned result and the cross-input runs (§4.1; Evaluator::finish).
+  int final_reps = 10;
   double noise_sigma_rel = 0.008;
   /// Extra error on per-region Caliper readings (§3.3 noise-tolerance
   /// claim; see ExecutionEngine). The noise ablation sweeps this.
@@ -101,7 +103,10 @@ class FuncyTuner {
   /// Lazy phases (each runs at most once).
   [[nodiscard]] const Outline& outline();
   [[nodiscard]] const Collection& collection();
-  [[nodiscard]] double baseline_seconds();
+  /// O3 under the final protocol (memoized by the evaluator).
+  [[nodiscard]] double baseline_seconds() {
+    return evaluator_->baseline_seconds();
+  }
 
   /// Lazy accessors over this tuner's phases, for SearchAlgorithm::run.
   [[nodiscard]] SearchContext search_context();
@@ -122,14 +127,13 @@ class FuncyTuner {
   [[nodiscard]] std::vector<std::string> per_loop_decisions(
       const compiler::ModuleAssignment& assignment);
 
-  /// End-to-end seconds of an assignment on an arbitrary input
-  /// (Figs 7/8 evaluate tuned executables on unseen inputs).
+  /// End-to-end seconds of an assignment on an arbitrary input over
+  /// final_reps runs (Figs 7/8 evaluate tuned executables on unseen
+  /// inputs).
   [[nodiscard]] double seconds_on(const ir::InputSpec& input,
-                                  const compiler::ModuleAssignment&,
-                                  int reps = 10);
+                                  const compiler::ModuleAssignment&);
   /// O3 seconds on an arbitrary input, same protocol.
-  [[nodiscard]] double baseline_seconds_on(const ir::InputSpec& input,
-                                           int reps = 10);
+  [[nodiscard]] double baseline_seconds_on(const ir::InputSpec& input);
 
  private:
   FuncyTunerOptions options_;
@@ -143,7 +147,6 @@ class FuncyTuner {
   std::vector<flags::CompilationVector> presampled_;
   std::optional<Outline> outline_;
   std::optional<Collection> collection_;
-  std::optional<double> baseline_seconds_;
 };
 
 }  // namespace ft::core

@@ -67,24 +67,10 @@ void finish_from_history(TuningResult& result,
   result.evaluations = seconds.size();
 }
 
-void measure_final(TuningResult& result, Evaluator& evaluator,
-                   double baseline_seconds) {
-  telemetry::Span span = telemetry::tracer().begin("final_measure");
-  result.tuned_seconds = evaluator.final_seconds(result.best_assignment);
-  result.baseline_seconds = baseline_seconds;
-  result.speedup = baseline_seconds / result.tuned_seconds;
-  if (span) {
-    span.attr("algorithm", result.algorithm)
-        .attr("tuned_seconds", result.tuned_seconds)
-        .attr("speedup", result.speedup);
-  }
-}
-
 }  // namespace
 
 TuningResult random_search(Evaluator& evaluator,
-                           std::span<const flags::CompilationVector> cvs,
-                           double baseline_seconds) {
+                           std::span<const flags::CompilationVector> cvs) {
   TuningResult result;
   result.algorithm = "Random";
   telemetry::Span span = telemetry::tracer().begin("search:Random");
@@ -110,14 +96,14 @@ TuningResult random_search(Evaluator& evaluator,
   } else {
     result.best_assignment = default_assignment(evaluator, loop_count);
   }
-  measure_final(result, evaluator, baseline_seconds);
+  evaluator.finish(result);
   return result;
 }
 
 TuningResult function_random_search(
     Evaluator& evaluator, const Outline& outline,
     std::span<const flags::CompilationVector> presampled,
-    std::size_t iterations, std::uint64_t seed, double baseline_seconds) {
+    std::size_t iterations, std::uint64_t seed) {
   TuningResult result;
   result.algorithm = "FR";
   telemetry::Span span = telemetry::tracer().begin("search:FR");
@@ -156,13 +142,12 @@ TuningResult function_random_search(
           ? make(support::argmin(seconds))
           : default_assignment(evaluator,
                                evaluator.engine().program().loops().size());
-  measure_final(result, evaluator, baseline_seconds);
+  evaluator.finish(result);
   return result;
 }
 
 TuningResult greedy_combination(Evaluator& evaluator, const Outline& outline,
-                                const Collection& collection,
-                                double baseline_seconds) {
+                                const Collection& collection) {
   if (collection.cvs.empty()) {
     throw std::invalid_argument("greedy combination needs a collection");
   }
@@ -193,13 +178,14 @@ TuningResult greedy_combination(Evaluator& evaluator, const Outline& outline,
                    ? collection.cvs[rest_winner]
                    : default_cv);
   result.evaluations = 1;
-  measure_final(result, evaluator, baseline_seconds);
+  evaluator.finish(result);
   result.search_best_seconds = result.tuned_seconds;
   result.history = {result.tuned_seconds};
 
   // G.Independent: the pairwise-independence hypothetical (§3.4) -
   // sums the best per-module times without assembling an executable.
-  const double independent_speedup = baseline_seconds / independent_sum;
+  const double independent_speedup =
+      result.baseline_seconds / independent_sum;
   result.extras.set(kExtraIndependentSeconds, independent_sum);
   result.extras.set(kExtraIndependentSpeedup, independent_speedup);
   if (span) {
@@ -238,7 +224,7 @@ std::vector<std::vector<std::size_t>> prune_top_x(
 
 TuningResult cfr_search(Evaluator& evaluator, const Outline& outline,
                         const Collection& collection,
-                        const CfrOptions& options, double baseline_seconds) {
+                        const CfrOptions& options) {
   TuningResult result;
   result.algorithm = "CFR";
   telemetry::Span span = telemetry::tracer().begin("search:CFR");
@@ -311,15 +297,14 @@ TuningResult cfr_search(Evaluator& evaluator, const Outline& outline,
           ? make(support::argmin(seconds))
           : default_assignment(evaluator,
                                evaluator.engine().program().loops().size());
-  measure_final(result, evaluator, baseline_seconds);
+  evaluator.finish(result);
   return result;
 }
 
 TuningResult retune_search(Evaluator& evaluator, const Outline& outline,
                            const Collection& collection,
                            const compiler::ModuleAssignment& seed_assignment,
-                           const RetuneOptions& options,
-                           double baseline_seconds) {
+                           const RetuneOptions& options) {
   TuningResult result;
   result.algorithm = "Retune";
   telemetry::Span span = telemetry::tracer().begin("search:Retune");
@@ -393,7 +378,7 @@ TuningResult retune_search(Evaluator& evaluator, const Outline& outline,
   result.best_assignment =
       any_valid(seconds) ? outline.make_assignment(best_hot, best_rest)
                          : seed_assignment;
-  measure_final(result, evaluator, baseline_seconds);
+  evaluator.finish(result);
   return result;
 }
 

@@ -59,13 +59,14 @@ inline constexpr const char* kExtraIndependentSeconds =
 inline constexpr const char* kExtraIndependentSpeedup =
     "independent_speedup";
 
-/// Result of one search algorithm on one (program, arch, input).
+/// Result of one search algorithm on one (program, arch, input). The
+/// final-protocol fields are filled by Evaluator::finish.
 struct TuningResult {
   std::string algorithm;
   compiler::ModuleAssignment best_assignment;
   double search_best_seconds = 0.0;  ///< best runtime seen during search
-  double tuned_seconds = 0.0;        ///< re-measured (10 reps, fresh noise)
-  double baseline_seconds = 0.0;     ///< O3, same protocol
+  double tuned_seconds = 0.0;        ///< best_assignment, final protocol
+  double baseline_seconds = 0.0;     ///< O3, final protocol
   double speedup = 0.0;              ///< baseline / tuned
   std::vector<double> history;       ///< best-so-far after each evaluation
   std::size_t evaluations = 0;
@@ -75,15 +76,14 @@ struct TuningResult {
 
 /// Per-program random search over `cvs` (uniform compilation).
 [[nodiscard]] TuningResult random_search(
-    Evaluator& evaluator, std::span<const flags::CompilationVector> cvs,
-    double baseline_seconds);
+    Evaluator& evaluator, std::span<const flags::CompilationVector> cvs);
 
 /// Per-function random search: per iteration, each module draws a CV
 /// uniformly (with replacement) from the pre-sampled set.
 [[nodiscard]] TuningResult function_random_search(
     Evaluator& evaluator, const Outline& outline,
     std::span<const flags::CompilationVector> presampled,
-    std::size_t iterations, std::uint64_t seed, double baseline_seconds);
+    std::size_t iterations, std::uint64_t seed);
 
 /// Greedy combination from collected per-loop runtimes: the realized
 /// result, with the §3.4 no-interference bound (G.Independent) in
@@ -91,8 +91,7 @@ struct TuningResult {
 /// Throws std::invalid_argument on an empty collection.
 [[nodiscard]] TuningResult greedy_combination(Evaluator& evaluator,
                                               const Outline& outline,
-                                              const Collection& collection,
-                                              double baseline_seconds);
+                                              const Collection& collection);
 
 struct CfrOptions {
   std::size_t top_x = 10;        ///< pruned space size per module
@@ -110,8 +109,7 @@ struct CfrOptions {
 [[nodiscard]] TuningResult cfr_search(Evaluator& evaluator,
                                       const Outline& outline,
                                       const Collection& collection,
-                                      const CfrOptions& options,
-                                      double baseline_seconds);
+                                      const CfrOptions& options);
 
 /// Pruned candidate indices per module (top-X smallest measured times;
 /// exposed for tests of Algorithm 1's pruning step). The last entry is
@@ -137,6 +135,6 @@ struct RetuneOptions {
     Evaluator& evaluator, const Outline& outline,
     const Collection& collection,
     const compiler::ModuleAssignment& seed_assignment,
-    const RetuneOptions& options, double baseline_seconds);
+    const RetuneOptions& options);
 
 }  // namespace ft::core

@@ -48,11 +48,6 @@ const Collection& SearchContext::collection() const {
   return collection_();
 }
 
-double SearchContext::baseline_seconds() const {
-  if (!baseline_seconds_) missing("baseline_seconds");
-  return baseline_seconds_();
-}
-
 const compiler::ModuleAssignment& SearchContext::seed_assignment() const {
   if (seed_assignment_ == nullptr) missing("seed_assignment");
   return *seed_assignment_;
@@ -89,8 +84,7 @@ class RandomAlgorithm final : public SearchAlgorithm {
   std::string name() const override { return "random"; }
   std::string display_name() const override { return "Random"; }
   TuningResult run(SearchContext& context) const override {
-    return random_search(context.evaluator(), context.presampled(),
-                         context.baseline_seconds());
+    return random_search(context.evaluator(), context.presampled());
   }
 };
 
@@ -110,8 +104,7 @@ class FrAlgorithm final : public SearchAlgorithm {
     return function_random_search(
         context.evaluator(), context.outline(), context.presampled(),
         budget(parsed, "samples", options),
-        support::Rng(options.seed).fork("fr").next(),
-        context.baseline_seconds());
+        support::Rng(options.seed).fork("fr").next());
   }
 };
 
@@ -121,8 +114,7 @@ class GreedyAlgorithm final : public SearchAlgorithm {
   std::string display_name() const override { return "G.realized"; }
   TuningResult run(SearchContext& context) const override {
     return greedy_combination(context.evaluator(), context.outline(),
-                              context.collection(),
-                              context.baseline_seconds());
+                              context.collection());
   }
 };
 
@@ -150,8 +142,7 @@ class CfrAlgorithm final : public SearchAlgorithm {
     cfr_options.patience =
         static_cast<std::size_t>(parsed.integer("patience"));
     return cfr_search(context.evaluator(), context.outline(),
-                      context.collection(), cfr_options,
-                      context.baseline_seconds());
+                      context.collection(), cfr_options);
   }
 };
 
@@ -188,8 +179,7 @@ class RetuneAlgorithm final : public SearchAlgorithm {
                       .default_cv(),
                   context.evaluator().engine().program().loops().size());
     return retune_search(context.evaluator(), context.outline(),
-                         context.collection(), seed, retune_options,
-                         context.baseline_seconds());
+                         context.collection(), seed, retune_options);
   }
 };
 

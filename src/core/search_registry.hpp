@@ -39,7 +39,6 @@ class SearchContext {
       std::function<const std::vector<flags::CompilationVector>&()>;
   using OutlineFn = std::function<const Outline&()>;
   using CollectionFn = std::function<const Collection&()>;
-  using BaselineFn = std::function<double()>;
 
   // --- harness side: wiring ----------------------------------------------
   void provide_evaluator(Evaluator* evaluator) { evaluator_ = evaluator; }
@@ -49,9 +48,6 @@ class SearchContext {
   void provide_presampled(PresampledFn fn) { presampled_ = std::move(fn); }
   void provide_outline(OutlineFn fn) { outline_ = std::move(fn); }
   void provide_collection(CollectionFn fn) { collection_ = std::move(fn); }
-  void provide_baseline_seconds(BaselineFn fn) {
-    baseline_seconds_ = std::move(fn);
-  }
   void provide_seed_assignment(const compiler::ModuleAssignment* seed) {
     seed_assignment_ = seed;
   }
@@ -63,7 +59,6 @@ class SearchContext {
       const;
   [[nodiscard]] const Outline& outline() const;
   [[nodiscard]] const Collection& collection() const;
-  [[nodiscard]] double baseline_seconds() const;
   /// Incumbent assignment an incremental search starts from (the
   /// "retune" algorithm re-tunes around it instead of searching from
   /// scratch). Optional: check has_seed_assignment() first.
@@ -84,7 +79,6 @@ class SearchContext {
   PresampledFn presampled_;
   OutlineFn outline_;
   CollectionFn collection_;
-  BaselineFn baseline_seconds_;
   const compiler::ModuleAssignment* seed_assignment_ = nullptr;
 };
 

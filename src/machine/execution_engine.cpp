@@ -217,11 +217,4 @@ RunResult ExecutionEngine::run(const compiler::Executable& exe,
   return result;
 }
 
-double ExecutionEngine::baseline_seconds(const ir::InputSpec& input,
-                                         int reps) {
-  RunOptions options;
-  options.repetitions = reps;
-  return run(baseline_, input, options).end_to_end;
-}
-
 }  // namespace ft::machine

@@ -87,10 +87,6 @@ class ExecutionEngine {
                               const ir::InputSpec& input,
                               const RunOptions& options = {});
 
-  /// O3 end-to-end time on `input` (averaged over `reps`, with noise).
-  [[nodiscard]] double baseline_seconds(const ir::InputSpec& input,
-                                        int reps = 10);
-
   /// Noise-free truth per module (loops then non-loop); for tests and
   /// oracle computations.
   [[nodiscard]] std::vector<double> true_module_seconds(

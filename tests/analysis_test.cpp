@@ -155,19 +155,16 @@ TEST(Serialization, TuningResultJson) {
 TEST(CfrPatience, StopsEarlyAndMatchesPrefix) {
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          fast_options(300));
-  const double baseline = tuner.baseline_seconds();
 
   core::CfrOptions full;
   full.iterations = 300;
   const auto reference = core::cfr_search(
-      tuner.evaluator(), tuner.outline(), tuner.collection(), full,
-      baseline);
+      tuner.evaluator(), tuner.outline(), tuner.collection(), full);
 
   core::CfrOptions stopped = full;
   stopped.patience = 40;
   const auto early = core::cfr_search(tuner.evaluator(), tuner.outline(),
-                                      tuner.collection(), stopped,
-                                      baseline);
+                                      tuner.collection(), stopped);
   EXPECT_LE(early.evaluations, reference.evaluations);
   // The evaluations it did run are identical to the full run's prefix.
   for (std::size_t i = 0; i < early.history.size(); ++i) {
@@ -183,8 +180,7 @@ TEST(CfrPatience, ZeroPatienceDisablesEarlyStop) {
   options.iterations = 120;
   options.patience = 0;
   const auto result = core::cfr_search(
-      tuner.evaluator(), tuner.outline(), tuner.collection(), options,
-      tuner.baseline_seconds());
+      tuner.evaluator(), tuner.outline(), tuner.collection(), options);
   EXPECT_EQ(result.evaluations, 120u);
 }
 
@@ -357,8 +353,7 @@ TEST(Evolution, RespectsBudgetAndPrunedSpaces) {
   options.evaluations = 200;
   options.top_x = 10;
   const auto result = core::evolutionary_search(
-      tuner.evaluator(), tuner.outline(), tuner.collection(), options,
-      tuner.baseline_seconds());
+      tuner.evaluator(), tuner.outline(), tuner.collection(), options);
   EXPECT_EQ(result.algorithm, "EvoCFR");
   EXPECT_EQ(result.evaluations, 200u);
   EXPECT_EQ(result.history.size(), 200u);
@@ -385,8 +380,7 @@ TEST(Evolution, DeterministicUnderSeed) {
     core::EvolutionOptions options;
     options.evaluations = 150;
     return core::evolutionary_search(tuner.evaluator(), tuner.outline(),
-                                     tuner.collection(), options,
-                                     tuner.baseline_seconds())
+                                     tuner.collection(), options)
         .speedup;
   };
   EXPECT_DOUBLE_EQ(run(), run());
@@ -395,13 +389,11 @@ TEST(Evolution, DeterministicUnderSeed) {
 TEST(Evolution, CompetitiveWithCfr) {
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          fast_options(400));
-  const double baseline = tuner.baseline_seconds();
   const auto cfr = tuner.run("cfr");
   core::EvolutionOptions options;
   options.evaluations = 400;
   const auto evo = core::evolutionary_search(
-      tuner.evaluator(), tuner.outline(), tuner.collection(), options,
-      baseline);
+      tuner.evaluator(), tuner.outline(), tuner.collection(), options);
   // Recombination must at least hold its own against blind re-sampling.
   EXPECT_GT(evo.speedup, cfr.speedup - 0.02);
   EXPECT_GT(evo.speedup, 1.0);
@@ -414,8 +406,7 @@ TEST(Evolution, TinyBudgetStillWorks) {
   options.evaluations = 10;  // smaller than the population
   options.population = 32;
   const auto result = core::evolutionary_search(
-      tuner.evaluator(), tuner.outline(), tuner.collection(), options,
-      tuner.baseline_seconds());
+      tuner.evaluator(), tuner.outline(), tuner.collection(), options);
   EXPECT_EQ(result.evaluations, 10u);
   EXPECT_GT(result.speedup, 0.8);
 }

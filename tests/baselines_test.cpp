@@ -27,20 +27,19 @@ core::FuncyTunerOptions fast_options() {
 TEST(CombinedElimination, TerminatesNearO3) {
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          fast_options());
-  const double baseline = tuner.baseline_seconds();
   const CeResult result =
-      combined_elimination(tuner.evaluator(), tuner.space(), baseline);
-  EXPECT_GT(result.evaluations, tuner.space().flag_count());
+      combined_elimination(tuner.evaluator(), tuner.space());
+  EXPECT_GT(result.tuning.evaluations, tuner.space().flag_count());
   // Fig 1: CE hovers around the O3 baseline (local minimum).
-  EXPECT_GT(result.speedup, 0.9);
-  EXPECT_LT(result.speedup, 1.12);
+  EXPECT_GT(result.tuning.speedup, 0.9);
+  EXPECT_LT(result.tuning.speedup, 1.12);
 }
 
 TEST(CombinedElimination, EliminatesHarmfulFlags) {
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          fast_options());
   const CeResult result = combined_elimination(
-      tuner.evaluator(), tuner.space(), tuner.baseline_seconds());
+      tuner.evaluator(), tuner.space());
   // -O2 (a pure slowdown vs the O3 baseline) must have been removed.
   for (const auto& name : result.enabled_flags) {
     EXPECT_NE(name, "-O");
@@ -53,9 +52,9 @@ TEST(CombinedElimination, WorksOnGccPersonality) {
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          fast_options(), compiler::Personality::kGcc);
   const CeResult result = combined_elimination(
-      tuner.evaluator(), tuner.space(), tuner.baseline_seconds());
-  EXPECT_GT(result.speedup, 0.9);
-  EXPECT_LT(result.speedup, 1.12);
+      tuner.evaluator(), tuner.space());
+  EXPECT_GT(result.tuning.speedup, 0.9);
+  EXPECT_LT(result.tuning.speedup, 1.12);
 }
 
 // --------------------------------------------------------- opentuner ----
@@ -66,8 +65,7 @@ TEST(OpenTuner, RunsRequestedIterations) {
   OpenTunerOptions options;
   options.iterations = 150;
   const OpenTunerResult result = opentuner_search(
-      tuner.evaluator(), tuner.space(), options,
-      tuner.baseline_seconds());
+      tuner.evaluator(), tuner.space(), options);
   EXPECT_EQ(result.tuning.evaluations, 150u);
   EXPECT_EQ(result.tuning.history.size(), 150u);
   std::size_t total_uses = 0;
@@ -81,8 +79,7 @@ TEST(OpenTuner, ImprovesOverO3) {
   OpenTunerOptions options;
   options.iterations = 400;
   const OpenTunerResult result = opentuner_search(
-      tuner.evaluator(), tuner.space(), options,
-      tuner.baseline_seconds());
+      tuner.evaluator(), tuner.space(), options);
   EXPECT_GT(result.tuning.speedup, 1.0);
 }
 
@@ -92,8 +89,7 @@ TEST(OpenTuner, EveryTechniqueGetsExplored) {
   OpenTunerOptions options;
   options.iterations = 200;
   const OpenTunerResult result = opentuner_search(
-      tuner.evaluator(), tuner.space(), options,
-      tuner.baseline_seconds());
+      tuner.evaluator(), tuner.space(), options);
   ASSERT_EQ(result.technique_names.size(), 6u);
   for (const std::size_t uses : result.technique_uses) {
     EXPECT_GT(uses, 0u);  // UCB exploration touches everyone
@@ -106,8 +102,7 @@ TEST(OpenTuner, DeterministicUnderSeed) {
                            fast_options());
     OpenTunerOptions options;
     options.iterations = 100;
-    return opentuner_search(tuner.evaluator(), tuner.space(), options,
-                            tuner.baseline_seconds())
+    return opentuner_search(tuner.evaluator(), tuner.space(), options)
         .tuning.speedup;
   };
   EXPECT_DOUBLE_EQ(run(), run());
@@ -168,8 +163,7 @@ TEST_F(CobaynTest, InferenceProducesValidResult) {
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          fast_options());
   const core::TuningResult result = shared_model().infer(
-      tuner.evaluator(), CobaynModel::kStatic,
-      tuner.baseline_seconds());
+      tuner.evaluator(), CobaynModel::kStatic);
   EXPECT_EQ(result.algorithm, "static COBAYN");
   EXPECT_EQ(result.evaluations, 150u);
   EXPECT_GT(result.speedup, 0.85);
@@ -179,11 +173,8 @@ TEST_F(CobaynTest, InferenceProducesValidResult) {
 TEST_F(CobaynTest, InferenceIsDeterministic) {
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          fast_options());
-  const double baseline = tuner.baseline_seconds();
-  const auto a = shared_model().infer(tuner.evaluator(),
-                                      CobaynModel::kStatic, baseline);
-  const auto b = shared_model().infer(tuner.evaluator(),
-                                      CobaynModel::kStatic, baseline);
+  const auto a = shared_model().infer(tuner.evaluator(), CobaynModel::kStatic);
+  const auto b = shared_model().infer(tuner.evaluator(), CobaynModel::kStatic);
   EXPECT_DOUBLE_EQ(a.tuned_seconds, b.tuned_seconds);
   EXPECT_EQ(a.best_assignment.nonloop_cv, b.best_assignment.nonloop_cv);
 }
@@ -209,7 +200,7 @@ TEST(Pgo, FailsForLuleshAndOptewe) {
     core::FuncyTuner tuner(programs::by_name(name), machine::broadwell(),
                            fast_options());
     const PgoResult result =
-        pgo_tune(tuner.evaluator(), tuner.baseline_seconds());
+        pgo_tune(tuner.evaluator());
     EXPECT_TRUE(result.instrumentation_failed) << name;
     EXPECT_DOUBLE_EQ(result.tuning.speedup, 1.0) << name;
   }
@@ -219,7 +210,7 @@ TEST(Pgo, ModestGainsElsewhere) {
   core::FuncyTuner tuner(programs::cloverleaf(), machine::broadwell(),
                          fast_options());
   const PgoResult result =
-      pgo_tune(tuner.evaluator(), tuner.baseline_seconds());
+      pgo_tune(tuner.evaluator());
   EXPECT_FALSE(result.instrumentation_failed);
   // §4.2.2: PGO shows little improvement (but no catastrophe).
   EXPECT_GT(result.tuning.speedup, 0.95);

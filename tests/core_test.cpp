@@ -168,27 +168,24 @@ TEST_F(CoreTest, SearchesRefuseEmptyCandidateSets) {
   Evaluator& evaluator = tuner_.evaluator();
   const Outline& outline = tuner_.outline();
   const Collection& collection = tuner_.collection();
-  const double baseline = tuner_.baseline_seconds();
   const std::size_t evaluations = evaluator.evaluations();
   EXPECT_THROW((void)prune_top_x(collection, 0), std::invalid_argument);
   CfrOptions cfr;
   cfr.top_x = 0;
-  EXPECT_THROW((void)cfr_search(evaluator, outline, collection, cfr, baseline),
+  EXPECT_THROW((void)cfr_search(evaluator, outline, collection, cfr),
                std::invalid_argument);
   RetuneOptions retune;
   retune.top_x = 0;
   const compiler::ModuleAssignment seed = compiler::ModuleAssignment::uniform(
       evaluator.engine().compiler().space().default_cv(),
       tuner_.program().loops().size());
-  EXPECT_THROW((void)retune_search(evaluator, outline, collection, seed,
-                                   retune, baseline),
-               std::invalid_argument);
-  const Collection empty;
   EXPECT_THROW(
-      (void)greedy_combination(evaluator, outline, empty, baseline),
+      (void)retune_search(evaluator, outline, collection, seed, retune),
       std::invalid_argument);
-  EXPECT_THROW((void)cfr_search(evaluator, outline, empty, CfrOptions{},
-                                baseline),
+  const Collection empty;
+  EXPECT_THROW((void)greedy_combination(evaluator, outline, empty),
+               std::invalid_argument);
+  EXPECT_THROW((void)cfr_search(evaluator, outline, empty, CfrOptions{}),
                std::invalid_argument);
   EXPECT_THROW((void)prune_top_x(empty, 10), std::invalid_argument);
   // Every refusal came before the first evaluation.
@@ -392,8 +389,8 @@ TEST_F(CoreTest, CrossInputEvaluation) {
   ASSERT_TRUE(large.has_value());
   const auto o3 = compiler::ModuleAssignment::uniform(
       tuner_.space().default_cv(), tuner_.program().loops().size());
-  const double tuned = tuner_.seconds_on(*large, o3, 5);
-  const double baseline = tuner_.baseline_seconds_on(*large, 5);
+  const double tuned = tuner_.seconds_on(*large, o3);
+  const double baseline = tuner_.baseline_seconds_on(*large);
   EXPECT_NEAR(tuned, baseline, 0.2);
   EXPECT_NEAR(baseline, large->o3_seconds, 0.5);
 }

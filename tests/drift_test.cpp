@@ -193,7 +193,7 @@ TEST(RetuneSearch, NeverScoresWorseThanItsSeed) {
   options.top_x = 2;
   const TuningResult retuned = retune_search(
       tuner.evaluator(), tuner.outline(), tuner.collection(),
-      cfr.best_assignment, options, tuner.baseline_seconds());
+      cfr.best_assignment, options);
   EXPECT_EQ(retuned.algorithm, "Retune");
   EXPECT_EQ(retuned.evaluations, options.iterations);
   ASSERT_EQ(retuned.history.size(), options.iterations);

@@ -227,9 +227,9 @@ TEST(EvalCacheProperty, EvolutionSearchBitIdenticalWithCache) {
   evo.evaluations = 80;
   evo.population = 8;
   const TuningResult ra = evolutionary_search(
-      a.evaluator(), a.outline(), a.collection(), evo, a.baseline_seconds());
+      a.evaluator(), a.outline(), a.collection(), evo);
   const TuningResult rb = evolutionary_search(
-      b.evaluator(), b.outline(), b.collection(), evo, b.baseline_seconds());
+      b.evaluator(), b.outline(), b.collection(), evo);
   expect_identical(ra, rb);
   // Converging populations re-evaluate recombined duplicates; EvoCFR is
   // where the cache pays off hardest.

@@ -376,7 +376,9 @@ TEST_F(EngineTest, DifferentInputsCalibrateIndependently) {
 
 TEST_F(EngineTest, BaselineSecondsAveragesReps) {
   const double seconds =
-      engine_.baseline_seconds(program_.tuning_input(), 10);
+      engine_.run(engine_.baseline(), program_.tuning_input(),
+                  {.repetitions = 10})
+          .end_to_end;
   EXPECT_NEAR(seconds, program_.tuning_input().o3_seconds, 0.5);
 }
 

@@ -162,8 +162,10 @@ TEST(SearchContext_, CollectionAccessorThrowsWhenUnset) {
 }
 
 TEST(SearchContext_, BaselineAccessorThrowsWhenUnset) {
+  // The baseline lives on the evaluator (Evaluator::baseline_seconds),
+  // so an unwired context cannot reach one.
   core::SearchContext context;
-  EXPECT_THROW((void)context.baseline_seconds(), std::logic_error);
+  EXPECT_THROW((void)context.evaluator(), std::logic_error);
 }
 
 TEST(SearchContext_, SeedAssignmentAccessorThrowsWhenUnset) {
@@ -212,7 +214,7 @@ TEST(SearchRegistry, CustomAlgorithmsCanRegisterAndReplace) {
     core::TuningResult run(core::SearchContext& context) const override {
       core::TuningResult result;
       result.algorithm = display_name();
-      result.baseline_seconds = context.baseline_seconds();
+      result.baseline_seconds = context.evaluator().baseline_seconds();
       result.speedup = 1.0;
       return result;
     }
@@ -244,21 +246,19 @@ TEST(SearchRegistry, RoundTripMatchesDirectCallsBitForBit) {
   core::FuncyTuner direct(programs::cloverleaf(), machine::broadwell(),
                           options);
   const core::TuningResult direct_random = core::random_search(
-      direct.evaluator(), direct.presampled(), direct.baseline_seconds());
+      direct.evaluator(), direct.presampled());
   const core::TuningResult direct_fr = core::function_random_search(
       direct.evaluator(), direct.outline(), direct.presampled(),
-      options.samples, support::Rng(options.seed).fork("fr").next(),
-      direct.baseline_seconds());
+      options.samples, support::Rng(options.seed).fork("fr").next());
   const core::TuningResult direct_greedy = core::greedy_combination(
-      direct.evaluator(), direct.outline(), direct.collection(),
-      direct.baseline_seconds());
+      direct.evaluator(), direct.outline(), direct.collection());
   core::CfrOptions cfr_options;
   cfr_options.top_x = kCfrTopX;
   cfr_options.iterations = options.samples;
   cfr_options.seed = support::Rng(options.seed).fork("cfr").next();
   const core::TuningResult direct_cfr = core::cfr_search(
       direct.evaluator(), direct.outline(), direct.collection(),
-      cfr_options, direct.baseline_seconds());
+      cfr_options);
 
   // Registry path, on a fresh tuner with the same seed.
   core::FuncyTuner registry(programs::cloverleaf(), machine::broadwell(),

@@ -98,7 +98,9 @@ support::OptionSet common_options(bool one_cell = true) {
       .real("hot-threshold", defaults.hot_threshold,
             "outline loops >= this runtime share")
       .integer("final-reps", defaults.final_reps,
-               "reps for baseline/final measurement", support::at_least(1))
+               "reps of every final measurement (O3 baseline, tuned "
+               "result, cross-input runs)",
+               support::at_least(1))
       .real("noise-sigma", defaults.noise_sigma_rel,
             "relative run-to-run noise sigma")
       .real("attribution-sigma", defaults.attribution_sigma,
